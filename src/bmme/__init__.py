@@ -29,8 +29,6 @@ from .solver import (
     StopReason,
     SubproblemError,
     Trace,
-    bmm_step,
-    bmme_step,
     backtracking_step,
     initial_backtrack_state,
     initial_state,
@@ -55,8 +53,6 @@ __all__ = [
     "SurrogateFn",
     "Trace",
     "backtracking_step",
-    "bmm_step",
-    "bmme_step",
     "bregman_divergence",
     "check_gradient",
     "check_kernel",

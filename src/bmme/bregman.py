@@ -1,14 +1,19 @@
-"""Distance-generating kernels, Bregman divergences, and smoothness checks.
+"""The norm-polynomial kernel family, its Bregman divergence, and checkers.
 
-The solver measures progress with Bregman divergences
-``D(x, y) = phi(x) - phi(y) - <grad phi(y), x - y>`` generated by strongly
-convex kernels ``phi``, and relies on the objective's smooth part being
-*relatively* smooth with respect to those kernels:
+Every block kernel is phi(x) = c1/4 ||x||_F^4 + c2/2 ||x||_F^2 with c1 >= 0
+and c2 > 0, the quartic-plus-quadratic family of Bolte, Sabach, Teboulle and
+Vaisbourd (2018) and Mukkamala and Ochs (2019). phi is c2-strongly convex,
+and with d = x - y its Bregman divergence has the closed form
+
+    D(x, y) = c2/2 ||d||^2 + c1/4 <d, x + y>^2 + c1/2 ||y||^2 ||d||^2,
+
+a sum of nonnegative terms, so D >= 0 and D(x, x) = 0 hold exactly; the
+textbook phi(x) - phi(y) - <grad phi(y), x - y> cancels once D << phi.
+The solver needs the smooth part f to be relatively smooth against phi:
 
     -l * D(x, y) <= f(x) - f(y) - <grad f(y), x - y> <= L * D(x, y).
 
-This module holds the kernel/divergence primitives plus sampling-based
-checkers used by the test suite and the ``verify`` command.
+The sampling-based checkers below serve the test suite and ``verify``.
 """
 
 from dataclasses import dataclass
@@ -27,13 +32,10 @@ __all__ = [
     "check_gradient",
     "check_kernel",
     "check_surrogate",
+    "cubic_norm_scale",
     "quadratic_kernel",
     "zero_surrogate",
 ]
-
-# Negative divergence values larger than this (relative) threshold indicate a
-# broken kernel rather than roundoff.
-_CLAMP_REL = 1e-12
 
 
 def as_matrix(a, name="matrix"):
@@ -60,24 +62,69 @@ def as_matrix(a, name="matrix"):
     return out
 
 
+def cubic_norm_scale(a, c):
+    """Unique positive root of ``t^2 (t - a) = c`` for a >= 0, c >= 0, a+c > 0.
+
+    Closed form: with D = c^2 + (4/27) c a^3, the root is
+    ``a/3 + cbrt((c + sqrt(D))/2 + a^3/27) + cbrt((c - sqrt(D))/2 + a^3/27)``;
+    the two cube-root arguments multiply to (a^2/9)^3, which gives the
+    cancellation-free evaluation used here, plus one Newton polish.
+    """
+    if a < 0 or c < 0:
+        raise ValueError("cubic_norm_scale needs a >= 0 and c >= 0")
+    if a == 0.0 and c == 0.0:
+        raise ValueError("cubic_norm_scale needs a + c > 0")
+    disc = c * c + (4.0 / 27.0) * c * a**3
+    t1 = np.cbrt((c + np.sqrt(disc)) / 2.0 + a**3 / 27.0)
+    rho = a / 3.0 + t1 + (a * a / 9.0) / t1
+    # one Newton step on t^3 - a t^2 - c sharpens the last bits
+    h = rho * rho * (rho - a) - c
+    dh = rho * (3.0 * rho - 2.0 * a)
+    if dh > 0:
+        rho -= h / dh
+    return float(rho)
+
+
 @dataclass(frozen=True)
 class BlockKernel:
-    """A distance-generating function for one block of variables.
+    """The kernel ``phi(x) = c1/4 ||x||_F^4 + c2/2 ||x||_F^2`` of one block.
 
     Attributes
     ----------
-    eval : callable
-        ``eval(x) -> float``, the kernel value.
-    grad : callable
-        ``grad(x) -> ndarray``, same shape as ``x``.
-    strong_convexity_modulus : float
-        A (possibly conservative) lower bound rho > 0 such that
-        ``D(x, y) >= rho/2 * ||x - y||_F^2``.
+    c1 : float
+        Quartic weight, finite and >= 0.
+    c2 : float
+        Quadratic weight, finite and > 0; also the strong-convexity modulus,
+        ``D(x, y) >= c2/2 * ||x - y||_F^2``.
     """
 
-    eval: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    strong_convexity_modulus: float = 0.0
+    c1: float
+    c2: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.c1) and self.c1 >= 0):
+            raise ValueError(f"c1 must be nonnegative and finite, got {self.c1}")
+        if not (np.isfinite(self.c2) and self.c2 > 0):
+            raise ValueError(f"c2 must be positive and finite, got {self.c2}")
+
+    @property
+    def strong_convexity_modulus(self):
+        return self.c2
+
+    def eval(self, x):
+        """The kernel value phi(x)."""
+        s = float(np.vdot(x, x))
+        return 0.25 * self.c1 * s * s + 0.5 * self.c2 * s
+
+    def grad(self, x):
+        """``grad phi(x) = (c1 ||x||^2 + c2) x``, as a new array."""
+        x = np.asarray(x, dtype=np.float64)
+        return (self.c1 * float(np.vdot(x, x)) + self.c2) * x
+
+    def grad_inverse(self, G):
+        """The x with ``grad phi(x) = G``: ``G / rho``, where
+        ``rho = c1 ||x||^2 + c2`` solves ``rho^2 (rho - c2) = c1 ||G||^2``."""
+        return G / cubic_norm_scale(self.c2, self.c1 * float(np.vdot(G, G)))
 
 
 @dataclass(frozen=True)
@@ -111,36 +158,28 @@ def zero_surrogate():
 
 
 def quadratic_kernel():
-    """The Euclidean kernel ``phi(x) = 0.5 * ||x||_F^2`` (modulus 1)."""
-    return BlockKernel(
-        eval=lambda x: 0.5 * float(np.vdot(x, x)),
-        grad=lambda x: np.array(x, dtype=np.float64, copy=True),
-        strong_convexity_modulus=1.0,
-    )
+    """The Euclidean kernel ``phi(x) = 0.5 * ||x||_F^2``: (c1, c2) = (0, 1)."""
+    return BlockKernel(c1=0.0, c2=1.0)
 
 
 def bregman_divergence(kernel, x, y):
     """Bregman divergence ``phi(x) - phi(y) - <grad phi(y), x - y>``.
 
-    Tiny negative values (roundoff from a convex kernel) are clamped to zero;
-    anything more negative than ``-1e-12 * (1 + |phi(x)|)`` raises, since a
-    genuinely negative divergence means the kernel is not convex.
+    Evaluated in the closed form of the module docstring, a sum of
+    nonnegative terms, so the result is >= 0 and ``D(x, x) == 0`` exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    px = float(kernel.eval(x))
-    d = px - float(kernel.eval(y)) - float(np.vdot(kernel.grad(y), x - y))
-    if not np.isfinite(d):
+    d = x - y
+    dd = float(np.vdot(d, d))
+    t = float(np.vdot(d, x + y))
+    div = (0.5 * kernel.c2 * dd + 0.25 * kernel.c1 * t * t
+           + 0.5 * kernel.c1 * float(np.vdot(y, y)) * dd)
+    if not np.isfinite(div):
         raise FloatingPointError("Bregman divergence is not finite")
-    if d < 0.0:
-        if d >= -_CLAMP_REL * (1.0 + abs(px)):
-            return 0.0
-        raise FloatingPointError(
-            f"negative Bregman divergence {d:.3e}; kernel is not convex"
-        )
-    return d
+    return div
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ observed entries of A:
               + lam * sum_ij (1 - exp(-theta |U_ij|))
               + lam * sum_ij (1 - exp(-theta |V_ij|)).
 
-The smooth part is (1, 1)-relatively smooth against the joint polynomial
-kernel ``phi = c1 * s^2 + c2 * s`` with ``s = (||U||_F^2 + ||V||_F^2) / 2``,
-``c1 = 3`` and ``c2 = ||P(A)||_F``. The concave penalty is majorized at the
-current iterate by a weighted l1 term (weights ``lam * theta *
-exp(-theta |.|)``), which gives the subproblem a closed form: soft-threshold,
-then rescale by the positive root of a cubic.
+The smooth part is (1, 1)-relatively smooth against the joint kernel
+``phi(Z) = c1/4 ||Z||_F^4 + c2/2 ||Z||_F^2`` of the norm-polynomial family
+(:mod:`bmme.bregman`), with ``c1 = 3`` and ``c2 = ||P(A)||_F``. The concave
+penalty is majorized at the current iterate by a weighted l1 term (weights
+``lam * theta * exp(-theta |.|)``), which gives the subproblem a closed form:
+soft-threshold, then invert the kernel gradient, which rescales by the
+positive root of a scalar cubic.
 
 Internally the factor pair is packed into a single (m + n) x r array
 ``Z = [U; V^T]`` so the joint kernel and the penalty act entrywise on one
@@ -24,7 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .bregman import BlockKernel, RelSmoothConstants, SurrogateFn
+from .bregman import (
+    BlockKernel,
+    RelSmoothConstants,
+    SurrogateFn,
+    cubic_norm_scale,
+)
 from .solver import BacktrackingProblem, BlockProblem
 
 __all__ = [
@@ -128,24 +134,15 @@ def _smooth_grad_packed(p, Z):
 
 
 def mc_kernel(p):
-    """Joint kernel c1 * s^2 + c2 * s, s = ||Z||_F^2 / 2, on packed factors.
+    """Joint kernel 3/4 ||Z||^4 + c2/2 ||Z||^2 on packed factors: (3, ||P(A)||_F).
 
-    c1 = 3 and c2 = Frobenius norm of the observed data; the smooth part is
-    (1, 1)-relatively smooth against it for any factor pair.
+    The smooth part is (1, 1)-relatively smooth against it for any factor
+    pair.
     """
     c2 = p.observed.frobenius()
     if c2 == 0.0:
         raise ValueError("kernel needs at least one nonzero observed entry")
-    c1 = 3.0
-
-    def eval_(Z):
-        s = 0.5 * float(np.vdot(Z, Z))
-        return c1 * s * s + c2 * s
-
-    def grad(Z):
-        return (c1 * float(np.vdot(Z, Z)) + c2) * Z
-
-    return BlockKernel(eval=eval_, grad=grad, strong_convexity_modulus=c2)
+    return BlockKernel(c1=3.0, c2=c2)
 
 
 def surrogate_weights(M, lam, theta):
@@ -183,50 +180,20 @@ def soft_threshold(A, B):
 def cubic_step_scale(c1, c2, s):
     """Unique positive root of ``c1 * s * t^3 + c2 * t - 1 = 0``.
 
-    Cardano closed form (written to avoid cancellation), sharpened by Newton;
-    falls back to bisection on (0, 1/c2] in the unlikely event the residual
-    exceeds 1e-10.
+    Its reciprocal rho solves ``rho^2 (rho - c2) = c1 * s``, the cubic of
+    :func:`bmme.bregman.cubic_norm_scale`.
     """
     if c1 <= 0 or c2 <= 0 or s < 0:
         raise ValueError("need c1 > 0, c2 > 0, s >= 0")
-    if s == 0.0:
-        return 1.0 / c2
-    # depressed cubic t^3 + P t + Q with P = c2/(c1 s) > 0, Q = -1/(c1 s)
-    P = c2 / (c1 * s)
-    Q = -1.0 / (c1 * s)
-    disc = (0.5 * Q) ** 2 + (P / 3.0) ** 3
-    t1 = np.cbrt(-0.5 * Q + np.sqrt(disc))
-    tau = t1 - (P / 3.0) / t1  # second cube root via t1 * t2 = -P/3
-
-    def h(t):
-        return c1 * s * t**3 + c2 * t - 1.0
-
-    for _ in range(3):
-        r = h(tau)
-        if r == 0.0:
-            break
-        tau = tau - r / (3.0 * c1 * s * tau * tau + c2)
-    if abs(h(tau)) > 1e-10:
-        lo, hi = 0.0, 1.0 / c2
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if h(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        tau = 0.5 * (lo + hi)
-    return float(tau)
+    return 1.0 / cubic_norm_scale(c2, c1 * s)
 
 
 def _subproblem_packed(p, kernel, Z_anchor, Z_bar, grad_bar, L):
-    # target = grad f(Zbar) - L * grad phi(Zbar); threshold by the majorizer
-    # weights at the anchor; rescale so the kernel fixed point holds.
+    # grad phi(Z_new) = -soft(grad f(Zbar) - L * grad phi(Zbar), weights) / L,
+    # with the majorizer weights taken at the anchor.
     W = surrogate_weights(Z_anchor, p.lam, p.theta)
     S = soft_threshold(grad_bar - L * kernel.grad(Z_bar), W)
-    scaled = S / L
-    s = float(np.vdot(scaled, scaled))
-    tau = cubic_step_scale(3.0, p.observed.frobenius(), s)
-    return -tau * scaled
+    return kernel.grad_inverse(-S / L)
 
 
 def mc_subproblem(p, state, x_bar, L):
@@ -268,17 +235,10 @@ def mc_block_problem(p):
     """Single packed BlockProblem with known constants (L, l) = (1, 1)."""
     kernel = mc_kernel(p)
     constants = RelSmoothConstants(L=1.0, l=1.0)
-    lam, theta = p.lam, p.theta
-
-    def surrogate_eval(x, y):
-        w = surrogate_weights(y, lam, theta)
-        return _penalty(lam, theta, y) + float(np.vdot(w, np.abs(x) - np.abs(y)))
-
     return BlockProblem(
         partial_grad=lambda blocks: _smooth_grad_packed(p, blocks[0]),
         kernel_for=lambda blocks: kernel,
         constants_for=lambda blocks: constants,
-        surrogate=SurrogateFn(eval=surrogate_eval),
         solve_subproblem=lambda blocks, z_bar, g, L, z_prev:
             _subproblem_packed(p, kernel, z_prev, z_bar, g, L),
     )
@@ -291,7 +251,6 @@ def mc_backtracking_problem(p):
         f_eval=lambda Z: _smooth_eval_packed(p, Z),
         grad=lambda Z: _smooth_grad_packed(p, Z),
         kernel=kernel,
-        surrogate=mc_surrogate(p),
         solve_subproblem=lambda z_bar, g, L, z_prev:
             _subproblem_packed(p, kernel, z_prev, z_bar, g, L),
     )

@@ -4,17 +4,19 @@ The problem is
 
     min_{U >= 0, V >= 0}  0.5 ||X - U V||_F^2 + 0.5 lam ||I - V V^T||_F^2,
 
-whose V-block smooth part is a quartic, handled with the polynomial kernel
-``phi(V) = (6 lam / 4) ||V||_F^4 + 0.5 eps(U) ||V||_F^2`` where
-``eps(U) = max(||U^T U||_2, 2 lam)``. Against that kernel the V block is
-(1, 1)-relatively smooth; the U block is plain Lipschitz with constant
-``||V V^T||_2`` against the Euclidean kernel. Both block updates have closed
-forms: a projected gradient step for U, and for V the positive part of
+whose V-block smooth part is a quartic. Both blocks use kernels of the
+norm-polynomial family ``phi = c1/4 ||.||_F^4 + c2/2 ||.||_F^2`` of
+:mod:`bmme.bregman`. The U block is plain Lipschitz with constant
+``||V V^T||_2`` against the Euclidean kernel (c1, c2) = (0, 1). The V block
+is (1, 1)-relatively smooth against (c1, c2) = (6 lam, eps(U)) with
+``eps(U) = max(||U^T U||_2, 2 lam)``. The r x r spectral norms are exact.
+Both block updates have closed forms: a projected gradient step for U, and
+for V the kernel-gradient inverse of the positive part of
 
-    G = grad phi(Vbar) - grad_V f(U, Vbar) / L
+    G = grad phi(Vbar) - grad_V f(U, Vbar) / L,
 
-rescaled by the unique positive root of ``rho^2 (rho - eps(U)) = c`` with
-``c = 6 lam ||max(G, 0)||_F^2``.
+that is ``max(G, 0)`` divided by the root of ``rho^2 (rho - eps(U)) = c``
+with ``c = 6 lam ||max(G, 0)||_F^2``.
 """
 
 from dataclasses import dataclass
@@ -26,8 +28,8 @@ from .bregman import (
     BlockKernel,
     RelSmoothConstants,
     as_matrix,
+    cubic_norm_scale,
     quadratic_kernel,
-    zero_surrogate,
 )
 from .solver import BlockProblem
 
@@ -76,30 +78,16 @@ def onmf_objective(p, U, V):
     return 0.5 * float(np.vdot(R, R)) + 0.5 * p.lam * float(np.vdot(O, O))
 
 
-def spectral_norm(M, tol=1e-10, max_iters=10000):
-    """Largest singular value via power iteration on M^T M.
+def spectral_norm(M):
+    """Largest singular value of a 2-D array, exact (an SVD; inputs are r x r).
 
-    Deterministic all-ones start; stops when the Rayleigh estimate moves by
-    less than ``tol`` relative or after ``max_iters`` sweeps.
+    An iterative estimate falls below it, and each L built on it must be an
+    upper bound.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError("spectral_norm expects a 2-D array")
-    n = M.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iters):
-        w = M.T @ (M @ v)
-        lam_new = float(v @ w)  # Rayleigh quotient, ||v|| == 1
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(M, 2))
 
 
 def onmf_constants_U(V):
@@ -116,17 +104,8 @@ def v_kernel_weight(U, lam):
 
 
 def v_block_kernel(U, lam):
-    """Quartic kernel (6 lam / 4) ||V||^4 + 0.5 eps(U) ||V||^2 for the V block."""
-    eps = v_kernel_weight(U, lam)
-
-    def eval_(V):
-        s = float(np.vdot(V, V))
-        return 1.5 * lam * s * s + 0.5 * eps * s
-
-    def grad(V):
-        return (6.0 * lam * float(np.vdot(V, V)) + eps) * V
-
-    return BlockKernel(eval=eval_, grad=grad, strong_convexity_modulus=eps)
+    """V-block kernel (6 lam / 4) ||V||^4 + 0.5 eps(U) ||V||^2: (6 lam, eps(U))."""
+    return BlockKernel(c1=6.0 * lam, c2=v_kernel_weight(U, lam))
 
 
 def _grad_U(X, U, V):
@@ -147,51 +126,19 @@ def update_U(p, U_bar, V, L1):
 def v_update_target(p, U, V_bar, L2):
     """Kernel gradient at Vbar minus the scaled objective gradient.
 
-    The positive part of this matrix, rescaled by :func:`cubic_norm_scale`,
-    is the exact V block minimizer.
+    The kernel-gradient inverse of its positive part is the exact V block
+    minimizer.
     """
     kern = v_block_kernel(U, p.lam)
     return kern.grad(V_bar) - _grad_V(p.X, p.lam, U, V_bar) / L2
 
 
-def cubic_norm_scale(a, c):
-    """Unique positive root of ``t^2 (t - a) = c`` for a >= 0, c >= 0, a+c > 0.
-
-    Closed form: with D = c^2 + (4/27) c a^3, the root is
-    ``a/3 + cbrt((c + sqrt(D))/2 + a^3/27) + cbrt((c - sqrt(D))/2 + a^3/27)``;
-    the two cube-root arguments multiply to (a^2/9)^3, which gives the
-    cancellation-free evaluation used here, plus one Newton polish.
-    """
-    if a < 0 or c < 0:
-        raise ValueError("cubic_norm_scale needs a >= 0 and c >= 0")
-    if a == 0.0 and c == 0.0:
-        raise ValueError("cubic_norm_scale needs a + c > 0")
-    disc = c * c + (4.0 / 27.0) * c * a**3
-    t1 = np.cbrt((c + np.sqrt(disc)) / 2.0 + a**3 / 27.0)
-    rho = a / 3.0 + t1 + (a * a / 9.0) / t1
-    # one Newton step on t^3 - a t^2 - c sharpens the last bits
-    h = rho * rho * (rho - a) - c
-    dh = rho * (3.0 * rho - 2.0 * a)
-    if dh > 0:
-        rho -= h / dh
-    return float(rho)
-
-
-def _update_V_from_grad(U, V_bar, grad, L2, lam):
-    eps = v_kernel_weight(U, lam)
-    G = (6.0 * lam * float(np.vdot(V_bar, V_bar)) + eps) * V_bar - grad / L2
-    Gp = np.maximum(G, 0.0)
-    c = 6.0 * lam * float(np.vdot(Gp, Gp))
-    if c == 0.0:
-        return np.zeros_like(V_bar)
-    return Gp / cubic_norm_scale(eps, c)
-
-
 def update_V(p, U, V_bar, L2):
-    """Closed-form V block update (positive part of the target, rescaled)."""
+    """Closed-form V block update: grad phi^-1 of the target's positive part."""
     if L2 <= 0:
         raise ValueError("L2 must be positive")
-    return _update_V_from_grad(U, V_bar, _grad_V(p.X, p.lam, U, V_bar), L2, p.lam)
+    return v_block_kernel(U, p.lam).grad_inverse(
+        np.maximum(v_update_target(p, U, V_bar, L2), 0.0))
 
 
 def spa_select_rows(X, r):
@@ -286,7 +233,6 @@ def onmf_block_problems(p):
         partial_grad=u_grad,
         kernel_for=lambda blocks: euclid,
         constants_for=lambda blocks: onmf_constants_U(blocks[1]),
-        surrogate=zero_surrogate(),
         solve_subproblem=u_solve,
         feasible=lambda x: bool(np.all(x >= 0.0)),
     )
@@ -298,13 +244,13 @@ def onmf_block_problems(p):
         return _grad_V(X, lam, U, V)
 
     def v_solve(blocks, x_bar, grad_bar, L, x_prev):
-        return _update_V_from_grad(blocks[0], x_bar, grad_bar, L, lam)
+        kern = v_block_kernel(blocks[0], lam)
+        return kern.grad_inverse(np.maximum(kern.grad(x_bar) - grad_bar / L, 0.0))
 
     v_block = BlockProblem(
         partial_grad=v_grad,
         kernel_for=lambda blocks: v_block_kernel(blocks[0], lam),
         constants_for=lambda blocks: v_constants,
-        surrogate=zero_surrogate(),
         solve_subproblem=v_solve,
         feasible=lambda x: bool(np.all(x >= 0.0)),
     )

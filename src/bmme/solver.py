@@ -13,8 +13,8 @@ Each outer iteration sweeps the blocks in order. For block i it
    kernel scaled by L_i^k, and the surrogate of the nonsmooth part.
 
 With ``beta`` forced to zero the method reduces to plain block majorization-
-minimization (``bmm_step``). A single-block variant with backtracked (L, l)
-lives in ``backtracking_step`` for problems whose constants are unknown.
+minimization (``algorithm="bmm"``). A single-block variant with backtracked
+(L, l), ``run_backtracking``, serves problems whose constants are unknown.
 """
 
 import time
@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bregman import BlockKernel, RelSmoothConstants, SurrogateFn, bregman_divergence
+from .bregman import BlockKernel, RelSmoothConstants, bregman_divergence
 
 __all__ = [
     "BlockProblem",
@@ -40,8 +40,6 @@ __all__ = [
     "SubproblemError",
     "nesterov_next",
     "search_extrapolation",
-    "bmme_step",
-    "bmm_step",
     "run",
     "backtracking_step",
     "run_backtracking",
@@ -139,8 +137,6 @@ class BlockProblem:
         The distance-generating kernel for this block, which may depend on the
         other blocks' current values.
     constants_for : callable(blocks) -> RelSmoothConstants
-    surrogate : SurrogateFn
-        Majorizer of this block's nonsmooth term (zero surrogate if none).
     solve_subproblem : callable(blocks, x_bar, grad_bar, L, x_prev) -> ndarray
         Exact minimizer of the block majorizer.
     feasible : callable(x) -> bool
@@ -150,7 +146,6 @@ class BlockProblem:
     partial_grad: Callable
     kernel_for: Callable
     constants_for: Callable
-    surrogate: SurrogateFn
     solve_subproblem: Callable
     feasible: Callable = lambda x: True
 
@@ -328,27 +323,6 @@ def _step(problems, state, config, objective, force_beta_zero):
     return f_new
 
 
-def bmme_step(problems, state, config, objective):
-    """One extrapolated sweep over all blocks; mutates and returns ``state``.
-
-    When ``config.verify_descent`` is on, asserts the certified inequality
-
-        F(x^{k+1}) <= F(x^k) - sum_i L_i^k D_k(x_i^k, x_i^{k+1})
-                      + sum_i delta_i L_i^{k-1} D_{k-1}(x_i^{k-1}, x_i^k)
-
-    up to slack ``descent_slack * (1 + |F(x^k)|)`` and raises
-    :class:`DescentViolation` otherwise.
-    """
-    _step(problems, state, config, objective, force_beta_zero=False)
-    return state
-
-
-def bmm_step(problems, state, config, objective):
-    """One plain majorization-minimization sweep (extrapolation disabled)."""
-    _step(problems, state, config, objective, force_beta_zero=True)
-    return state
-
-
 @dataclass
 class RunResult:
     final: list
@@ -357,8 +331,33 @@ class RunResult:
     state: object
 
 
+def _loop(step, state, config, f0):
+    """Call ``step()``, which appends to ``state.trace``, until a limit hits."""
+    f_prev = f0
+    for _ in range(config.max_iters):
+        step()
+        f_new = state.trace.records[-1].objective
+        if abs(f_new - f_prev) <= config.tol_rel_change * (1.0 + abs(f_prev)):
+            return StopReason.TOL_REACHED
+        f_prev = f_new
+        if (config.time_budget is not None
+                and state.elapsed_seconds >= config.time_budget):
+            return StopReason.TIME_BUDGET
+    return StopReason.MAX_ITERS
+
+
 def run(problems, init_blocks, config, objective, algorithm="bmme"):
     """Drive repeated sweeps until an iteration/time/tolerance limit.
+
+    With ``algorithm="bmme"`` each sweep extrapolates; ``"bmm"`` forces every
+    extrapolation weight to zero. When ``config.verify_descent`` is on, each
+    sweep asserts the certified inequality
+
+        F(x^{k+1}) <= F(x^k) - sum_i L_i^k D_k(x_i^k, x_i^{k+1})
+                      + sum_i delta_i L_i^{k-1} D_{k-1}(x_i^{k-1}, x_i^k)
+
+    up to slack ``descent_slack * (1 + |F(x^k)|)`` and raises
+    :class:`DescentViolation` otherwise.
 
     Parameters
     ----------
@@ -378,21 +377,10 @@ def run(problems, init_blocks, config, objective, algorithm="bmme"):
     """
     if algorithm not in ("bmme", "bmm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    step = bmme_step if algorithm == "bmme" else bmm_step
     state = initial_state(problems, init_blocks)
-    f_prev = float(objective(state.current))
-    reason = StopReason.MAX_ITERS
-    for _ in range(config.max_iters):
-        step(problems, state, config, objective)
-        f_new = state.trace.records[-1].objective
-        if abs(f_new - f_prev) <= config.tol_rel_change * (1.0 + abs(f_prev)):
-            reason = StopReason.TOL_REACHED
-            break
-        f_prev = f_new
-        if (config.time_budget is not None
-                and state.elapsed_seconds >= config.time_budget):
-            reason = StopReason.TIME_BUDGET
-            break
+    reason = _loop(
+        lambda: _step(problems, state, config, objective, algorithm == "bmm"),
+        state, config, float(objective(state.current)))
     return RunResult(final=state.current, trace=state.trace,
                      stop_reason=reason, state=state)
 
@@ -406,13 +394,12 @@ class BacktrackingProblem:
     """Single-block problem whose (L, l) pair is found by line search.
 
     ``f_eval``/``grad`` describe the smooth part only; the nonsmooth part
-    enters through ``solve_subproblem`` and ``surrogate``.
+    enters through ``solve_subproblem``.
     """
 
     f_eval: Callable
     grad: Callable
     kernel: BlockKernel
-    surrogate: SurrogateFn
     solve_subproblem: Callable  # (x_bar, grad_bar, L, x_prev) -> ndarray
     feasible: Callable = lambda x: True
 
@@ -451,13 +438,6 @@ def initial_backtrack_state(problem, init, config):
         raise ValueError("initial value is infeasible")
     return BacktrackState(current=x0, previous=x0.copy(),
                           L_prev=config.bt_L_floor, l_prev=config.bt_l_floor)
-
-
-def _f_gap(problem, x, y, fy=None, gy=None):
-    # f(x) - f(y) - <grad f(y), x - y>
-    fy = float(problem.f_eval(y)) if fy is None else fy
-    gy = problem.grad(y) if gy is None else gy
-    return float(problem.f_eval(x)) - fy - float(np.vdot(gy, x - y))
 
 
 def backtracking_step(problem, state, config, objective):
@@ -557,18 +537,7 @@ def backtracking_step(problem, state, config, objective):
 def run_backtracking(problem, init, config, objective):
     """Loop :func:`backtracking_step` under the configured limits."""
     state = initial_backtrack_state(problem, init, config)
-    f_prev = float(objective(state.current))
-    reason = StopReason.MAX_ITERS
-    for _ in range(config.max_iters):
-        backtracking_step(problem, state, config, objective)
-        f_new = state.trace.records[-1].objective
-        if abs(f_new - f_prev) <= config.tol_rel_change * (1.0 + abs(f_prev)):
-            reason = StopReason.TOL_REACHED
-            break
-        f_prev = f_new
-        if (config.time_budget is not None
-                and state.elapsed_seconds >= config.time_budget):
-            reason = StopReason.TIME_BUDGET
-            break
+    reason = _loop(lambda: backtracking_step(problem, state, config, objective),
+                   state, config, float(objective(state.current)))
     return RunResult(final=[state.current], trace=state.trace,
                      stop_reason=reason, state=state)

@@ -8,19 +8,19 @@ function returns a list of violation strings (empty means the suite passed);
 the command-line ``verify`` subcommand exposes them by name.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 
 from . import datakit, matcomp, onmf
-from .bregman import check_relative_smoothness, check_surrogate
-from .solver import (
-    BlockProblem,
-    DescentViolation,
-    SolverConfig,
-    bmme_step,
-    initial_state,
+from .bregman import (
+    RelSmoothConstants,
+    check_relative_smoothness,
+    check_surrogate,
+    quadratic_kernel,
 )
+from .solver import DescentViolation, SolverConfig, run
 
 __all__ = [
     "bisect_root",
@@ -241,7 +241,6 @@ def suite_relsmooth(n_samples=1000, seed=0, tol=1e-9):
     lam = 1.0
 
     # U block: (||V V^T||, 0) against the Euclidean kernel
-    from .bregman import quadratic_kernel
     worst_u = -np.inf
     for _ in range(n_samples):
         X = 10.0 * rng.uniform(size=(m, n))
@@ -257,7 +256,6 @@ def suite_relsmooth(n_samples=1000, seed=0, tol=1e-9):
         bad.append(f"U block relative smoothness violated by {worst_u:.3e}")
 
     # V block: (1, 1) against the quartic kernel
-    from .bregman import RelSmoothConstants
     worst_v = -np.inf
     for _ in range(n_samples):
         X = 10.0 * rng.uniform(size=(m, n))
@@ -301,25 +299,17 @@ def suite_descent(seed=1, iters=100, l1_scale=1.0, size=(60, 60, 3), lam=100.0):
     p = onmf.OnmfProblem(X=data.X, r=r, lam=lam)
     problems = onmf.onmf_block_problems(p)
     if l1_scale != 1.0:
-        u = problems[0]
-        from .bregman import RelSmoothConstants
-
         def scaled(blocks):
             c = onmf.onmf_constants_U(blocks[1])
             return RelSmoothConstants(L=l1_scale * c.L, l=c.l)
 
-        problems[0] = BlockProblem(
-            partial_grad=u.partial_grad, kernel_for=u.kernel_for,
-            constants_for=scaled, surrogate=u.surrogate,
-            solve_subproblem=u.solve_subproblem, feasible=u.feasible)
+        problems[0] = dataclasses.replace(problems[0], constants_for=scaled)
     U0, V0 = onmf.spa_init(data.X, r)
     config = SolverConfig(max_iters=iters, verify_descent=True,
                           tol_rel_change=0.0)
-    state = initial_state(problems, [U0, V0])
     objective = lambda blocks: onmf.onmf_objective(p, blocks[0], blocks[1])
     try:
-        for _ in range(iters):
-            bmme_step(problems, state, config, objective)
+        run(problems, [U0, V0], config, objective)
     except DescentViolation as exc:
         return [f"descent inequality failed: {exc}"]
     return []
@@ -404,7 +394,7 @@ def suite_cubic(n_draws=10_000, seed=0, n_bisect=200):
     for _ in range(n_bisect):
         a = 10.0 ** rng.uniform(-2, 3)
         c = 10.0 ** rng.uniform(-2, 3)
-        ref = bisect_root(lambda t: t * t * (t - a) - c, a, a + np.cbrt(c) + 1.0)
+        ref = bisect_root(lambda t: t * t * (t - a) - c, a, a + c + 1.0)
         if abs(onmf.cubic_norm_scale(a, c) - ref) > 1e-9 * (1.0 + ref):
             bad.append(f"norm-scale cubic disagrees with bisection at ({a}, {c})")
         c2 = 10.0 ** rng.uniform(-2, 2)

@@ -80,6 +80,17 @@ class TestSpectralNorm:
             want = float(np.linalg.eigvalsh(M)[-1])
             assert_allclose(spectral_norm(M), want, rtol=1e-6)
 
+    def test_known_spectrum_with_small_eigengap(self):
+        # eigenvalues 1 and 1 - 1e-5 are hard for an iterative estimate;
+        # the U-block L = ||V V^T||_2 must not fall below the true value 1
+        rng = np.random.default_rng(3)
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        W, _ = np.linalg.qr(rng.standard_normal((40, 5)))
+        eigs = np.array([1.0, 1.0 - 1e-5, 0.5, 0.2, 0.1])
+        V = Q @ np.diag(np.sqrt(eigs)) @ W.T
+        assert_allclose(spectral_norm(Q @ np.diag(eigs) @ Q.T), 1.0, rtol=1e-13)
+        assert_allclose(onmf_constants_U(V).L, 1.0, rtol=1e-13)
+
 
 class TestConstantsU:
     def test_orthonormal_rows_give_unit_L(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bmme.bregman import RelSmoothConstants, quadratic_kernel, zero_surrogate
+from bmme.bregman import RelSmoothConstants, quadratic_kernel
 from bmme.solver import (
     BacktrackingProblem,
     BlockProblem,
@@ -31,7 +31,6 @@ def quadratic_block(a):
         partial_grad=lambda blocks: blocks[0] - a,
         kernel_for=lambda blocks: kern,
         constants_for=lambda blocks: RelSmoothConstants(L=1.0, l=0.0),
-        surrogate=zero_surrogate(),
         solve_subproblem=lambda blocks, x_bar, g, L, x_prev: x_bar - g / L,
         feasible=lambda x: True,
     )
@@ -196,7 +195,6 @@ class TestDescentVerification:
             partial_grad=lambda blocks: blocks[0] - a,
             kernel_for=lambda blocks: kern,
             constants_for=lambda blocks: RelSmoothConstants(L=0.2, l=0.0),
-            surrogate=zero_surrogate(),
             solve_subproblem=lambda blocks, x_bar, g, L, x_prev: x_bar - g / L,
             feasible=lambda x: True,
         )
@@ -215,7 +213,6 @@ class TestBacktracking:
             f_eval=lambda x: 0.5 * float(np.vdot(x, x)),
             grad=lambda x: np.asarray(x, dtype=np.float64),
             kernel=quadratic_kernel(),
-            surrogate=zero_surrogate(),
             solve_subproblem=lambda x_bar, g, L, x_prev: x_bar - g / L,
             feasible=lambda x: True,
         )
