@@ -29,8 +29,6 @@ from .solver import (
     StopReason,
     SubproblemError,
     Trace,
-    backtracking_step,
-    initial_backtrack_state,
     initial_state,
     nesterov_next,
     run,
@@ -52,13 +50,11 @@ __all__ = [
     "SubproblemError",
     "SurrogateFn",
     "Trace",
-    "backtracking_step",
     "bregman_divergence",
     "check_gradient",
     "check_kernel",
     "check_relative_smoothness",
     "check_surrogate",
-    "initial_backtrack_state",
     "initial_state",
     "nesterov_next",
     "quadratic_kernel",

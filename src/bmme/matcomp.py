@@ -239,8 +239,8 @@ def mc_block_problem(p):
         partial_grad=lambda blocks: _smooth_grad_packed(p, blocks[0]),
         kernel_for=lambda blocks: kernel,
         constants_for=lambda blocks: constants,
-        solve_subproblem=lambda blocks, z_bar, g, L, z_prev:
-            _subproblem_packed(p, kernel, z_prev, z_bar, g, L),
+        solve_subproblem=lambda blocks, z_bar, g, L, kern:
+            _subproblem_packed(p, kern, blocks[0], z_bar, g, L),
     )
 
 

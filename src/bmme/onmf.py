@@ -226,7 +226,7 @@ def onmf_block_problems(p):
         U, V = blocks
         return _grad_U(X, U, V)
 
-    def u_solve(blocks, x_bar, grad_bar, L, x_prev):
+    def u_solve(blocks, x_bar, grad_bar, L, kernel):
         return np.maximum(x_bar - grad_bar / L, 0.0)
 
     u_block = BlockProblem(
@@ -243,9 +243,9 @@ def onmf_block_problems(p):
         U, V = blocks
         return _grad_V(X, lam, U, V)
 
-    def v_solve(blocks, x_bar, grad_bar, L, x_prev):
-        kern = v_block_kernel(blocks[0], lam)
-        return kern.grad_inverse(np.maximum(kern.grad(x_bar) - grad_bar / L, 0.0))
+    def v_solve(blocks, x_bar, grad_bar, L, kernel):
+        return kernel.grad_inverse(
+            np.maximum(kernel.grad(x_bar) - grad_bar / L, 0.0))
 
     v_block = BlockProblem(
         partial_grad=v_grad,

@@ -12,9 +12,9 @@ Each outer iteration sweeps the blocks in order. For block i it
 2. minimizes the majorizer built from the linearized smooth part, the block
    kernel scaled by L_i^k, and the surrogate of the nonsmooth part.
 
-With ``beta`` forced to zero the method reduces to plain block majorization-
-minimization (``algorithm="bmm"``). A single-block variant with backtracked
-(L, l), ``run_backtracking``, serves problems whose constants are unknown.
+Each block either supplies (L_i, l_i) or has them found by line search in
+the sweep (see :class:`BlockProblem`). With ``beta`` forced to zero the method
+reduces to plain block majorization-minimization (``algorithm="bmm"``).
 """
 
 import time
@@ -31,7 +31,6 @@ __all__ = [
     "BacktrackingProblem",
     "SolverConfig",
     "SolverState",
-    "BacktrackState",
     "Trace",
     "TraceRecord",
     "RunResult",
@@ -41,11 +40,16 @@ __all__ = [
     "nesterov_next",
     "search_extrapolation",
     "run",
-    "backtracking_step",
     "run_backtracking",
     "initial_state",
-    "initial_backtrack_state",
 ]
+
+# Extrapolation weights tried per block update before falling back to 0.
+MAX_SHRINKS = 50
+# Relative tolerance of the descent verifier: slack * (1 + |F(x^k)|).
+DESCENT_SLACK = 1e-8
+# Doublings allowed to each line search for a backtracked (L, l).
+MAX_DOUBLINGS = 60
 
 
 class DescentViolation(RuntimeError):
@@ -86,7 +90,8 @@ class ExtrapolationResult(NamedTuple):
 
 
 def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
-                         x_curr, x_prev, beta_init, delta, eta, max_shrinks=50):
+                         x_curr, x_prev, beta_init, delta, eta,
+                         max_shrinks=MAX_SHRINKS):
     """Find the largest admissible extrapolation weight by geometric shrinking.
 
     Tries ``beta = beta_init * eta**j`` for j = 0, 1, ... and accepts the first
@@ -126,7 +131,13 @@ class BlockProblem:
     """Callbacks describing one block of a block-separable problem.
 
     Every callable receives ``blocks``, the list of all block values with
-    blocks earlier in the sweep already holding their updated iterates.
+    blocks earlier in the sweep already holding their updated iterates and
+    this block holding its current iterate.
+
+    The block's relative-smoothness pair (L, l) is either fixed, given by
+    ``constants_for``, or backtracked: with ``constants_for`` None, doubling
+    line searches on ``smooth_eval`` find it, starting from the block's
+    previous pair (initially ``bt_L_floor``, ``bt_l_floor``).
 
     Attributes
     ----------
@@ -136,39 +147,42 @@ class BlockProblem:
     kernel_for : callable(blocks) -> BlockKernel
         The distance-generating kernel for this block, which may depend on the
         other blocks' current values.
-    constants_for : callable(blocks) -> RelSmoothConstants
-    solve_subproblem : callable(blocks, x_bar, grad_bar, L, x_prev) -> ndarray
-        Exact minimizer of the block majorizer.
+    constants_for : callable(blocks) -> RelSmoothConstants, or None
+        None selects backtracked constants.
+    solve_subproblem : callable(blocks, x_bar, grad_bar, L, kernel) -> ndarray
+        Exact minimizer of the block majorizer; ``kernel`` is the one
+        ``kernel_for`` returned for this update.
     feasible : callable(x) -> bool
         Membership test for the block's feasible set.
+    smooth_eval : callable(blocks) -> float, or None
+        Smooth part of the objective; read only with backtracked constants.
     """
 
     partial_grad: Callable
     kernel_for: Callable
-    constants_for: Callable
+    constants_for: Optional[Callable]
     solve_subproblem: Callable
     feasible: Callable = lambda x: True
+    smooth_eval: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by all solver variants.
 
-    delta/eta may be scalars or per-block sequences. Backtracking floors
-    (``bt_*``) only matter for :func:`backtracking_step`.
+    delta/eta may be scalars or per-block sequences. The backtracking floors
+    (``bt_*``) and ``keep_certificates`` only matter for blocks with
+    backtracked constants.
     """
 
     delta: float | Sequence[float] = 0.99
     eta: float | Sequence[float] = 0.9
-    max_shrinks: int = 50
     max_iters: int = 500
     time_budget: Optional[float] = None
     tol_rel_change: float = 1e-9
     verify_descent: bool = True
-    descent_slack: float = 1e-8
     bt_l_floor: float = 1e-3
     bt_L_floor: float = 1e-2
-    bt_max_doublings: int = 60
     keep_certificates: bool = False
 
     def per_block(self, which, m):
@@ -200,9 +214,6 @@ class TraceRecord:
 class Trace:
     records: list = field(default_factory=list)
 
-    def append(self, rec):
-        self.records.append(rec)
-
     def objectives(self):
         return np.array([r.objective for r in self.records])
 
@@ -211,8 +222,21 @@ class Trace:
 
 
 @dataclass
+class BacktrackCertificate:
+    """Everything needed to re-verify one backtracked step after the fact."""
+
+    x_prev: np.ndarray
+    x_curr: np.ndarray
+    x_bar: np.ndarray
+    x_new: np.ndarray
+    L: float
+    l: float
+    beta: float
+
+
+@dataclass
 class SolverState:
-    """Mutable iteration state for the multi-block solvers."""
+    """Mutable iteration state of :func:`run`."""
 
     current: list
     previous: list
@@ -222,9 +246,10 @@ class SolverState:
     iter: int = 0
     elapsed_seconds: float = 0.0
     trace: Trace = field(default_factory=Trace)
+    certificates: list = field(default_factory=list)
 
 
-def initial_state(problems, init_blocks):
+def initial_state(problems, init_blocks, config=SolverConfig()):
     """Build a SolverState at ``init_blocks`` with x^{-1} = x^0.
 
     The previous kernels/constants are evaluated at the initial point, which
@@ -234,7 +259,11 @@ def initial_state(problems, init_blocks):
     blocks = [np.array(b, dtype=np.float64, copy=True) for b in init_blocks]
     if len(blocks) != len(problems):
         raise ValueError("one initial value per block problem required")
+    floors = RelSmoothConstants(L=config.bt_L_floor, l=config.bt_l_floor)
     for i, (p, b) in enumerate(zip(problems, blocks)):
+        if p.constants_for is None and p.smooth_eval is None:
+            raise ValueError(
+                f"block {i} needs constants_for or, to backtrack, smooth_eval")
         if not np.all(np.isfinite(b)):
             raise ValueError(f"block {i} initial value has non-finite entries")
         if not p.feasible(b):
@@ -243,9 +272,88 @@ def initial_state(problems, init_blocks):
         current=blocks,
         previous=[b.copy() for b in blocks],
         prev_kernels=[p.kernel_for(blocks) for p in problems],
-        prev_constants=[p.constants_for(blocks) for p in problems],
+        prev_constants=[floors if p.constants_for is None
+                        else p.constants_for(blocks) for p in problems],
         nesterov_nu=[1.0] * len(blocks),
     )
+
+
+def _at(blocks, i, x):
+    point = list(blocks)
+    point[i] = x
+    return point
+
+
+def _finite(i, x):
+    if not np.all(np.isfinite(x)):
+        raise SubproblemError(f"block {i} update produced non-finite values")
+    return x
+
+
+def _backtracked_update(p, i, blocks, kernel, state, beta, delta, eta, config):
+    """Block i's update with (L, l) found by doubling line searches.
+
+    The lower constant ``l`` grows (factor 2, floor ``bt_l_floor``) until
+    ``f(x) - f(xbar) - <grad f(xbar), x - xbar> >= -l * D(x, xbar)``; the
+    extrapolation weight is shrunk whenever the admissibility condition
+
+        D(x, xbar) <= delta * L_prev / (L_prev + l) * D_prev(x_prev, x)
+
+    fails for the current ``l``. The upper constant starts at
+    ``max(L_prev, bt_L_floor)`` and doubles (re-solving the subproblem) until
+    ``f(x_new) - f(xbar) - <grad f(xbar), x_new - xbar> <= L * D(x_new, xbar)``
+    (f is ``p.smooth_eval``). Returns (x_bar, beta, shrinks, (L, l), x_new).
+    """
+    x, x_prev = state.current[i], state.previous[i]
+    L_prev = state.prev_constants[i].L
+    d_prev = bregman_divergence(state.prev_kernels[i], x_prev, x)
+    l = max(state.prev_constants[i].l, config.bt_l_floor)
+    fx = float(p.smooth_eval(blocks))
+
+    shrinks = 0
+    while True:
+        x_bar = x if beta == 0.0 else x + beta * (x - x_prev)
+        d_bar = bregman_divergence(kernel, x, x_bar)
+        point = _at(blocks, i, x_bar)
+        f_bar = float(p.smooth_eval(point))
+        g_bar = p.partial_grad(point)
+        gap = fx - f_bar - float(np.vdot(g_bar, x - x_bar))
+        if d_bar == 0.0 and gap < 0.0 and beta > 0.0:
+            # x_bar indistinguishable from x up to roundoff: no finite l can
+            # absorb the residue, so retire this beta candidate instead.
+            shrinks += 1
+            beta = 0.0 if shrinks > MAX_SHRINKS else beta * eta
+            continue
+        doublings = 0
+        while gap < -l * d_bar:
+            if doublings >= MAX_DOUBLINGS:
+                raise SubproblemError(
+                    f"block {i}: lower-constant search failed to terminate; "
+                    "the kernel does not dominate the objective's curvature")
+            l *= 2.0
+            doublings += 1
+        if d_bar <= delta * L_prev / (L_prev + l) * d_prev:
+            break
+        if beta == 0.0:  # d_bar == 0 <= rhs always holds; defensive
+            break
+        shrinks += 1
+        beta = 0.0 if shrinks > MAX_SHRINKS else beta * eta
+
+    L = max(L_prev, config.bt_L_floor)
+    doublings = 0
+    while True:
+        x_new = _finite(i, p.solve_subproblem(blocks, x_bar, g_bar, L, kernel))
+        gap_new = (float(p.smooth_eval(_at(blocks, i, x_new))) - f_bar
+                   - float(np.vdot(g_bar, x_new - x_bar)))
+        if gap_new <= L * bregman_divergence(kernel, x_new, x_bar):
+            break
+        if doublings >= MAX_DOUBLINGS:
+            raise SubproblemError(
+                f"block {i}: upper-constant search failed to terminate; "
+                "gradient or kernel implementation is inconsistent")
+        L *= 2.0
+        doublings += 1
+    return x_bar, beta, shrinks, RelSmoothConstants(L=L, l=l), x_new
 
 
 def _step(problems, state, config, objective, force_beta_zero):
@@ -258,28 +366,31 @@ def _step(problems, state, config, objective, force_beta_zero):
     betas, shrinks = [], []
     kernels_k, constants_k = [], []
     nus = []
-    for i in range(m):
-        kern = problems[i].kernel_for(blocks)
-        cons = problems[i].constants_for(blocks)
-        nu, beta_init = nesterov_next(state.nesterov_nu[i])
+    for i, p in enumerate(problems):
+        kern = p.kernel_for(blocks)
+        nu, beta = nesterov_next(state.nesterov_nu[i])
         if force_beta_zero:
-            beta_init = 0.0
-        ext = search_extrapolation(
-            kern, cons, state.prev_kernels[i], state.prev_constants[i],
-            state.current[i], state.previous[i], beta_init,
-            deltas[i], etas[i], config.max_shrinks)
-        grad_point = list(blocks)
-        grad_point[i] = ext.x_bar
-        grad = problems[i].partial_grad(grad_point)
-        x_new = problems[i].solve_subproblem(blocks, ext.x_bar, grad,
-                                             cons.L, state.current[i])
-        if not np.all(np.isfinite(x_new)):
-            raise SubproblemError(f"block {i} update produced non-finite values")
-        if not problems[i].feasible(x_new):
+            beta = 0.0
+        if p.constants_for is None:
+            x_bar, beta, shrink, cons, x_new = _backtracked_update(
+                p, i, blocks, kern, state, beta, deltas[i], etas[i], config)
+            if config.keep_certificates:
+                state.certificates.append(BacktrackCertificate(
+                    x_prev=state.previous[i], x_curr=state.current[i],
+                    x_bar=x_bar, x_new=x_new, L=cons.L, l=cons.l, beta=beta))
+        else:
+            cons = p.constants_for(blocks)
+            beta, x_bar, shrink = search_extrapolation(
+                kern, cons, state.prev_kernels[i], state.prev_constants[i],
+                state.current[i], state.previous[i], beta, deltas[i], etas[i])
+            grad = p.partial_grad(_at(blocks, i, x_bar))
+            x_new = _finite(i, p.solve_subproblem(blocks, x_bar, grad,
+                                                  cons.L, kern))
+        if not p.feasible(x_new):
             raise SubproblemError(f"block {i} update left the feasible set")
         blocks[i] = x_new
-        betas.append(ext.beta)
-        shrinks.append(ext.shrinks)
+        betas.append(beta)
+        shrinks.append(shrink)
         kernels_k.append(kern)
         constants_k.append(cons)
         nus.append(nu)
@@ -293,14 +404,18 @@ def _step(problems, state, config, objective, force_beta_zero):
         f_old = float(objective(state.current))
         sum_div = 0.0
         relaxation = 0.0
-        for i in range(m):
+        for i, p in enumerate(problems):
             sum_div += constants_k[i].L * bregman_divergence(
                 kernels_k[i], state.current[i], blocks[i])
-            relaxation += deltas[i] * state.prev_constants[i].L * bregman_divergence(
+            prev_L = state.prev_constants[i].L
+            if p.constants_for is None:
+                cons = constants_k[i]
+                prev_L *= (cons.L + cons.l) / (prev_L + cons.l)
+            relaxation += deltas[i] * prev_L * bregman_divergence(
                 state.prev_kernels[i], state.previous[i], state.current[i])
         bound = f_old - sum_div + relaxation
         slack = f_new - bound
-        if slack > config.descent_slack * (1.0 + abs(f_old)):
+        if slack > DESCENT_SLACK * (1.0 + abs(f_old)):
             raise DescentViolation(
                 f"iteration {state.iter + 1}: objective {f_new:.12e} exceeds "
                 f"certified bound {bound:.12e} by {slack:.3e}")
@@ -311,7 +426,7 @@ def _step(problems, state, config, objective, force_beta_zero):
     state.prev_constants = constants_k
     state.nesterov_nu = nus
     state.iter += 1
-    state.trace.append(TraceRecord(
+    state.trace.records.append(TraceRecord(
         iter=state.iter,
         elapsed_seconds=state.elapsed_seconds,
         objective=f_new,
@@ -320,7 +435,6 @@ def _step(problems, state, config, objective, force_beta_zero):
         descent_slack=slack,
         sum_block_divergence=sum_div,
     ))
-    return f_new
 
 
 @dataclass
@@ -329,21 +443,6 @@ class RunResult:
     trace: Trace
     stop_reason: StopReason
     state: object
-
-
-def _loop(step, state, config, f0):
-    """Call ``step()``, which appends to ``state.trace``, until a limit hits."""
-    f_prev = f0
-    for _ in range(config.max_iters):
-        step()
-        f_new = state.trace.records[-1].objective
-        if abs(f_new - f_prev) <= config.tol_rel_change * (1.0 + abs(f_prev)):
-            return StopReason.TOL_REACHED
-        f_prev = f_new
-        if (config.time_budget is not None
-                and state.elapsed_seconds >= config.time_budget):
-            return StopReason.TIME_BUDGET
-    return StopReason.MAX_ITERS
 
 
 def run(problems, init_blocks, config, objective, algorithm="bmme"):
@@ -356,8 +455,10 @@ def run(problems, init_blocks, config, objective, algorithm="bmme"):
         F(x^{k+1}) <= F(x^k) - sum_i L_i^k D_k(x_i^k, x_i^{k+1})
                       + sum_i delta_i L_i^{k-1} D_{k-1}(x_i^{k-1}, x_i^k)
 
-    up to slack ``descent_slack * (1 + |F(x^k)|)`` and raises
-    :class:`DescentViolation` otherwise.
+    up to slack ``DESCENT_SLACK * (1 + |F(x^k)|)`` and raises
+    :class:`DescentViolation` otherwise. For a block with backtracked
+    constants the last term is scaled by (L_i^k + l_i^k) / (L_i^{k-1} + l_i^k),
+    the factor its extrapolation test certifies.
 
     Parameters
     ----------
@@ -377,17 +478,24 @@ def run(problems, init_blocks, config, objective, algorithm="bmme"):
     """
     if algorithm not in ("bmme", "bmm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    state = initial_state(problems, init_blocks)
-    reason = _loop(
-        lambda: _step(problems, state, config, objective, algorithm == "bmm"),
-        state, config, float(objective(state.current)))
+    state = initial_state(problems, init_blocks, config)
+    f_prev = float(objective(state.current))
+    for _ in range(config.max_iters):
+        _step(problems, state, config, objective, algorithm == "bmm")
+        f_new = state.trace.records[-1].objective
+        if abs(f_new - f_prev) <= config.tol_rel_change * (1.0 + abs(f_prev)):
+            reason = StopReason.TOL_REACHED
+            break
+        f_prev = f_new
+        if (config.time_budget is not None
+                and state.elapsed_seconds >= config.time_budget):
+            reason = StopReason.TIME_BUDGET
+            break
+    else:
+        reason = StopReason.MAX_ITERS
     return RunResult(final=state.current, trace=state.trace,
                      stop_reason=reason, state=state)
 
-
-# ---------------------------------------------------------------------------
-# Single-block variant with backtracked relative-smoothness constants.
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BacktrackingProblem:
@@ -404,140 +512,18 @@ class BacktrackingProblem:
     feasible: Callable = lambda x: True
 
 
-@dataclass
-class BacktrackCertificate:
-    """Everything needed to re-verify one backtracked step after the fact."""
-
-    x_prev: np.ndarray
-    x_curr: np.ndarray
-    x_bar: np.ndarray
-    x_new: np.ndarray
-    L: float
-    l: float
-    beta: float
-
-
-@dataclass
-class BacktrackState:
-    current: np.ndarray
-    previous: np.ndarray
-    L_prev: float
-    l_prev: float
-    nu: float = 1.0
-    iter: int = 0
-    elapsed_seconds: float = 0.0
-    trace: Trace = field(default_factory=Trace)
-    certificates: list = field(default_factory=list)
-
-
-def initial_backtrack_state(problem, init, config):
-    x0 = np.array(init, dtype=np.float64, copy=True)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("initial value has non-finite entries")
-    if not problem.feasible(x0):
-        raise ValueError("initial value is infeasible")
-    return BacktrackState(current=x0, previous=x0.copy(),
-                          L_prev=config.bt_L_floor, l_prev=config.bt_l_floor)
-
-
-def backtracking_step(problem, state, config, objective):
-    """One extrapolated step with (L, l) found by doubling line searches.
-
-    The lower constant ``l`` grows (factor 2, floor ``bt_l_floor``) until
-    ``f(x) - f(xbar) - <grad f(xbar), x - xbar> >= -l * D(x, xbar)``; the
-    extrapolation weight is shrunk whenever the admissibility condition
-
-        D(x, xbar) <= delta * L_prev / (L_prev + l) * D(x_prev, x)
-
-    fails for the current ``l``. The upper constant starts at
-    ``max(L_prev, bt_L_floor)`` and doubles (re-solving the subproblem) until
-    ``f(x_new) - f(xbar) - <grad f(xbar), x_new - xbar> <= L * D(x_new, xbar)``.
-    Both constants are nondecreasing across iterations.
-    """
-    delta = config.per_block("delta", 1)[0]
-    eta = config.per_block("eta", 1)[0]
-    kernel = problem.kernel
-
-    t0 = time.perf_counter()
-    x = state.current
-    d_prev = bregman_divergence(kernel, state.previous, x)
-    nu, beta = nesterov_next(state.nu)
-    l = max(state.l_prev, config.bt_l_floor)
-    fx = float(problem.f_eval(x))
-
-    shrinks = 0
-    while True:
-        x_bar = x if beta == 0.0 else x + beta * (x - state.previous)
-        d_bar = bregman_divergence(kernel, x, x_bar)
-        f_bar = float(problem.f_eval(x_bar))
-        g_bar = problem.grad(x_bar)
-        gap = fx - f_bar - float(np.vdot(g_bar, x - x_bar))
-        if d_bar == 0.0 and gap < 0.0 and beta > 0.0:
-            # x_bar indistinguishable from x up to roundoff: no finite l can
-            # absorb the residue, so retire this beta candidate instead.
-            shrinks += 1
-            beta = 0.0 if shrinks > config.max_shrinks else beta * eta
-            continue
-        doublings = 0
-        while gap < -l * d_bar:
-            if doublings >= config.bt_max_doublings:
-                raise SubproblemError(
-                    "lower-constant search failed to terminate; the kernel "
-                    "does not dominate the objective's curvature")
-            l *= 2.0
-            doublings += 1
-        if d_bar <= delta * state.L_prev / (state.L_prev + l) * d_prev:
-            break
-        if beta == 0.0:  # d_bar == 0 <= rhs always holds; defensive
-            break
-        shrinks += 1
-        beta = 0.0 if shrinks > config.max_shrinks else beta * eta
-
-    L = max(state.L_prev, config.bt_L_floor)
-    doublings = 0
-    while True:
-        x_new = problem.solve_subproblem(x_bar, g_bar, L, x)
-        if not np.all(np.isfinite(x_new)):
-            raise SubproblemError("update produced non-finite values")
-        gap_new = (float(problem.f_eval(x_new)) - f_bar
-                   - float(np.vdot(g_bar, x_new - x_bar)))
-        if gap_new <= L * bregman_divergence(kernel, x_new, x_bar):
-            break
-        if doublings >= config.bt_max_doublings:
-            raise SubproblemError(
-                "upper-constant search failed to terminate; gradient or "
-                "kernel implementation is inconsistent")
-        L *= 2.0
-        doublings += 1
-    if not problem.feasible(x_new):
-        raise SubproblemError("update left the feasible set")
-    state.elapsed_seconds += time.perf_counter() - t0
-
-    if config.keep_certificates:
-        state.certificates.append(BacktrackCertificate(
-            x_prev=state.previous, x_curr=x, x_bar=x_bar, x_new=x_new,
-            L=L, l=l, beta=beta))
-
-    state.previous = x
-    state.current = x_new
-    state.L_prev = L
-    state.l_prev = l
-    state.nu = nu
-    state.iter += 1
-    state.trace.append(TraceRecord(
-        iter=state.iter,
-        elapsed_seconds=state.elapsed_seconds,
-        objective=float(objective(x_new)),
-        per_block_beta=(beta,),
-        per_block_shrinks=(shrinks,),
-    ))
-    return state
-
-
 def run_backtracking(problem, init, config, objective):
-    """Loop :func:`backtracking_step` under the configured limits."""
-    state = initial_backtrack_state(problem, init, config)
-    reason = _loop(lambda: backtracking_step(problem, state, config, objective),
-                   state, config, float(objective(state.current)))
-    return RunResult(final=[state.current], trace=state.trace,
-                     stop_reason=reason, state=state)
+    """:func:`run` on ``problem`` as one block with backtracked constants.
+
+    ``objective`` takes the block value itself rather than a block list.
+    """
+    block = BlockProblem(
+        partial_grad=lambda blocks: problem.grad(blocks[0]),
+        kernel_for=lambda blocks: problem.kernel,
+        constants_for=None,
+        solve_subproblem=lambda blocks, x_bar, g, L, kernel:
+            problem.solve_subproblem(x_bar, g, L, blocks[0]),
+        feasible=problem.feasible,
+        smooth_eval=lambda blocks: problem.f_eval(blocks[0]),
+    )
+    return run([block], [init], config, lambda blocks: objective(blocks[0]))

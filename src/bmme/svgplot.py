@@ -3,7 +3,7 @@
 import math
 import xml.etree.ElementTree as ET
 
-__all__ = ["render_loglog_svg", "write_loglog_svg"]
+__all__ = ["render_loglog_svg"]
 
 _W, _H = 760, 500
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
@@ -132,10 +132,3 @@ def render_loglog_svg(curves, bold_curves=(), title="",
     body = ET.tostring(svg, encoding="unicode")
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
 
-
-def write_loglog_svg(path, curves, bold_curves=(), title="",
-                     xlabel="time (s)", ylabel="objective"):
-    text = render_loglog_svg(curves, bold_curves=bold_curves, title=title,
-                             xlabel=xlabel, ylabel=ylabel)
-    with open(path, "w") as fh:
-        fh.write(text)

@@ -322,3 +322,36 @@ class TestEndToEnd:
         assert objs[-1] < objs[0]
         final = unpack_state(res.final[0], 20)
         assert rmse(obs, final) < rmse(obs, unpack_state(z0, 20))
+
+    def test_backtracked_run_passes_descent_verifier_as_L_grows(self):
+        # L doubles (0.08 -> 0.16) at step 80 while extrapolating; the line
+        # search tested that step's extrapolation against L_prev + l, and the
+        # verifier must check the bound that test certifies
+        obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=13)
+        p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
+        z0 = pack_state(mc_random_init(p, seed=13))
+        cfg = SolverConfig(max_iters=100, tol_rel_change=0.0,
+                           verify_descent=True, keep_certificates=True)
+        res = run_backtracking(mc_backtracking_problem(p), z0, cfg,
+                               mc_objective_packed(p))
+        assert len(res.trace.records) == 100
+        certs = res.state.certificates
+        assert any(b.L > a.L and b.beta > 0 for a, b in zip(certs, certs[1:]))
+
+    def test_backtracked_run_golden(self):
+        # exact values of the line-searched path, pinned so that a change to
+        # its floating-point order or its doubling and shrinking shows
+        obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=5)
+        p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
+        z0 = pack_state(mc_random_init(p, seed=5))
+        cfg = SolverConfig(delta=0.5, max_iters=60, tol_rel_change=0.0,
+                           verify_descent=False, keep_certificates=True)
+        res = run_backtracking(mc_backtracking_problem(p), z0, cfg,
+                               mc_objective_packed(p))
+        assert len(res.trace.records) == 60
+        assert res.trace.records[-1].objective == 8.933217945513968
+        last = res.state.certificates[-1]
+        assert last.L == 0.16
+        assert last.l == 0.001
+        assert sum(s for r in res.trace.records
+                   for s in r.per_block_shrinks) == 144

@@ -6,6 +6,7 @@ zero factors), closed-form roots cross-checked against bisection, and
 structural properties sampled with a seeded generator.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -32,6 +33,7 @@ from bmme.onmf import (
     v_kernel_weight,
     v_update_target,
 )
+from bmme.solver import SolverConfig, run
 
 
 class TestObjective:
@@ -349,3 +351,23 @@ class TestProblemAssembly:
         assert blocks[0].feasible(U1)
         assert blocks[1].feasible(V1)
         assert onmf_objective(p, U1, V1) <= f0 + 1e-8 * (1.0 + abs(f0))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_backtracked_blocks_pass_descent_verifier(self, seed):
+        # both blocks find (L, l) by line search instead of constants_for;
+        # the descent verifier certifies every one of the 300 sweeps
+        syn = datakit.gen_synthetic_onmf(60, 60, 3, noise=0.05, seed=seed)
+        p = OnmfProblem(X=syn.X, r=3, lam=100.0)
+
+        def F(blocks):
+            return onmf_objective(p, blocks[0], blocks[1])
+
+        blocks = [dataclasses.replace(b, constants_for=None, smooth_eval=F)
+                  for b in onmf_block_problems(p)]
+        cfg = SolverConfig(max_iters=300, tol_rel_change=0.0,
+                           verify_descent=True)
+        res = run(blocks, list(spa_init(syn.X, 3)), cfg, F)
+        objs = res.trace.objectives()
+        assert len(objs) == 300
+        assert objs[-1] < objs[0]
+        assert all(r.descent_slack is not None for r in res.trace.records)

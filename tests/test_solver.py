@@ -224,8 +224,8 @@ class TestBacktracking:
                            keep_certificates=True)
         res = run_backtracking(self.problem(), np.array([1.0]), cfg,
                                lambda x: 0.5 * float(np.vdot(x, x)))
-        assert res.state.L_prev == 1.28
-        assert res.state.l_prev == 0.001
+        assert res.state.prev_constants[0].L == 1.28
+        assert res.state.prev_constants[0].l == 0.001
         cert = res.state.certificates[0]
         assert cert.L == 1.28
         assert_allclose(res.final[0], [1.0 - 1.0 / 1.28], rtol=1e-15)
