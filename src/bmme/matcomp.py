@@ -18,9 +18,28 @@ positive root of a scalar cubic.
 Internally the factor pair is packed into a single (m + n) x r array
 ``Z = [U; V^T]`` so the joint kernel and the penalty act entrywise on one
 matrix.
+
+Every smooth evaluation and gradient rests on one residual pass over the
+observed entries: gather the rows of U and V^T for each entry, take their
+row-wise products and subtract A. Each :class:`McProblem` lazily builds a
+small helper, used by the packed evaluations (``f_eval``, ``grad``,
+``partial_grad``, :func:`mc_objective_packed`), that holds two things:
+
+- the CSR pattern of the observed entries, built once. A gradient fills it
+  with the permuted residuals instead of converting COO to CSR on each call;
+- a one-entry residual memo keyed by value: a snapshot copy of the last Z,
+  compared with ``np.array_equal``. A caller may update Z in place, so the
+  memo never trusts array identity.
+
+The backtracked solver asks for f and grad f at x̄, then for f at x_new in
+the upper check, in the trace objective and at the start of the next step.
+With the memo, each of those points costs one pass. The memo sits in the
+problem rather than in the solver because the solver sees the trace
+objective only as an opaque callable.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -74,6 +93,10 @@ class McProblem:
     def shape(self):
         return (self.observed.rows, self.observed.cols)
 
+    @cached_property
+    def _passes(self):
+        return _ResidualPasses(self.observed)
+
 
 @dataclass(frozen=True)
 class McState:
@@ -99,12 +122,40 @@ def unpack_state(Z, m):
     return McState(U=Z[:m], V=Z[m:].T)
 
 
-def _residuals(observed, U, V):
-    # predicted minus observed, on observed positions only
+def _residuals(observed, U, Vt):
+    # predicted minus observed, on observed positions only; U is m x r and
+    # Vt is n x r, so both gathers take whole rows
     if observed.n_obs == 0:
         return np.zeros(0)
-    pred = np.einsum("ij,ij->i", U[observed.row_idx], V[:, observed.col_idx].T)
+    pred = np.einsum("ij,ij->i", np.take(U, observed.row_idx, axis=0),
+                     np.take(Vt, observed.col_idx, axis=0))
     return pred - observed.values
+
+
+class _ResidualPasses:
+    """CSR pattern of the observed entries and the last packed residuals."""
+
+    def __init__(self, observed):
+        self.observed = observed
+        # convert the entry numbers 1..n_obs once: the data then say which
+        # entry lands in each CSR slot, whatever order the entries come in
+        pattern = csr_matrix((np.arange(1, observed.n_obs + 1),
+                              (observed.row_idx, observed.col_idx)),
+                             shape=(observed.rows, observed.cols))
+        self.perm = pattern.data - 1
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        self._Z = None
+        self._res = None
+
+    def residuals(self, Z):
+        """Residuals at packed Z, one fresh pass unless Z equals the last Z."""
+        last = self._Z
+        if (last is None or last.dtype != Z.dtype
+                or not np.array_equal(last, Z)):
+            m = self.observed.rows
+            self._res = _residuals(self.observed, Z[:m], Z[m:])
+            self._Z = Z.copy()
+        return self._res
 
 
 def _penalty(lam, theta, M):
@@ -113,24 +164,21 @@ def _penalty(lam, theta, M):
 
 def mc_objective(p, state):
     """Data-fit term plus the concave penalties of both factors."""
-    res = _residuals(p.observed, state.U, state.V)
+    res = _residuals(p.observed, state.U, state.V.T)
     f = 0.5 * float(res @ res)
     return f + _penalty(p.lam, p.theta, state.U) + _penalty(p.lam, p.theta, state.V)
 
 
 def _smooth_eval_packed(p, Z):
-    m = p.observed.rows
-    res = _residuals(p.observed, Z[:m], Z[m:].T)
+    res = p._passes.residuals(Z)
     return 0.5 * float(res @ res)
 
 
 def _smooth_grad_packed(p, Z):
-    m = p.observed.rows
-    U, V = Z[:m], Z[m:].T
-    res = _residuals(p.observed, U, V)
-    R = csr_matrix((res, (p.observed.row_idx, p.observed.col_idx)),
-                   shape=(p.observed.rows, p.observed.cols))
-    return np.vstack([R @ V.T, R.T @ U])
+    m, passes = p.observed.rows, p._passes
+    R = csr_matrix((passes.residuals(Z)[passes.perm], passes.indices,
+                    passes.indptr), shape=p.shape)
+    return np.vstack([R @ Z[m:], R.T @ Z[:m]])
 
 
 def mc_kernel(p):
@@ -216,7 +264,7 @@ def rmse(observed, state):
     """Root mean squared error of state.U state.V on the observed entries."""
     if observed.n_obs == 0:
         raise ValueError("no observed entries to evaluate")
-    res = _residuals(observed, state.U, state.V)
+    res = _residuals(observed, state.U, state.V.T)
     return float(np.sqrt(res @ res / res.size))
 
 

@@ -5,11 +5,14 @@ c1 * s^2 + c2 * s in s = ||Z||^2 / 2, so every closed form below can be
 re-derived from the scalar cubic it induces.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse import csr_matrix
 
-from bmme import datakit, verify
+from bmme import datakit, matcomp, verify
 from bmme.bregman import RelSmoothConstants, check_gradient, check_relative_smoothness
 from bmme.matcomp import (
     McProblem,
@@ -355,3 +358,118 @@ class TestEndToEnd:
         assert last.l == 0.001
         assert sum(s for r in res.trace.records
                    for s in r.per_block_shrinks) == 144
+
+
+def per_call_csr_grad(observed, Z):
+    # reference gradient that shares nothing with the kept CSR pattern:
+    # strided V[:, col_idx].T gather, COO -> CSR conversion on every call
+    m = observed.rows
+    U, V = Z[:m], Z[m:].T
+    res = np.zeros(0)
+    if observed.n_obs:
+        res = np.einsum("ij,ij->i", U[observed.row_idx],
+                        V[:, observed.col_idx].T) - observed.values
+    R = csr_matrix((res, (observed.row_idx, observed.col_idx)),
+                   shape=(observed.rows, observed.cols))
+    return np.vstack([R @ V.T, R.T @ U])
+
+
+@pytest.fixture
+def fresh_passes(monkeypatch):
+    """Count the residual passes that are computed, not served by the memo."""
+    count = [0]
+    inner = matcomp._residuals
+
+    def counted(*args):
+        count[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(matcomp, "_residuals", counted)
+    return count
+
+
+class TestResidualMemo:
+    def test_memo_is_keyed_by_value(self, fresh_passes):
+        obs = datakit.gen_synthetic_ratings(20, 15, 2, 0.4, seed=11)
+        p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
+        prob = mc_backtracking_problem(p)
+        Z = pack_state(mc_random_init(p, seed=1))
+        f_before = prob.f_eval(Z)
+        Z[0, 0] += 1.0
+        Z[-1, 1] -= 0.5
+        f_after, g_after = prob.f_eval(Z), prob.grad(Z)
+        assert fresh_passes[0] == 2
+
+        fresh = mc_backtracking_problem(
+            McProblem(observed=obs, r=2, lam=0.1, theta=5.0))
+        assert f_after != f_before
+        assert f_after == fresh.f_eval(Z.copy())
+        assert np.array_equal(g_after, fresh.grad(Z.copy()))
+
+        count = fresh_passes[0]
+        twin = Z.copy()  # another array, equal contents: served by the memo
+        assert prob.f_eval(twin) == f_after
+        assert np.array_equal(prob.grad(twin), g_after)
+        assert mc_objective_packed(p)(twin) == f_after + penalty(
+            p.lam, p.theta, Z)
+        assert fresh_passes[0] == count
+
+    def test_backtracked_run_makes_one_fresh_pass_per_point(self, fresh_passes):
+        obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=5)
+        p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
+        calls = {"f_eval": 0, "grad": 0, "subproblem": 0, "objective": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        prob = mc_backtracking_problem(p)
+        prob = dataclasses.replace(
+            prob, f_eval=counted("f_eval", prob.f_eval),
+            grad=counted("grad", prob.grad),
+            solve_subproblem=counted("subproblem", prob.solve_subproblem))
+        objective = counted("objective", mc_objective_packed(p))
+        cfg = SolverConfig(delta=0.5, max_iters=50, tol_rel_change=0.0,
+                           verify_descent=False)
+        res = run_backtracking(prob, pack_state(mc_random_init(p, seed=5)),
+                               cfg, objective)
+        assert len(res.trace.records) == 50
+        passes = fresh_passes[0]
+        assert passes <= calls["grad"] + calls["subproblem"] + 1
+        assert 2 * passes < calls["f_eval"] + calls["grad"] + calls["objective"]
+
+
+class TestCsrPattern:
+    @staticmethod
+    def check(observed, r, seed):
+        p = McProblem(observed=observed, r=r, lam=0.1, theta=5.0)
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((observed.rows + observed.cols, r))
+        got = matcomp._smooth_grad_packed(p, Z)
+        assert np.array_equal(got, per_call_csr_grad(observed, Z))
+        return got
+
+    def test_shuffled_entries(self):
+        obs = datakit.gen_synthetic_ratings(305, 203, 4, 0.1, seed=7)
+        order = np.random.default_rng(8).permutation(obs.n_obs)
+        shuffled = datakit.ObservedMatrix(
+            obs.rows, obs.cols, obs.row_idx[order], obs.col_idx[order],
+            obs.values[order])
+        got = self.check(shuffled, r=4, seed=9)
+        assert np.array_equal(got, self.check(obs, r=4, seed=9))
+
+    def test_empty_rows_and_columns(self):
+        # rows 0, 2, 5 and columns 1, 3 hold no entry
+        obs = datakit.ObservedMatrix(
+            6, 5, np.array([4, 1, 3, 1, 4]), np.array([2, 0, 4, 4, 0]),
+            np.array([1.5, -2.0, 0.25, 3.0, -1.0]))
+        got = self.check(obs, r=2, seed=10)
+        assert np.all(got[[0, 2, 5, 6 + 1, 6 + 3]] == 0.0)
+
+    def test_no_observed_entries(self):
+        obs = datakit.ObservedMatrix(
+            3, 4, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            np.zeros(0))
+        assert np.all(self.check(obs, r=2, seed=11) == 0.0)
