@@ -11,14 +11,12 @@ file formats; :mod:`bmme.verify` contains the independent-oracle self checks.
 from .bregman import (
     BlockKernel,
     RelSmoothConstants,
-    SurrogateFn,
     bregman_divergence,
     check_gradient,
     check_kernel,
     check_relative_smoothness,
     check_surrogate,
     quadratic_kernel,
-    zero_surrogate,
 )
 from .solver import (
     BacktrackingProblem,
@@ -48,7 +46,6 @@ __all__ = [
     "SolverConfig",
     "StopReason",
     "SubproblemError",
-    "SurrogateFn",
     "Trace",
     "bregman_divergence",
     "check_gradient",
@@ -61,6 +58,5 @@ __all__ = [
     "run",
     "run_backtracking",
     "search_extrapolation",
-    "zero_surrogate",
     "__version__",
 ]

@@ -17,14 +17,12 @@ The sampling-based checkers below serve the test suite and ``verify``.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "BlockKernel",
     "RelSmoothConstants",
-    "SurrogateFn",
     "RelSmoothReport",
     "as_matrix",
     "bregman_divergence",
@@ -34,7 +32,6 @@ __all__ = [
     "check_surrogate",
     "cubic_norm_scale",
     "quadratic_kernel",
-    "zero_surrogate",
 ]
 
 
@@ -139,22 +136,6 @@ class RelSmoothConstants:
             raise ValueError(f"L must be positive and finite, got {self.L}")
         if not (np.isfinite(self.l) and self.l >= 0):
             raise ValueError(f"l must be nonnegative and finite, got {self.l}")
-
-
-@dataclass(frozen=True)
-class SurrogateFn:
-    """Block surrogate u(x, y) majorizing a (possibly nonsmooth) term g.
-
-    Contract: ``u(y, y) == g(y)``, ``u(x, y) >= g(x)`` for all feasible x,
-    and ``x -> u(x, y)`` is convex.
-    """
-
-    eval: Callable[[np.ndarray, np.ndarray], float]
-
-
-def zero_surrogate():
-    # for blocks whose nonsmooth term is identically zero
-    return SurrogateFn(eval=lambda x, y: 0.0)
 
 
 def quadratic_kernel():
@@ -280,21 +261,22 @@ def check_kernel(kernel, points, pairs=None):
     return bad
 
 
-def check_surrogate(surrogate, g_eval, anchors, candidates, tol=1e-9):
-    """Check u(y,y)=g(y), u(x,y)>=g(x), and midpoint convexity in x.
+def check_surrogate(u, g_eval, anchors, candidates, tol=1e-9):
+    """Check that ``u(x, y)`` is a convex majorizer of g anchored at y.
 
-    Returns a list of violation strings (empty when all checks pass).
+    The checks are u(y, y) = g(y), u(x, y) >= g(x), and midpoint convexity
+    in x. Returns a list of violation strings (empty when all checks pass).
     """
     bad = []
     for idx, y in enumerate(anchors):
-        uy = float(surrogate.eval(y, y))
+        uy = float(u(y, y))
         gy = float(g_eval(y))
         if abs(uy - gy) > tol * (1.0 + abs(gy)):
             bad.append(f"u(y,y) != g(y) at anchor {idx}: {uy} vs {gy}")
         for jdx, x in enumerate(candidates):
             if x.shape != y.shape:
                 continue
-            ux = float(surrogate.eval(x, y))
+            ux = float(u(x, y))
             gx = float(g_eval(x))
             if ux < gx - tol * (1.0 + abs(gx)):
                 bad.append(f"u(x,y) < g(x) at ({jdx},{idx}): {ux} vs {gx}")
@@ -302,8 +284,8 @@ def check_surrogate(surrogate, g_eval, anchors, candidates, tol=1e-9):
             a, b = candidates[jdx], candidates[jdx + 1]
             if a.shape != y.shape or b.shape != y.shape:
                 continue
-            mid = float(surrogate.eval(0.5 * (a + b), y))
-            avg = 0.5 * (float(surrogate.eval(a, y)) + float(surrogate.eval(b, y)))
+            mid = float(u(0.5 * (a + b), y))
+            avg = 0.5 * (float(u(a, y)) + float(u(b, y)))
             if mid > avg + tol * (1.0 + abs(avg)):
                 bad.append(f"midpoint convexity failed at ({jdx},{idx})")
     return bad

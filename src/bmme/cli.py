@@ -16,6 +16,7 @@ override file values.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -27,7 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import datakit, matcomp, onmf, svgplot
-from .solver import SolverConfig, run, run_backtracking
+from .solver import SolverConfig, run
 from .verify import SUITES
 
 __all__ = ["main", "entry"]
@@ -76,7 +77,8 @@ def _build_parser():
     g("--config", help="JSON file with option defaults (flags override)")
     g("--problem", choices=["onmf", "matcomp"])
     g("--algorithm",
-      help="bmm | bmme | bmme_bt (compare accepts a comma-separated list)")
+      help="bmm | bmme | bmme_bt, where bmme_bt backtracks (L, l) on every "
+           "block (compare accepts a comma-separated list)")
     g("--m", type=int, help="rows of the synthetic data matrix")
     g("--n", type=int, help="columns of the synthetic data matrix")
     g("--r", type=int, help="factorization rank")
@@ -234,10 +236,20 @@ def _prepare_onmf(cfg, seed):
     else:
         lam = onmf.default_lambda(X, U0, V0)
     p = onmf.OnmfProblem(X=X, r=cfg["r"], lam=lam)
-    scale = float(np.sum(X * X)) or 1.0
-    return SimpleNamespace(kind="onmf", problem=p, init_blocks=[U0, V0],
-                           labels=labels, scale=scale, lam=lam,
-                           idmaps=None, test=None)
+
+    def objective(blocks):
+        return onmf.onmf_objective(p, blocks[0], blocks[1])
+
+    def quality(final):
+        if labels is None:
+            return {}
+        pred = onmf.predict_clusters(final[1])
+        return {"accuracy": onmf.clustering_accuracy(labels, pred)}
+
+    return SimpleNamespace(problems=onmf.onmf_block_problems(p),
+                           init_blocks=[U0, V0], objective=objective,
+                           quality=quality, scale=float(np.sum(X * X)) or 1.0,
+                           lam=lam, idmaps=None)
 
 
 def _prepare_matcomp(cfg, seed):
@@ -282,10 +294,23 @@ def _prepare_matcomp(cfg, seed):
         if U0.shape != (train.rows, cfg["r"]) or V0.shape != (cfg["r"], train.cols):
             raise UsageError("--init-u/--init-v shapes do not match the data")
         state0 = matcomp.McState(U=U0, V=V0)
-    scale = train.frobenius() ** 2 or 1.0
-    return SimpleNamespace(kind="matcomp", problem=p, state0=state0,
-                           train=train, test=test, scale=scale, lam=lam,
-                           idmaps=idmaps, labels=None)
+    obj_packed = matcomp.mc_objective_packed(p)
+
+    def quality(final):
+        state = matcomp.unpack_state(final[0], train.rows)
+        out = {"rmse_train": matcomp.rmse(train, state),
+               "rmse_train_init": matcomp.rmse(train, state0)}
+        if test is not None:
+            out["rmse_test"] = matcomp.rmse(test, state)
+            out["rmse_test_init"] = matcomp.rmse(test, state0)
+        return out
+
+    return SimpleNamespace(problems=[matcomp.mc_block_problem(p)],
+                           init_blocks=[matcomp.pack_state(state0)],
+                           objective=lambda blocks: obj_packed(blocks[0]),
+                           quality=quality,
+                           scale=train.frobenius() ** 2 or 1.0,
+                           lam=lam, idmaps=idmaps)
 
 
 def _solver_config(cfg):
@@ -304,45 +329,16 @@ def _run_single(cfg, algorithm, seed):
     solver_cfg = _solver_config(cfg)
     t0 = time.perf_counter()
 
-    if cfg["problem"] == "onmf":
-        if algorithm == "bmme_bt":
-            raise UsageError(
-                "--algorithm bmme_bt is only available for --problem matcomp")
-        prep = _prepare_onmf(cfg, seed)
-        p = prep.problem
-        problems = onmf.onmf_block_problems(p)
-
-        def objective(blocks):
-            return onmf.onmf_objective(p, blocks[0], blocks[1])
-
-        result = run(problems, prep.init_blocks, solver_cfg, objective,
-                     algorithm=algorithm)
-        U, V = result.final
-        final_obj = float(objective(result.final))
-        extras = {}
-        if prep.labels is not None:
-            pred = onmf.predict_clusters(V)
-            extras["accuracy"] = onmf.clustering_accuracy(prep.labels, pred)
-    else:
-        prep = _prepare_matcomp(cfg, seed)
-        p = prep.problem
-        obj_packed = matcomp.mc_objective_packed(p)
-        Z0 = matcomp.pack_state(prep.state0)
-        if algorithm == "bmme_bt":
-            result = run_backtracking(matcomp.mc_backtracking_problem(p),
-                                      Z0, solver_cfg, obj_packed)
-        else:
-            result = run([matcomp.mc_block_problem(p)], [Z0], solver_cfg,
-                         lambda blocks: obj_packed(blocks[0]),
-                         algorithm=algorithm)
-        Z = result.final[0]
-        final_state = matcomp.unpack_state(Z, prep.train.rows)
-        final_obj = float(obj_packed(Z))
-        extras = {"rmse_train": matcomp.rmse(prep.train, final_state),
-                  "rmse_train_init": matcomp.rmse(prep.train, prep.state0)}
-        if prep.test is not None:
-            extras["rmse_test"] = matcomp.rmse(prep.test, final_state)
-            extras["rmse_test_init"] = matcomp.rmse(prep.test, prep.state0)
+    prepare = _prepare_onmf if cfg["problem"] == "onmf" else _prepare_matcomp
+    prep = prepare(cfg, seed)
+    problems = prep.problems
+    if algorithm == "bmme_bt":
+        problems = [dataclasses.replace(b, constants_for=None)
+                    for b in problems]
+    result = run(problems, prep.init_blocks, solver_cfg, prep.objective,
+                 algorithm="bmm" if algorithm == "bmm" else "bmme")
+    final_obj = result.state.objective
+    extras = prep.quality(result.final)
 
     wall = time.perf_counter() - t0
     resolved = dict(cfg)

@@ -44,23 +44,16 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .bregman import (
-    BlockKernel,
-    RelSmoothConstants,
-    SurrogateFn,
-    cubic_norm_scale,
-)
+from .bregman import BlockKernel, RelSmoothConstants, cubic_norm_scale
 from .solver import BacktrackingProblem, BlockProblem
 
 __all__ = [
     "McProblem",
     "McState",
-    "mc_objective",
     "mc_kernel",
     "surrogate_weights",
     "soft_threshold",
     "cubic_step_scale",
-    "mc_subproblem",
     "mc_surrogate",
     "rmse",
     "mc_random_init",
@@ -162,13 +155,6 @@ def _penalty(lam, theta, M):
     return lam * float(np.sum(1.0 - np.exp(-theta * np.abs(M))))
 
 
-def mc_objective(p, state):
-    """Data-fit term plus the concave penalties of both factors."""
-    res = _residuals(p.observed, state.U, state.V.T)
-    f = 0.5 * float(res @ res)
-    return f + _penalty(p.lam, p.theta, state.U) + _penalty(p.lam, p.theta, state.V)
-
-
 def _smooth_eval_packed(p, Z):
     res = p._passes.residuals(Z)
     return 0.5 * float(res @ res)
@@ -199,19 +185,19 @@ def surrogate_weights(M, lam, theta):
 
 
 def mc_surrogate(p):
-    """Weighted-l1 majorizer of the packed penalty, anchored at y.
+    """Weighted-l1 majorizer ``u(x, y)`` of the packed penalty, anchored at y.
 
     u(x, y) = g(y) + <w(y), |x| - |y|> with w(y) the surrogate weights; equals
     g at x = y and lies above g everywhere by concavity of t -> 1 - exp(-t).
     """
     lam, theta = p.lam, p.theta
 
-    def eval_(x, y):
+    def u(x, y):
         w = surrogate_weights(y, lam, theta)
         return (_penalty(lam, theta, y)
                 + float(np.vdot(w, np.abs(x) - np.abs(y))))
 
-    return SurrogateFn(eval=eval_)
+    return u
 
 
 def soft_threshold(A, B):
@@ -244,22 +230,6 @@ def _subproblem_packed(p, kernel, Z_anchor, Z_bar, grad_bar, L):
     return kernel.grad_inverse(-S / L)
 
 
-def mc_subproblem(p, state, x_bar, L):
-    """Exact minimizer of the step majorizer around ``x_bar``.
-
-    ``state`` supplies the anchor for the penalty weights; ``x_bar`` is the
-    (possibly extrapolated) point where the smooth part is linearized.
-    """
-    if L <= 0:
-        raise ValueError("L must be positive")
-    kernel = mc_kernel(p)
-    Z_anchor = pack_state(state)
-    Z_bar = pack_state(x_bar)
-    g = _smooth_grad_packed(p, Z_bar)
-    Z_new = _subproblem_packed(p, kernel, Z_anchor, Z_bar, g, L)
-    return unpack_state(Z_new, p.observed.rows)
-
-
 def rmse(observed, state):
     """Root mean squared error of state.U state.V on the observed entries."""
     if observed.n_obs == 0:
@@ -280,7 +250,13 @@ def mc_random_init(p, seed=0, scale=None):
 
 
 def mc_block_problem(p):
-    """Single packed BlockProblem with known constants (L, l) = (1, 1)."""
+    """Single packed BlockProblem with known constants (L, l) = (1, 1).
+
+    Its ``solve_subproblem`` is the only implementation of the completion
+    step; it anchors the penalty weights at the current iterate. With
+    ``constants_for`` replaced by None, (L, l) are backtracked on the
+    ``smooth_eval`` it carries.
+    """
     kernel = mc_kernel(p)
     constants = RelSmoothConstants(L=1.0, l=1.0)
     return BlockProblem(
@@ -289,6 +265,7 @@ def mc_block_problem(p):
         constants_for=lambda blocks: constants,
         solve_subproblem=lambda blocks, z_bar, g, L, kern:
             _subproblem_packed(p, kern, blocks[0], z_bar, g, L),
+        smooth_eval=lambda blocks: _smooth_eval_packed(p, blocks[0]),
     )
 
 
@@ -305,7 +282,7 @@ def mc_backtracking_problem(p):
 
 
 def mc_objective_packed(p):
-    """Full objective on the packed representation, for the solver loop."""
+    """The objective F on the packed representation ``Z = [U; V^T]``."""
     lam, theta = p.lam, p.theta
 
     def eval_(Z):

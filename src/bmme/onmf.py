@@ -40,10 +40,7 @@ __all__ = [
     "onmf_constants_U",
     "v_kernel_weight",
     "v_block_kernel",
-    "update_U",
-    "v_update_target",
     "cubic_norm_scale",
-    "update_V",
     "spa_select_rows",
     "spa_init",
     "predict_clusters",
@@ -114,31 +111,6 @@ def _grad_U(X, U, V):
 
 def _grad_V(X, lam, U, V):
     return U.T @ U @ V - U.T @ X + 2.0 * lam * ((V @ V.T) @ V - V)
-
-
-def update_U(p, U_bar, V, L1):
-    """Closed-form U block update max(Ubar - grad_U f(Ubar, V) / L1, 0)."""
-    if L1 <= 0:
-        raise ValueError("L1 must be positive")
-    return np.maximum(U_bar - _grad_U(p.X, U_bar, V) / L1, 0.0)
-
-
-def v_update_target(p, U, V_bar, L2):
-    """Kernel gradient at Vbar minus the scaled objective gradient.
-
-    The kernel-gradient inverse of its positive part is the exact V block
-    minimizer.
-    """
-    kern = v_block_kernel(U, p.lam)
-    return kern.grad(V_bar) - _grad_V(p.X, p.lam, U, V_bar) / L2
-
-
-def update_V(p, U, V_bar, L2):
-    """Closed-form V block update: grad phi^-1 of the target's positive part."""
-    if L2 <= 0:
-        raise ValueError("L2 must be positive")
-    return v_block_kernel(U, p.lam).grad_inverse(
-        np.maximum(v_update_target(p, U, V_bar, L2), 0.0))
 
 
 def spa_select_rows(X, r):
@@ -218,9 +190,17 @@ def default_lambda(X, U0, V0):
 
 
 def onmf_block_problems(p):
-    """Two BlockProblems (U first, then V) wired to the closed-form updates."""
+    """Two BlockProblems (U first, then V) wired to the closed-form updates.
+
+    These closures are the only implementation of the two block updates.
+    Both blocks carry the whole objective as ``smooth_eval`` (it is all
+    smooth; nonnegativity is the feasible set), so either may backtrack.
+    """
     X, lam = p.X, p.lam
     euclid = quadratic_kernel()
+
+    def smooth_eval(blocks):
+        return onmf_objective(p, blocks[0], blocks[1])
 
     def u_grad(blocks):
         U, V = blocks
@@ -235,6 +215,7 @@ def onmf_block_problems(p):
         constants_for=lambda blocks: onmf_constants_U(blocks[1]),
         solve_subproblem=u_solve,
         feasible=lambda x: bool(np.all(x >= 0.0)),
+        smooth_eval=smooth_eval,
     )
 
     v_constants = RelSmoothConstants(L=1.0, l=1.0)
@@ -253,5 +234,6 @@ def onmf_block_problems(p):
         constants_for=lambda blocks: v_constants,
         solve_subproblem=v_solve,
         feasible=lambda x: bool(np.all(x >= 0.0)),
+        smooth_eval=smooth_eval,
     )
     return [u_block, v_block]

@@ -236,13 +236,18 @@ class BacktrackCertificate:
 
 @dataclass
 class SolverState:
-    """Mutable iteration state of :func:`run`."""
+    """Mutable iteration state of :func:`run`.
+
+    ``objective`` is F(current); :func:`run` evaluates it once at the start
+    and each step keeps it up to date.
+    """
 
     current: list
     previous: list
     prev_kernels: list
     prev_constants: list
     nesterov_nu: list
+    objective: Optional[float] = None
     iter: int = 0
     elapsed_seconds: float = 0.0
     trace: Trace = field(default_factory=Trace)
@@ -401,7 +406,7 @@ def _step(problems, state, config, objective, force_beta_zero):
     slack = None
     sum_div = None
     if config.verify_descent:
-        f_old = float(objective(state.current))
+        f_old = state.objective
         sum_div = 0.0
         relaxation = 0.0
         for i, p in enumerate(problems):
@@ -425,6 +430,7 @@ def _step(problems, state, config, objective, force_beta_zero):
     state.prev_kernels = kernels_k
     state.prev_constants = constants_k
     state.nesterov_nu = nus
+    state.objective = f_new
     state.iter += 1
     state.trace.records.append(TraceRecord(
         iter=state.iter,
@@ -479,14 +485,14 @@ def run(problems, init_blocks, config, objective, algorithm="bmme"):
     if algorithm not in ("bmme", "bmm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     state = initial_state(problems, init_blocks, config)
-    f_prev = float(objective(state.current))
+    state.objective = float(objective(state.current))
     for _ in range(config.max_iters):
+        f_prev = state.objective
         _step(problems, state, config, objective, algorithm == "bmm")
-        f_new = state.trace.records[-1].objective
-        if abs(f_new - f_prev) <= config.tol_rel_change * (1.0 + abs(f_prev)):
+        if (abs(state.objective - f_prev)
+                <= config.tol_rel_change * (1.0 + abs(f_prev))):
             reason = StopReason.TOL_REACHED
             break
-        f_prev = f_new
         if (config.time_budget is not None
                 and state.elapsed_seconds >= config.time_budget):
             reason = StopReason.TIME_BUDGET

@@ -1,11 +1,14 @@
 """Independent numerical oracles and named verification suites.
 
 The oracles deliberately avoid the closed-form production code paths: block
-updates are re-solved by iterative first-order methods run to tight
+updates are re-solved by an iterative first-order method run to tight
 stationarity, cubic roots are re-derived by bisection, and assignment-based
-accuracy is re-derived by brute-force permutation search. Each ``suite_*``
-function returns a list of violation strings (empty means the suite passed);
-the command-line ``verify`` subcommand exposes them by name.
+accuracy is re-derived by brute-force permutation search. The closed forms
+they are checked against are the ones the solver runs: each problem's
+``BlockProblem`` list, driven by :func:`_block_update` the way a fixed-constant
+solver step drives it. Each ``suite_*`` function returns a list of violation
+strings (empty means the suite passed); the command-line ``verify``
+subcommand exposes them by name.
 """
 
 import dataclasses
@@ -20,12 +23,11 @@ from .bregman import (
     check_surrogate,
     quadratic_kernel,
 )
-from .solver import DescentViolation, SolverConfig, run
+from .solver import DescentViolation, SolverConfig, _at, run
 
 __all__ = [
     "bisect_root",
-    "projected_gradient",
-    "prox_gradient_weighted_l1",
+    "prox_gradient",
     "brute_force_accuracy",
     "suite_relsmooth",
     "suite_descent",
@@ -86,16 +88,17 @@ def _polish_fixed_step(grad, step_to, map_to, x, t, tol, max_iters):
     return best
 
 
-def projected_gradient(obj, grad, project, x0, tol=1e-10, max_iters=200_000,
-                       t0=1.0):
-    """Projected gradient run to a unit-step gradient-map norm <= tol.
+def prox_gradient(obj, grad, prox, x0, tol=1e-10, max_iters=200_000, t0=1.0):
+    """Proximal gradient for obj(x) + h(x), to a unit-step map norm <= tol.
 
-    A backtracked phase takes the iterate close to the solution; a
-    constant-step contraction phase (see :func:`_polish_fixed_step`) then
-    drives the map norm the rest of the way — sufficient-decrease tests are
-    useless at that depth because the objective differences drown in
-    rounding. Stationarity is always measured with a unit reference step
-    (the map norm at a grown line-search step understates it).
+    ``prox(z, t)`` is the proximal map of ``t * h`` (a projection when h is
+    an indicator). A backtracked phase takes the iterate close to the
+    solution; a constant-step contraction phase (see
+    :func:`_polish_fixed_step`) then drives the map norm the rest of the way —
+    sufficient-decrease tests are useless at that depth because the objective
+    differences drown in rounding. Stationarity is always measured with a
+    unit reference step (the map norm at a grown line-search step understates
+    it).
     """
     x = np.array(x0, dtype=np.float64, copy=True)
     fx = float(obj(x))
@@ -103,10 +106,10 @@ def projected_gradient(obj, grad, project, x0, tol=1e-10, max_iters=200_000,
     coarse = max(tol, 1e-7)
     for _ in range(max_iters // 2):
         g = grad(x)
-        if float(np.linalg.norm(project(x - g) - x)) <= coarse:
+        if float(np.linalg.norm(prox(x - g, 1.0) - x)) <= coarse:
             break
         while True:
-            xn = project(x - t * g)
+            xn = prox(x - t * g, t)
             diff = xn - x
             model = fx + float(np.vdot(g, diff)) + float(np.vdot(diff, diff)) / (2 * t)
             fn = float(obj(xn))
@@ -117,45 +120,8 @@ def projected_gradient(obj, grad, project, x0, tol=1e-10, max_iters=200_000,
         t *= 1.2
     return _polish_fixed_step(
         grad,
-        lambda y, g, s: project(y - s * g),
-        lambda y, g: project(y - g),
-        x, t0, tol, max_iters // 2)
-
-
-def prox_gradient_weighted_l1(smooth_obj, smooth_grad, weights, x0,
-                              tol=1e-10, max_iters=200_000, t0=1.0):
-    """Proximal gradient for smooth(x) + <weights, |x|>, to fixed-point tol.
-
-    The prox is written inline on purpose — this oracle must not share the
-    shrinkage code it certifies. Stationarity is the unit-step prox map
-    norm; the same two-phase scheme as :func:`projected_gradient` applies.
-    """
-
-    def shrink(z, w):
-        return np.sign(z) * np.maximum(np.abs(z) - w, 0.0)
-
-    x = np.array(x0, dtype=np.float64, copy=True)
-    fx = float(smooth_obj(x))
-    t = t0
-    coarse = max(tol, 1e-7)
-    for _ in range(max_iters // 2):
-        g = smooth_grad(x)
-        if float(np.linalg.norm(shrink(x - g, weights) - x)) <= coarse:
-            break
-        while True:
-            xn = shrink(x - t * g, t * weights)
-            diff = xn - x
-            model = fx + float(np.vdot(g, diff)) + float(np.vdot(diff, diff)) / (2 * t)
-            fn = float(smooth_obj(xn))
-            if fn <= model + 1e-12 * (1.0 + abs(model)) or t < 1e-18:
-                break
-            t *= 0.5
-        x, fx = xn, fn
-        t *= 1.2
-    return _polish_fixed_step(
-        smooth_grad,
-        lambda y, g, s: shrink(y - s * g, s * weights),
-        lambda y, g: shrink(y - g, weights),
+        lambda y, g, s: prox(y - s * g, s),
+        lambda y, g: prox(y - g, 1.0),
         x, t0, tol, max_iters // 2)
 
 
@@ -175,7 +141,7 @@ def brute_force_accuracy(labels_true, labels_pred):
 # oracle solves of the three block majorizers
 # ---------------------------------------------------------------------------
 
-def oracle_update_U(p, U_bar, V, L1, tol=1e-10):
+def oracle_u_block(p, U_bar, V, L1, tol=1e-10):
     """U block majorizer minimized by projected gradient (step 0.7 / L1)."""
     g = U_bar @ (V @ V.T) - p.X @ V.T
 
@@ -186,11 +152,11 @@ def oracle_update_U(p, U_bar, V, L1, tol=1e-10):
     def grad(U):
         return g + L1 * (U - U_bar)
 
-    return projected_gradient(obj, grad, lambda M: np.maximum(M, 0.0),
-                              np.maximum(U_bar, 0.0), tol=tol, t0=0.7 / L1)
+    return prox_gradient(obj, grad, lambda z, t: np.maximum(z, 0.0),
+                         np.maximum(U_bar, 0.0), tol=tol, t0=0.7 / L1)
 
 
-def oracle_update_V(p, U, V_bar, L2, tol=1e-10):
+def oracle_v_block(p, U, V_bar, L2, tol=1e-10):
     """V block majorizer minimized by backtracked projected gradient."""
     kern = onmf.v_block_kernel(U, p.lam)
     g = U.T @ U @ V_bar - U.T @ p.X + 2 * p.lam * ((V_bar @ V_bar.T) @ V_bar - V_bar)
@@ -202,11 +168,11 @@ def oracle_update_V(p, U, V_bar, L2, tol=1e-10):
     def grad(V):
         return g - L2 * phi_bar + L2 * kern.grad(V)
 
-    return projected_gradient(obj, grad, lambda M: np.maximum(M, 0.0),
-                              np.maximum(V_bar, 0.0), tol=tol)
+    return prox_gradient(obj, grad, lambda z, t: np.maximum(z, 0.0),
+                         np.maximum(V_bar, 0.0), tol=tol)
 
 
-def oracle_mc_subproblem(p, state, x_bar, L, tol=1e-10):
+def oracle_completion_block(p, state, x_bar, L, tol=1e-10):
     """Packed matrix-completion majorizer re-solved by proximal gradient."""
     kern = matcomp.mc_kernel(p)
     Zb = matcomp.pack_state(x_bar)
@@ -220,13 +186,30 @@ def oracle_mc_subproblem(p, state, x_bar, L, tol=1e-10):
     def sgrad(Z):
         return lin + L * kern.grad(Z)
 
-    Z = prox_gradient_weighted_l1(sobj, sgrad, W, np.zeros_like(Zb), tol=tol)
+    # the shrink is written here on purpose: this oracle must not share the
+    # shrinkage code it certifies
+    def shrink(Z, t):
+        return np.sign(Z) * np.maximum(np.abs(Z) - t * W, 0.0)
+
+    Z = prox_gradient(sobj, sgrad, shrink, np.zeros_like(Zb), tol=tol)
     return matcomp.unpack_state(Z, p.observed.rows)
 
 
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
+
+def _block_update(block, blocks, i, x_bar, L):
+    """Block i's update at ``x_bar`` with constant L, as a solver step makes it.
+
+    The calls and their order are those of the fixed-constant branch of
+    ``solver._step``: the kernel at ``blocks``, the gradient at x_bar, then
+    the block's ``solve_subproblem``.
+    """
+    kernel = block.kernel_for(blocks)
+    grad = block.partial_grad(_at(blocks, i, x_bar))
+    return block.solve_subproblem(blocks, x_bar, grad, L, kernel)
+
 
 def _sample_pairs(rng, shape, n, scale):
     return [(scale * rng.uniform(size=shape), scale * rng.uniform(size=shape))
@@ -326,20 +309,21 @@ def suite_oracles(n_instances=10, seed=0, tol=1e-6):
 
         V = rng.uniform(size=(2, 4)) + 0.05
         U_bar = 2.0 * rng.uniform(size=(5, 2))
+        u_block, v_block = onmf.onmf_block_problems(p)
         L1 = onmf.onmf_constants_U(V).L
-        closed = onmf.update_U(p, U_bar, V, L1)
-        ref = oracle_update_U(p, U_bar, V, L1)
+        closed = _block_update(u_block, [U_bar, V], 0, U_bar, L1)
+        ref = oracle_u_block(p, U_bar, V, L1)
         err = float(np.linalg.norm(closed - ref))
         if err > tol:
-            bad.append(f"update_U mismatch {err:.3e} on instance {k}")
+            bad.append(f"U block mismatch {err:.3e} on instance {k}")
 
         U = 2.0 * rng.uniform(size=(5, 2))
         V_bar = rng.uniform(size=(2, 4))
-        closed = onmf.update_V(p, U, V_bar, 1.0)
-        ref = oracle_update_V(p, U, V_bar, 1.0)
+        closed = _block_update(v_block, [U, V_bar], 1, V_bar, 1.0)
+        ref = oracle_v_block(p, U, V_bar, 1.0)
         err = float(np.linalg.norm(closed - ref))
         if err > tol:
-            bad.append(f"update_V mismatch {err:.3e} on instance {k}")
+            bad.append(f"V block mismatch {err:.3e} on instance {k}")
 
         obs = datakit.gen_synthetic_ratings(5, 4, 2, 0.6, seed=seed + 100 + k)
         mp = matcomp.McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
@@ -348,12 +332,14 @@ def suite_oracles(n_instances=10, seed=0, tol=1e-6):
         x_bar = matcomp.McState(U=rng.standard_normal((5, 2)),
                                 V=rng.standard_normal((2, 4)))
         L = float(rng.uniform(0.5, 2.0))
-        closed = matcomp.mc_subproblem(mp, anchor, x_bar, L)
-        ref = oracle_mc_subproblem(mp, anchor, x_bar, L)
+        closed = matcomp.unpack_state(_block_update(
+            matcomp.mc_block_problem(mp), [matcomp.pack_state(anchor)], 0,
+            matcomp.pack_state(x_bar), L), obs.rows)
+        ref = oracle_completion_block(mp, anchor, x_bar, L)
         err = float(np.hypot(np.linalg.norm(closed.U - ref.U),
                              np.linalg.norm(closed.V - ref.V)))
         if err > tol:
-            bad.append(f"mc_subproblem mismatch {err:.3e} on instance {k}")
+            bad.append(f"completion block mismatch {err:.3e} on instance {k}")
 
         # surrogate majorization of the concave penalty
         g_eval = lambda Z: matcomp._penalty(mp.lam, mp.theta, Z)

@@ -18,7 +18,6 @@ from bmme.bregman import (
     check_relative_smoothness,
     check_surrogate,
     quadratic_kernel,
-    zero_surrogate,
 )
 
 
@@ -133,6 +132,15 @@ class TestNormPolynomialKernel:
             BlockKernel(c1, c2)
 
 
+class TestRelSmoothConstants:
+    # the solver builds its (L, l) here, so no L <= 0 reaches a subproblem
+    @pytest.mark.parametrize("L, l", [(0.0, 1.0), (-1.0, 0.0), (np.inf, 0.0),
+                                      (1.0, -1e-3), (1.0, np.nan)])
+    def test_invalid_pair_rejected(self, L, l):
+        with pytest.raises(ValueError):
+            RelSmoothConstants(L=L, l=l)
+
+
 class TestValidators:
     def test_check_gradient_accepts_exact_gradient(self):
         rng = np.random.default_rng(1)
@@ -181,7 +189,7 @@ class TestValidators:
         rng = np.random.default_rng(5)
         anchors = [rng.standard_normal(3) for _ in range(4)]
         cands = [rng.standard_normal(3) for _ in range(4)]
-        out = check_surrogate(zero_surrogate(), lambda z: 0.0, anchors, cands)
+        out = check_surrogate(lambda x, y: 0.0, lambda z: 0.0, anchors, cands)
         assert out == []
 
     def test_check_surrogate_flags_non_majorizer(self):
@@ -189,7 +197,7 @@ class TestValidators:
         rng = np.random.default_rng(5)
         anchors = [rng.standard_normal(3) for _ in range(2)]
         cands = [rng.standard_normal(3) for _ in range(3)]
-        out = check_surrogate(zero_surrogate(),
+        out = check_surrogate(lambda x, y: 0.0,
                               lambda z: float(np.sum(np.abs(z))),
                               anchors, cands)
         assert len(out) > 0

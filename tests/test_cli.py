@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bmme import cli, verify
+from bmme import cli, datakit, matcomp, verify
+from bmme.solver import SolverConfig, run_backtracking
 from bmme.svgplot import render_loglog_svg
 
 
@@ -80,6 +81,18 @@ class TestRunOnmf:
                        "--verify-descent", "--out", str(out)])
         assert rc == 0
 
+    def test_backtracked_variant_passes_descent_verifier(self, tmp_path):
+        # bmme_bt line-searches (L, l) on both ONMF blocks
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--problem", "onmf", "--m", "40", "--n", "30",
+                       "--r", "3", "--lambda", "100", "--max-iters", "50",
+                       "--tol", "0", "--algorithm", "bmme_bt",
+                       "--verify-descent", "--out", str(out)])
+        assert rc == 0
+        assert len(read_trace(out / "trace.csv")) == 50
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["stop_reason"] == "max_iters"
+
 
 class TestRunMatcomp:
     def test_zero_iterations_echo_initial_rmse(self, tmp_path):
@@ -103,6 +116,26 @@ class TestRunMatcomp:
         rep = json.loads((out / "report.json").read_text())
         assert rep["rmse_train"] < rep["rmse_train_init"]
         assert rep["rmse_test"] < rep["rmse_test_init"]
+
+    def test_backtracked_variant_matches_run_backtracking(self, tmp_path):
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--problem", "matcomp", "--m", "40", "--n", "30",
+                       "--r", "2", "--obs-fraction", "0.5", "--seed", "3",
+                       "--max-iters", "80", "--tol", "0",
+                       "--algorithm", "bmme_bt", "--out", str(out)])
+        assert rc == 0
+        obs = datakit.gen_synthetic_ratings(40, 30, 2, 0.5, seed=3)
+        train, _ = datakit.train_test_split(obs, 0.7, seed=3)
+        p = matcomp.McProblem(observed=train, r=2, lam=0.1, theta=5.0)
+        res = run_backtracking(
+            matcomp.mc_backtracking_problem(p),
+            matcomp.pack_state(matcomp.mc_random_init(p, seed=3)),
+            SolverConfig(max_iters=80, tol_rel_change=0.0,
+                         verify_descent=False),
+            matcomp.mc_objective_packed(p))
+        col = [row["objective"] for row in read_trace(out / "trace.csv")]
+        assert col == [repr(r.objective) for r in res.trace.records]
+        assert len(col) == 80
 
     def test_spa_init_rejected_for_matcomp(self, tmp_path):
         rc = cli.main(["run", "--problem", "matcomp", "--init", "spa",
@@ -162,11 +195,6 @@ class TestBadUsage:
 
     def test_unknown_subcommand_exits_two(self):
         assert cli.main(["frobnicate"]) == 2
-
-    def test_onmf_rejects_backtracking_variant(self, tmp_path):
-        rc = cli.main(["run", "--problem", "onmf", "--algorithm", "bmme_bt",
-                       "--out", str(tmp_path / "o")])
-        assert rc == 2
 
     def test_unknown_config_key_exits_two(self, tmp_path):
         cfgfile = tmp_path / "c.json"

@@ -21,10 +21,8 @@ from bmme.matcomp import (
     mc_backtracking_problem,
     mc_block_problem,
     mc_kernel,
-    mc_objective,
     mc_objective_packed,
     mc_random_init,
-    mc_subproblem,
     mc_surrogate,
     pack_state,
     rmse,
@@ -47,12 +45,26 @@ def penalty(lam, theta, M):
     return lam * float(np.sum(1.0 - np.exp(-theta * np.abs(M))))
 
 
+def objective_at(p, state):
+    return mc_objective_packed(p)(pack_state(state))
+
+
+def mc_step(p, anchor, x_bar, L):
+    """The solver's completion step around ``x_bar``, anchored at ``anchor``.
+
+    It goes through the packed block problem, as a solver step does.
+    """
+    Z = verify._block_update(mc_block_problem(p), [pack_state(anchor)], 0,
+                             pack_state(x_bar), L)
+    return unpack_state(Z, p.observed.rows)
+
+
 class TestObjective:
     def test_zero_factors_leave_data_term(self):
         p = diagonal_problem()
         st = McState(U=np.zeros((3, 2)), V=np.zeros((2, 3)))
         # penalties vanish at zero; only 0.5 * sum A_ij^2 remains
-        assert_allclose(mc_objective(p, st), 0.5 * (1 + 4 + 9))
+        assert_allclose(objective_at(p, st), 0.5 * (1 + 4 + 9))
 
     def test_no_observations_no_data_term(self):
         obs = datakit.ObservedMatrix(
@@ -60,7 +72,7 @@ class TestObjective:
             col_idx=np.zeros(0, dtype=np.int64), values=np.zeros(0))
         p = McProblem(observed=obs, r=1, lam=0.1, theta=5.0)
         st = McState(U=np.zeros((2, 1)), V=np.zeros((1, 2)))
-        assert mc_objective(p, st) == 0.0
+        assert objective_at(p, st) == 0.0
 
     def test_matches_elementwise_formula(self):
         rng = np.random.default_rng(0)
@@ -73,15 +85,7 @@ class TestObjective:
         for i, j, a in zip(obs.row_idx, obs.col_idx, obs.values):
             want += 0.5 * (full[i, j] - a) ** 2
         want += penalty(0.3, 2.0, st.U) + penalty(0.3, 2.0, st.V)
-        assert_allclose(mc_objective(p, st), want, rtol=1e-12)
-
-    def test_packed_objective_agrees(self):
-        rng = np.random.default_rng(1)
-        p = diagonal_problem()
-        st = McState(U=rng.standard_normal((3, 2)),
-                     V=rng.standard_normal((2, 3)))
-        f = mc_objective_packed(p)
-        assert_allclose(f(pack_state(st)), mc_objective(p, st), rtol=1e-14)
+        assert_allclose(objective_at(p, st), want, rtol=1e-12)
 
 
 class TestKernel:
@@ -171,7 +175,7 @@ class TestSubproblem:
     def test_zero_anchor_zero_gradient_stays_at_zero(self):
         p = diagonal_problem()
         z0 = McState(U=np.zeros((3, 2)), V=np.zeros((2, 3)))
-        out = mc_subproblem(p, z0, z0, 1.0)
+        out = mc_step(p, z0, z0, 1.0)
         assert np.all(out.U == 0.0)
         assert np.all(out.V == 0.0)
 
@@ -183,7 +187,7 @@ class TestSubproblem:
         st = McState(U=rng.standard_normal((3, 2)) * 0.5,
                      V=rng.standard_normal((2, 3)) * 0.5)
         L = 2.0
-        out = pack_state(mc_subproblem(p, st, st, L))
+        out = pack_state(mc_step(p, st, st, L))
 
         kern = mc_kernel(p)
         Z_bar = pack_state(st)
@@ -201,8 +205,8 @@ class TestSubproblem:
         rng = np.random.default_rng(5)
         st = McState(U=rng.standard_normal((3, 2)) * 0.5,
                      V=rng.standard_normal((2, 3)) * 0.5)
-        got = mc_subproblem(p, st, st, 1.5)
-        want = verify.oracle_mc_subproblem(p, st, st, 1.5)
+        got = mc_step(p, st, st, 1.5)
+        want = verify.oracle_completion_block(p, st, st, 1.5)
         diff = np.linalg.norm(pack_state(got) - pack_state(want))
         assert diff <= 1e-5
 
@@ -219,16 +223,10 @@ class TestSubproblem:
                      V=rng.standard_normal((2, 3)) * 0.3)
         p_a = McProblem(observed=obs_a, r=2, lam=0.1, theta=5.0)
         p_b = McProblem(observed=obs_b, r=2, lam=0.1, theta=5.0)
-        out_a = mc_subproblem(p_a, st, st, 1.0)
-        out_b = mc_subproblem(p_b, st, st, 1.0)
+        out_a = mc_step(p_a, st, st, 1.0)
+        out_b = mc_step(p_b, st, st, 1.0)
         assert np.array_equal(out_a.U, out_b.U)
         assert np.array_equal(out_a.V, out_b.V)
-
-    def test_rejects_nonpositive_L(self):
-        p = diagonal_problem()
-        z0 = McState(U=np.zeros((3, 2)), V=np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            mc_subproblem(p, z0, z0, 0.0)
 
 
 class TestSurrogate:
@@ -238,7 +236,7 @@ class TestSurrogate:
         rng = np.random.default_rng(7)
         for _ in range(10):
             z = rng.standard_normal((6, 2))
-            assert_allclose(su.eval(z, z), penalty(p.lam, p.theta, z),
+            assert_allclose(su(z, z), penalty(p.lam, p.theta, z),
                             rtol=1e-12)
 
     def test_majorizes_penalty(self):
@@ -250,7 +248,7 @@ class TestSurrogate:
         anchor = rng.standard_normal((6, 2)) * 0.4
         for _ in range(1000):
             x = anchor + rng.standard_normal((6, 2)) * 10.0 ** rng.uniform(-3, 1)
-            gap = su.eval(x, anchor) - penalty(p.lam, p.theta, x)
+            gap = su(x, anchor) - penalty(p.lam, p.theta, x)
             assert gap >= -1e-12
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bmme import datakit, verify
+from bmme import datakit, onmf, verify
 from bmme.bregman import bregman_divergence
 from bmme.onmf import (
     OnmfProblem,
@@ -27,13 +27,27 @@ from bmme.onmf import (
     spa_init,
     spa_select_rows,
     spectral_norm,
-    update_U,
-    update_V,
     v_block_kernel,
     v_kernel_weight,
-    v_update_target,
 )
 from bmme.solver import SolverConfig, run
+
+
+def block_update(p, i, U, V, L):
+    """The solver's update of block i (0 for U, 1 for V) at x_bar = [U, V][i]."""
+    blocks = [U, V]
+    return verify._block_update(onmf_block_problems(p)[i], blocks, i,
+                                blocks[i], L)
+
+
+def v_target(p, U, V_bar, L):
+    """The V-update target grad phi(V_bar) - grad_V f(U, V_bar) / L.
+
+    The V update is the kernel-gradient inverse of its positive part.
+    """
+    v_block = onmf_block_problems(p)[1]
+    kern = v_block.kernel_for([U, V_bar])
+    return kern.grad(V_bar) - v_block.partial_grad([U, V_bar]) / L
 
 
 class TestObjective:
@@ -111,7 +125,7 @@ class TestUpdateU:
         # grad at Ubar = (Ubar - I) = -0.5 I, so the prox step from 0.5 I
         # with L1 = 1 lands exactly on the identity
         p = OnmfProblem(X=np.eye(3), r=3, lam=1.0)
-        out = update_U(p, 0.5 * np.eye(3), np.eye(3), 1.0)
+        out = block_update(p, 0, 0.5 * np.eye(3), np.eye(3), 1.0)
         assert_allclose(out, np.eye(3), rtol=0, atol=0)
 
     def test_output_nonnegative(self):
@@ -120,7 +134,8 @@ class TestUpdateU:
             X = rng.uniform(size=(6, 5))
             U_bar = rng.standard_normal((6, 2))  # deliberately signed
             V = rng.uniform(size=(2, 5))
-            out = update_U(OnmfProblem(X=X, r=2, lam=1.0), U_bar, V, 2.0)
+            out = block_update(OnmfProblem(X=X, r=2, lam=1.0), 0, U_bar, V,
+                               2.0)
             assert np.all(out >= 0.0)
 
     def test_matches_numerical_oracle(self):
@@ -130,8 +145,8 @@ class TestUpdateU:
         U_bar = rng.uniform(size=(5, 2))
         p = OnmfProblem(X=X, r=2, lam=1.0)
         L1 = onmf_constants_U(V).L
-        got = update_U(p, U_bar, V, L1)
-        want = verify.oracle_update_U(p, U_bar, V, L1)
+        got = block_update(p, 0, U_bar, V, L1)
+        want = verify.oracle_u_block(p, U_bar, V, L1)
         assert np.linalg.norm(got - want) <= 1e-6
 
 
@@ -173,9 +188,9 @@ class TestUpdateV:
         # is empty, so the minimizer collapses to V = 0
         p = OnmfProblem(X=-np.ones((3, 4)), r=2, lam=1.0)
         U = np.ones((3, 2))
-        G = v_update_target(p, U, np.zeros((2, 4)), 1.0)
+        G = v_target(p, U, np.zeros((2, 4)), 1.0)
         assert np.all(G <= 0.0)
-        assert np.all(update_V(p, U, np.zeros((2, 4)), 1.0) == 0.0)
+        assert np.all(block_update(p, 1, U, np.zeros((2, 4)), 1.0) == 0.0)
 
     def test_rescaled_positive_part_identity(self):
         # the closed form asserts rho * V == max(G, 0) where rho solves
@@ -184,8 +199,8 @@ class TestUpdateV:
         p = OnmfProblem(X=rng.uniform(size=(6, 5)), r=3, lam=2.0)
         U = rng.uniform(size=(6, 3))
         V_bar = rng.uniform(size=(3, 5))
-        V = update_V(p, U, V_bar, 1.0)
-        G = v_update_target(p, U, V_bar, 1.0)
+        V = block_update(p, 1, U, V_bar, 1.0)
+        G = v_target(p, U, V_bar, 1.0)
         Gp = np.maximum(G, 0.0)
         rho = cubic_norm_scale(v_kernel_weight(U, p.lam),
                                6.0 * p.lam * float(np.sum(Gp * Gp)))
@@ -198,14 +213,13 @@ class TestUpdateV:
         V_bar = rng.uniform(size=(2, 6))
         L2 = 1.0
         kern = v_block_kernel(U, p.lam)
-        # recover the block gradient from the target definition
-        grad = L2 * (kern.grad(V_bar) - v_update_target(p, U, V_bar, L2))
+        grad = onmf_block_problems(p)[1].partial_grad([U, V_bar])
 
         def majorizer(V):
             return (L2 * bregman_divergence(kern, V, V_bar)
                     + float(np.vdot(grad, V - V_bar)))
 
-        V_opt = update_V(p, U, V_bar, L2)
+        V_opt = block_update(p, 1, U, V_bar, L2)
         base = majorizer(V_opt)
         for _ in range(1000):
             pert = V_opt + rng.standard_normal(V_opt.shape) * 10.0 ** rng.uniform(-4, 0)
@@ -220,8 +234,8 @@ class TestUpdateV:
         U = rng.uniform(size=(8, 3))
         V = rng.uniform(size=(3, 7))
         for _ in range(5000):
-            V = update_V(p, U, V, 1.0)
-        V_next = update_V(p, U, V, 1.0)
+            V = block_update(p, 1, U, V, 1.0)
+        V_next = block_update(p, 1, U, V, 1.0)
         assert np.linalg.norm(V_next - V) <= 1e-8 * (1.0 + np.linalg.norm(V))
 
 
@@ -346,8 +360,8 @@ class TestProblemAssembly:
         # and not increase the objective when applied without extrapolation
         f0 = onmf_objective(p, U0, V0)
         L1 = onmf_constants_U(V0).L
-        U1 = update_U(p, U0, V0, L1)
-        V1 = update_V(p, U1, V0, 1.0)
+        U1 = block_update(p, 0, U0, V0, L1)
+        V1 = block_update(p, 1, U1, V0, 1.0)
         assert blocks[0].feasible(U1)
         assert blocks[1].feasible(V1)
         assert onmf_objective(p, U1, V1) <= f0 + 1e-8 * (1.0 + abs(f0))
@@ -358,16 +372,32 @@ class TestProblemAssembly:
         # the descent verifier certifies every one of the 300 sweeps
         syn = datakit.gen_synthetic_onmf(60, 60, 3, noise=0.05, seed=seed)
         p = OnmfProblem(X=syn.X, r=3, lam=100.0)
-
-        def F(blocks):
-            return onmf_objective(p, blocks[0], blocks[1])
-
-        blocks = [dataclasses.replace(b, constants_for=None, smooth_eval=F)
+        blocks = [dataclasses.replace(b, constants_for=None)
                   for b in onmf_block_problems(p)]
         cfg = SolverConfig(max_iters=300, tol_rel_change=0.0,
                            verify_descent=True)
-        res = run(blocks, list(spa_init(syn.X, 3)), cfg, F)
+        res = run(blocks, list(spa_init(syn.X, 3)), cfg,
+                  lambda blocks: onmf_objective(p, blocks[0], blocks[1]))
         objs = res.trace.objectives()
         assert len(objs) == 300
         assert objs[-1] < objs[0]
         assert all(r.descent_slack is not None for r in res.trace.records)
+
+    def test_oracle_suite_checks_the_block_problems(self, monkeypatch):
+        # a step taken with 1.01 L in the solver's own U and V updates must
+        # show up as oracle mismatches on every instance
+        real = onmf.onmf_block_problems
+
+        def with_larger_L(solve):
+            return lambda blocks, x_bar, g, L, kernel: solve(
+                blocks, x_bar, g, 1.01 * L, kernel)
+
+        def perturbed(p):
+            return [dataclasses.replace(b, solve_subproblem=with_larger_L(
+                b.solve_subproblem)) for b in real(p)]
+
+        monkeypatch.setattr(onmf, "onmf_block_problems", perturbed)
+        bad = verify.suite_oracles(n_instances=2, seed=0)
+        assert sum(m.startswith("U block mismatch") for m in bad) == 2
+        assert sum(m.startswith("V block mismatch") for m in bad) == 2
+        assert len(bad) == 4

@@ -5,6 +5,8 @@ to exercise most of the control flow, because the subproblem minimizer is the
 exact closed-form prox step and every quantity can be checked by hand.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -149,6 +151,25 @@ class TestRunBasics:
         assert np.array_equal(out["bmm"].final[0], out["bmme"].final[0])
         assert (out["bmm"].trace.records[0].objective
                 == out["bmme"].trace.records[0].objective)
+
+    def test_verified_run_evaluates_objective_once_per_point(self):
+        # the descent verifier reuses F(x^k), traced one step earlier
+        a = np.array([3.0, 0.5, -2.0])
+        slow = dataclasses.replace(
+            quadratic_block(a),
+            constants_for=lambda blocks: RelSmoothConstants(L=2.0, l=0.0))
+        f = quadratic_objective(a)
+        calls = [0]
+
+        def counted(blocks):
+            calls[0] += 1
+            return f(blocks)
+
+        cfg = SolverConfig(max_iters=20, tol_rel_change=0.0,
+                           verify_descent=True)
+        res = run([slow], [np.ones(3)], cfg, counted)
+        assert len(res.trace.records) == 20
+        assert calls[0] == 20 + 1
 
     def test_repeat_runs_are_deterministic(self):
         a = np.array([3.0, 0.5, -2.0])
