@@ -13,7 +13,6 @@ from .bregman import (
     RelSmoothConstants,
     bregman_divergence,
     check_gradient,
-    check_kernel,
     check_relative_smoothness,
     check_surrogate,
     quadratic_kernel,
@@ -49,7 +48,6 @@ __all__ = [
     "Trace",
     "bregman_divergence",
     "check_gradient",
-    "check_kernel",
     "check_relative_smoothness",
     "check_surrogate",
     "initial_state",

@@ -28,7 +28,6 @@ __all__ = [
     "bregman_divergence",
     "check_relative_smoothness",
     "check_gradient",
-    "check_kernel",
     "check_surrogate",
     "cubic_norm_scale",
     "quadratic_kernel",
@@ -232,33 +231,6 @@ def check_gradient(f_eval, f_grad, x, directions=None, rng=None, n_dirs=5):
         an = float(np.vdot(g, d))
         worst = max(worst, abs(fd - an) / (1.0 + abs(an)))
     return worst
-
-
-def check_kernel(kernel, points, pairs=None):
-    """Structural kernel checks; returns a list of violation strings.
-
-    Verifies D(x, x) == 0, D(x, y) >= 0, the strong-convexity lower bound
-    D(x, y) >= rho/2 ||x-y||^2, and the gradient against finite differences.
-    """
-    bad = []
-    points = [np.asarray(p, dtype=np.float64) for p in points]
-    for idx, p in enumerate(points):
-        if bregman_divergence(kernel, p, p) != 0.0:
-            bad.append(f"D(x, x) != 0 at point {idx}")
-        err = check_gradient(kernel.eval, kernel.grad, p)
-        if err > 1e-5:
-            bad.append(f"gradient mismatch {err:.2e} at point {idx}")
-    if pairs is None:
-        pairs = [(points[i], points[j]) for i in range(len(points))
-                 for j in range(len(points)) if i != j]
-    rho = kernel.strong_convexity_modulus
-    for idx, (x, y) in enumerate(pairs):
-        d = bregman_divergence(kernel, x, y)
-        lower = 0.5 * rho * float(np.vdot(x - y, x - y))
-        if d < lower - 1e-9 * (1.0 + abs(d)):
-            bad.append(f"strong convexity bound failed on pair {idx}: "
-                       f"D={d:.6e} < {lower:.6e}")
-    return bad
 
 
 def check_surrogate(u, g_eval, anchors, candidates, tol=1e-9):

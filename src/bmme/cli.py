@@ -143,6 +143,15 @@ def _resolve_options(args):
         raise UsageError("--max-iters must be >= 0")
     if cfg["seeds"] < 1:
         raise UsageError("--seeds must be >= 1")
+    for key in ("delta", "eta"):
+        vals = np.atleast_1d(np.asarray(cfg[key], dtype=np.float64))
+        if not np.all((vals > 0.0) & (vals < 1.0)):
+            raise UsageError(f"--{key} must lie in (0, 1), got {cfg[key]}")
+    if not cfg["tol"] >= 0.0:
+        raise UsageError(f"--tol must be >= 0, got {cfg['tol']}")
+    if cfg["time_budget"] is not None and not cfg["time_budget"] > 0.0:
+        raise UsageError(
+            f"--time-budget must be positive, got {cfg['time_budget']}")
     if cfg["init"] == "file" and not (cfg["init_u"] and cfg["init_v"]):
         raise UsageError("--init file requires --init-u and --init-v")
     return cfg

@@ -12,9 +12,11 @@ Each outer iteration sweeps the blocks in order. For block i it
 2. minimizes the majorizer built from the linearized smooth part, the block
    kernel scaled by L_i^k, and the surrogate of the nonsmooth part.
 
-Each block either supplies (L_i, l_i) or has them found by line search in
-the sweep (see :class:`BlockProblem`). With ``beta`` forced to zero the method
-reduces to plain block majorization-minimization (``algorithm="bmm"``).
+Each block either supplies (L_i^k, l_i^k) or has them found by line search
+in the sweep (see :class:`BlockProblem`). Both kinds of block pass the same
+test in step 1, against the pair the step ends with. With ``beta`` forced to
+zero the method reduces to plain block majorization-minimization
+(``algorithm="bmm"``).
 """
 
 import time
@@ -87,6 +89,7 @@ class ExtrapolationResult(NamedTuple):
     beta: float
     x_bar: np.ndarray
     shrinks: int
+    d_bar: float
 
 
 def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
@@ -104,7 +107,8 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
 
     Returns
     -------
-    ExtrapolationResult with fields beta, x_bar, shrinks.
+    ExtrapolationResult with fields beta, x_bar, shrinks and
+    d_bar = D_kernel(x, xbar).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -117,13 +121,14 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
     shrinks = 0
     while shrinks <= max_shrinks:
         if beta == 0.0:
-            return ExtrapolationResult(0.0, x_curr, shrinks)
+            return ExtrapolationResult(0.0, x_curr, shrinks, 0.0)
         x_bar = x_curr + beta * diff
-        if bregman_divergence(kernel, x_curr, x_bar) <= rhs:
-            return ExtrapolationResult(beta, x_bar, shrinks)
+        d_bar = bregman_divergence(kernel, x_curr, x_bar)
+        if d_bar <= rhs:
+            return ExtrapolationResult(beta, x_bar, shrinks, d_bar)
         beta *= eta
         shrinks += 1
-    return ExtrapolationResult(0.0, x_curr, max_shrinks)
+    return ExtrapolationResult(0.0, x_curr, max_shrinks, 0.0)
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,9 @@ class BlockProblem:
     The block's relative-smoothness pair (L, l) is either fixed, given by
     ``constants_for``, or backtracked: with ``constants_for`` None, doubling
     line searches on ``smooth_eval`` find it, starting from the block's
-    previous pair (initially ``bt_L_floor``, ``bt_l_floor``).
+    previous pair (initially ``bt_L_floor``, ``bt_l_floor``). Either way the
+    extrapolation weight passes :func:`search_extrapolation` against the
+    step's final (L, l).
 
     Attributes
     ----------
@@ -295,31 +302,39 @@ def _finite(i, x):
     return x
 
 
-def _backtracked_update(p, i, blocks, kernel, state, beta, delta, eta, config):
-    """Block i's update with (L, l) found by doubling line searches.
+def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
+    """Block i's extrapolation, gradient and majorizer solve.
 
-    The lower constant ``l`` grows (factor 2, floor ``bt_l_floor``) until
-    ``f(x) - f(xbar) - <grad f(xbar), x - xbar> >= -l * D(x, xbar)``; the
-    extrapolation weight is shrunk whenever the admissibility condition
-
-        D(x, xbar) <= delta * L_prev / (L_prev + l) * D_prev(x_prev, x)
-
-    fails for the current ``l``. The upper constant starts at
-    ``max(L_prev, bt_L_floor)`` and doubles (re-solving the subproblem) until
+    Every block accepts its extrapolation weight with
+    :func:`search_extrapolation` against its (L, l) for this step. A fixed
+    block takes (L, l) from ``constants_for``. A backtracked block starts from
+    its previous pair and, at the accepted ``xbar``, doubles ``l`` until
+    ``f(x) - f(xbar) - <grad f(xbar), x - xbar> >= -l * D(x, xbar)``, then
+    solves and doubles ``L`` (re-solving) until
     ``f(x_new) - f(xbar) - <grad f(xbar), x_new - xbar> <= L * D(x_new, xbar)``
-    (f is ``p.smooth_eval``). Returns (x_bar, beta, shrinks, (L, l), x_new).
+    (f is ``p.smooth_eval``). If either constant grew, the search runs again
+    from the accepted beta against the grown pair. Constants never shrink,
+    beta only shrinks and beta = 0 always passes, so the loop ends. Returns
+    (x_bar, beta, shrinks, (L, l), x_new).
     """
     x, x_prev = state.current[i], state.previous[i]
-    L_prev = state.prev_constants[i].L
-    d_prev = bregman_divergence(state.prev_kernels[i], x_prev, x)
-    l = max(state.prev_constants[i].l, config.bt_l_floor)
-    fx = float(p.smooth_eval(blocks))
-
-    shrinks = 0
+    fixed = p.constants_for is not None
+    cons = p.constants_for(blocks) if fixed else state.prev_constants[i]
+    fx = None if fixed else float(p.smooth_eval(blocks))
+    shrinks, solved_beta = 0, None
     while True:
-        x_bar = x if beta == 0.0 else x + beta * (x - x_prev)
-        d_bar = bregman_divergence(kernel, x, x_bar)
+        beta, x_bar, s, d_bar = search_extrapolation(
+            kernel, cons, state.prev_kernels[i], state.prev_constants[i],
+            x, x_prev, beta, delta, eta, MAX_SHRINKS - shrinks)
+        shrinks += s
+        if beta == solved_beta:  # the last solve already used this x_bar
+            break
         point = _at(blocks, i, x_bar)
+        if fixed:
+            g_bar = p.partial_grad(point)
+            x_new = _finite(i, p.solve_subproblem(blocks, x_bar, g_bar,
+                                                  cons.L, kernel))
+            break
         f_bar = float(p.smooth_eval(point))
         g_bar = p.partial_grad(point)
         gap = fx - f_bar - float(np.vdot(g_bar, x - x_bar))
@@ -327,8 +342,9 @@ def _backtracked_update(p, i, blocks, kernel, state, beta, delta, eta, config):
             # x_bar indistinguishable from x up to roundoff: no finite l can
             # absorb the residue, so retire this beta candidate instead.
             shrinks += 1
-            beta = 0.0 if shrinks > MAX_SHRINKS else beta * eta
+            beta = beta * eta if shrinks < MAX_SHRINKS else 0.0
             continue
+        L, l = cons.L, cons.l
         doublings = 0
         while gap < -l * d_bar:
             if doublings >= MAX_DOUBLINGS:
@@ -337,28 +353,25 @@ def _backtracked_update(p, i, blocks, kernel, state, beta, delta, eta, config):
                     "the kernel does not dominate the objective's curvature")
             l *= 2.0
             doublings += 1
-        if d_bar <= delta * L_prev / (L_prev + l) * d_prev:
+        doublings = 0
+        while True:
+            x_new = _finite(i, p.solve_subproblem(blocks, x_bar, g_bar, L,
+                                                  kernel))
+            gap_new = (float(p.smooth_eval(_at(blocks, i, x_new))) - f_bar
+                       - float(np.vdot(g_bar, x_new - x_bar)))
+            if gap_new <= L * bregman_divergence(kernel, x_new, x_bar):
+                break
+            if doublings >= MAX_DOUBLINGS:
+                raise SubproblemError(
+                    f"block {i}: upper-constant search failed to terminate; "
+                    "gradient or kernel implementation is inconsistent")
+            L *= 2.0
+            doublings += 1
+        grew = (L, l) != (cons.L, cons.l)
+        cons, solved_beta = RelSmoothConstants(L=L, l=l), beta
+        if not grew:
             break
-        if beta == 0.0:  # d_bar == 0 <= rhs always holds; defensive
-            break
-        shrinks += 1
-        beta = 0.0 if shrinks > MAX_SHRINKS else beta * eta
-
-    L = max(L_prev, config.bt_L_floor)
-    doublings = 0
-    while True:
-        x_new = _finite(i, p.solve_subproblem(blocks, x_bar, g_bar, L, kernel))
-        gap_new = (float(p.smooth_eval(_at(blocks, i, x_new))) - f_bar
-                   - float(np.vdot(g_bar, x_new - x_bar)))
-        if gap_new <= L * bregman_divergence(kernel, x_new, x_bar):
-            break
-        if doublings >= MAX_DOUBLINGS:
-            raise SubproblemError(
-                f"block {i}: upper-constant search failed to terminate; "
-                "gradient or kernel implementation is inconsistent")
-        L *= 2.0
-        doublings += 1
-    return x_bar, beta, shrinks, RelSmoothConstants(L=L, l=l), x_new
+    return x_bar, beta, shrinks, cons, x_new
 
 
 def _step(problems, state, config, objective, force_beta_zero):
@@ -376,21 +389,12 @@ def _step(problems, state, config, objective, force_beta_zero):
         nu, beta = nesterov_next(state.nesterov_nu[i])
         if force_beta_zero:
             beta = 0.0
-        if p.constants_for is None:
-            x_bar, beta, shrink, cons, x_new = _backtracked_update(
-                p, i, blocks, kern, state, beta, deltas[i], etas[i], config)
-            if config.keep_certificates:
-                state.certificates.append(BacktrackCertificate(
-                    x_prev=state.previous[i], x_curr=state.current[i],
-                    x_bar=x_bar, x_new=x_new, L=cons.L, l=cons.l, beta=beta))
-        else:
-            cons = p.constants_for(blocks)
-            beta, x_bar, shrink = search_extrapolation(
-                kern, cons, state.prev_kernels[i], state.prev_constants[i],
-                state.current[i], state.previous[i], beta, deltas[i], etas[i])
-            grad = p.partial_grad(_at(blocks, i, x_bar))
-            x_new = _finite(i, p.solve_subproblem(blocks, x_bar, grad,
-                                                  cons.L, kern))
+        x_bar, beta, shrink, cons, x_new = _block_update(
+            p, i, blocks, kern, state, beta, deltas[i], etas[i])
+        if p.constants_for is None and config.keep_certificates:
+            state.certificates.append(BacktrackCertificate(
+                x_prev=state.previous[i], x_curr=state.current[i],
+                x_bar=x_bar, x_new=x_new, L=cons.L, l=cons.l, beta=beta))
         if not p.feasible(x_new):
             raise SubproblemError(f"block {i} update left the feasible set")
         blocks[i] = x_new
@@ -409,15 +413,13 @@ def _step(problems, state, config, objective, force_beta_zero):
         f_old = state.objective
         sum_div = 0.0
         relaxation = 0.0
-        for i, p in enumerate(problems):
+        for i in range(m):
             sum_div += constants_k[i].L * bregman_divergence(
                 kernels_k[i], state.current[i], blocks[i])
-            prev_L = state.prev_constants[i].L
-            if p.constants_for is None:
-                cons = constants_k[i]
-                prev_L *= (cons.L + cons.l) / (prev_L + cons.l)
-            relaxation += deltas[i] * prev_L * bregman_divergence(
-                state.prev_kernels[i], state.previous[i], state.current[i])
+            relaxation += (deltas[i] * state.prev_constants[i].L
+                           * bregman_divergence(state.prev_kernels[i],
+                                                state.previous[i],
+                                                state.current[i]))
         bound = f_old - sum_div + relaxation
         slack = f_new - bound
         if slack > DESCENT_SLACK * (1.0 + abs(f_old)):
@@ -462,9 +464,7 @@ def run(problems, init_blocks, config, objective, algorithm="bmme"):
                       + sum_i delta_i L_i^{k-1} D_{k-1}(x_i^{k-1}, x_i^k)
 
     up to slack ``DESCENT_SLACK * (1 + |F(x^k)|)`` and raises
-    :class:`DescentViolation` otherwise. For a block with backtracked
-    constants the last term is scaled by (L_i^k + l_i^k) / (L_i^{k-1} + l_i^k),
-    the factor its extrapolation test certifies.
+    :class:`DescentViolation` otherwise.
 
     Parameters
     ----------

@@ -19,9 +19,9 @@ import numpy as np
 from . import datakit, matcomp, onmf
 from .bregman import (
     RelSmoothConstants,
+    check_gradient,
     check_relative_smoothness,
     check_surrogate,
-    quadratic_kernel,
 )
 from .solver import DescentViolation, SolverConfig, _at, run
 
@@ -202,8 +202,8 @@ def oracle_completion_block(p, state, x_bar, L, tol=1e-10):
 def _block_update(block, blocks, i, x_bar, L):
     """Block i's update at ``x_bar`` with constant L, as a solver step makes it.
 
-    The calls and their order are those of the fixed-constant branch of
-    ``solver._step``: the kernel at ``blocks``, the gradient at x_bar, then
+    The calls and their order are those ``solver._block_update`` makes for a
+    fixed-constant block: the kernel at ``blocks``, the gradient at x_bar, then
     the block's ``solve_subproblem``.
     """
     kernel = block.kernel_for(blocks)
@@ -211,63 +211,55 @@ def _block_update(block, blocks, i, x_bar, L):
     return block.solve_subproblem(blocks, x_bar, grad, L, kernel)
 
 
-def _sample_pairs(rng, shape, n, scale):
-    return [(scale * rng.uniform(size=shape), scale * rng.uniform(size=shape))
-            for _ in range(n)]
-
-
 def suite_relsmooth(n_samples=1000, seed=0, tol=1e-9):
-    """Certify the declared (L, l) pairs of all three shipped blocks."""
+    """Certify the blocks the solver runs: gradients and declared (L, l).
+
+    For each block of ``onmf_block_problems`` and ``mc_block_problem``, on
+    sampled points, ``partial_grad`` is checked against central differences
+    of ``smooth_eval``, and ``constants_for`` against ``kernel_for`` on
+    sampled pairs. The other blocks are sampled as well, since the kernel and
+    the constants may depend on them.
+    """
     rng = np.random.default_rng(seed)
-    bad = []
     m, n, r = 8, 6, 3
-    lam = 1.0
-
-    # U block: (||V V^T||, 0) against the Euclidean kernel
-    worst_u = -np.inf
-    for _ in range(n_samples):
-        X = 10.0 * rng.uniform(size=(m, n))
-        V = 10.0 * rng.uniform(size=(r, n))
-        p = onmf.OnmfProblem(X=X, r=r, lam=lam)
-        pair = _sample_pairs(rng, (m, r), 1, 10.0)
-        rep = check_relative_smoothness(
-            lambda U: onmf.onmf_objective(p, U, V),
-            lambda U: U @ (V @ V.T) - X @ V.T,
-            quadratic_kernel(), onmf.onmf_constants_U(V), pair)
-        worst_u = max(worst_u, rep.max_upper_violation, rep.max_lower_violation)
-    if worst_u > tol:
-        bad.append(f"U block relative smoothness violated by {worst_u:.3e}")
-
-    # V block: (1, 1) against the quartic kernel
-    worst_v = -np.inf
-    for _ in range(n_samples):
-        X = 10.0 * rng.uniform(size=(m, n))
-        U = 10.0 * rng.uniform(size=(m, r))
-        p = onmf.OnmfProblem(X=X, r=r, lam=lam)
-        pair = _sample_pairs(rng, (r, n), 1, 10.0)
-        rep = check_relative_smoothness(
-            lambda V: onmf.onmf_objective(p, U, V),
-            lambda V: U.T @ U @ V - U.T @ X + 2 * lam * ((V @ V.T) @ V - V),
-            onmf.v_block_kernel(U, lam),
-            RelSmoothConstants(L=1.0, l=1.0), pair)
-        worst_v = max(worst_v, rep.max_upper_violation, rep.max_lower_violation)
-    if worst_v > tol:
-        bad.append(f"V block relative smoothness violated by {worst_v:.3e}")
-
-    # Matrix completion joint block: (1, 1) against the polynomial kernel
     obs = datakit.gen_synthetic_ratings(6, 5, 2, 0.6, seed=seed)
-    p = matcomp.McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
-    kern = matcomp.mc_kernel(p)
-    shape = (obs.rows + obs.cols, p.r)
-    pairs = [(rng.standard_normal(shape), rng.standard_normal(shape))
-             for _ in range(n_samples)]
-    rep = check_relative_smoothness(
-        lambda Z: matcomp._smooth_eval_packed(p, Z),
-        lambda Z: matcomp._smooth_grad_packed(p, Z),
-        kern, RelSmoothConstants(L=1.0, l=1.0), pairs)
-    worst_m = max(rep.max_upper_violation, rep.max_lower_violation)
-    if worst_m > tol:
-        bad.append(f"completion block relative smoothness violated by {worst_m:.3e}")
+    mc_block = matcomp.mc_block_problem(
+        matcomp.McProblem(observed=obs, r=2, lam=0.1, theta=5.0))
+    mc_shape = (obs.rows + obs.cols, 2)
+
+    def onmf_draw(i):
+        X = 10.0 * rng.uniform(size=(m, n))
+        blocks = [10.0 * rng.uniform(size=(m, r)),
+                  10.0 * rng.uniform(size=(r, n))]
+        block = onmf.onmf_block_problems(onmf.OnmfProblem(X=X, r=r, lam=1.0))[i]
+        shape = blocks[i].shape
+        return block, blocks, (10.0 * rng.uniform(size=shape),
+                               10.0 * rng.uniform(size=shape))
+
+    def mc_draw(i):
+        return mc_block, [None], (rng.standard_normal(mc_shape),
+                                  rng.standard_normal(mc_shape))
+
+    bad = []
+    for name, i, draw in (("U", 0, onmf_draw), ("V", 1, onmf_draw),
+                          ("completion", 0, mc_draw)):
+        worst_rel = worst_grad = -np.inf
+        for _ in range(n_samples):
+            block, blocks, (x, y) = draw(i)
+            f = lambda z: block.smooth_eval(_at(blocks, i, z))
+            g = lambda z: block.partial_grad(_at(blocks, i, z))
+            at_y = _at(blocks, i, y)
+            rep = check_relative_smoothness(
+                f, g, block.kernel_for(at_y), block.constants_for(at_y),
+                [(x, y)])
+            worst_rel = max(worst_rel, rep.max_upper_violation,
+                            rep.max_lower_violation)
+            worst_grad = max(worst_grad, check_gradient(f, g, y, rng=rng))
+        if worst_rel > tol:
+            bad.append(f"{name} block relative smoothness violated by "
+                       f"{worst_rel:.3e}")
+        if worst_grad > 1e-5:
+            bad.append(f"{name} block gradient mismatch {worst_grad:.3e}")
     return bad
 
 

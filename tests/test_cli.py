@@ -203,6 +203,18 @@ class TestBadUsage:
                        "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta", "1.5"), ("--eta", "0"), ("--time-budget", "-1"),
+        ("--tol", "-1")])
+    def test_out_of_range_value_exits_two_before_running(
+            self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--problem", "onmf", flag, value,
+                       "--out", str(out)])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_flags_override_config_values(self, tmp_path):

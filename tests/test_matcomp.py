@@ -13,7 +13,12 @@ from numpy.testing import assert_allclose
 from scipy.sparse import csr_matrix
 
 from bmme import datakit, matcomp, verify
-from bmme.bregman import RelSmoothConstants, check_gradient, check_relative_smoothness
+from bmme.bregman import (
+    RelSmoothConstants,
+    bregman_divergence,
+    check_gradient,
+    check_relative_smoothness,
+)
 from bmme.matcomp import (
     McProblem,
     McState,
@@ -326,8 +331,8 @@ class TestEndToEnd:
 
     def test_backtracked_run_passes_descent_verifier_as_L_grows(self):
         # L doubles (0.08 -> 0.16) at step 80 while extrapolating; the line
-        # search tested that step's extrapolation against L_prev + l, and the
-        # verifier must check the bound that test certifies
+        # search re-tests that step's beta against the grown pair, so the
+        # verifier's unscaled relaxation term delta * L_prev * D_prev holds
         obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=13)
         p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
         z0 = pack_state(mc_random_init(p, seed=13))
@@ -338,6 +343,30 @@ class TestEndToEnd:
         assert len(res.trace.records) == 100
         certs = res.state.certificates
         assert any(b.L > a.L and b.beta > 0 for a, b in zip(certs, certs[1:]))
+
+    @pytest.mark.parametrize("seed", [13, 18])
+    def test_certificates_replay_extrapolation_test_against_final_pair(
+            self, seed):
+        # D(x, xbar) <= delta * L_prev / (L + l) * D(x_prev, x) with the
+        # step's final (L, l), also at the step where the upper search grows
+        # L (step 80 for seed 13, step 60 for seed 18)
+        obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=seed)
+        p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
+        z0 = pack_state(mc_random_init(p, seed=seed))
+        cfg = SolverConfig(delta=0.99, max_iters=100, tol_rel_change=0.0,
+                           verify_descent=False, keep_certificates=True)
+        res = run_backtracking(mc_backtracking_problem(p), z0, cfg,
+                               mc_objective_packed(p))
+        kern = mc_kernel(p)
+        L_prev = cfg.bt_L_floor
+        grew_extrapolating = False
+        for k, c in enumerate(res.state.certificates, 1):
+            d_bar = bregman_divergence(kern, c.x_curr, c.x_bar)
+            d_prev = bregman_divergence(kern, c.x_prev, c.x_curr)
+            assert d_bar <= cfg.delta * L_prev / (c.L + c.l) * d_prev, k
+            grew_extrapolating |= c.L > L_prev and c.beta > 0.0
+            L_prev = c.L
+        assert grew_extrapolating
 
     def test_backtracked_run_golden(self):
         # exact values of the line-searched path, pinned so that a change to

@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bmme import datakit, onmf, verify
-from bmme.bregman import bregman_divergence
+from bmme.bregman import RelSmoothConstants, bregman_divergence
 from bmme.onmf import (
     OnmfProblem,
     clustering_accuracy,
@@ -401,3 +401,21 @@ class TestProblemAssembly:
         assert sum(m.startswith("U block mismatch") for m in bad) == 2
         assert sum(m.startswith("V block mismatch") for m in bad) == 2
         assert len(bad) == 4
+
+    def test_relsmooth_suite_checks_the_declared_constants(self, monkeypatch):
+        # the V block declares (L, l) = (1, 1); a declared L = 0.25 must be
+        # flagged. L = 0.5 would pass: at the suite's sample scales the
+        # worst gap / D on the V block is about 0.35
+        real = onmf.onmf_block_problems
+        understated = RelSmoothConstants(L=0.25, l=1.0)
+
+        def perturbed(p):
+            u_block, v_block = real(p)
+            return [u_block, dataclasses.replace(
+                v_block, constants_for=lambda blocks: understated)]
+
+        assert verify.suite_relsmooth(n_samples=50) == []
+        monkeypatch.setattr(onmf, "onmf_block_problems", perturbed)
+        bad = verify.suite_relsmooth(n_samples=50)
+        assert len(bad) == 1
+        assert bad[0].startswith("V block relative smoothness violated")
