@@ -14,6 +14,7 @@ The solver needs the smooth part f to be relatively smooth against phi:
     -l * D(x, y) <= f(x) - f(y) - <grad f(y), x - y> <= L * D(x, y).
 
 The sampling-based checkers below serve the test suite and ``verify``.
+``ValueMemo`` is the value-keyed memo that the problems keep data passes in.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ __all__ = [
     "BlockKernel",
     "RelSmoothConstants",
     "RelSmoothReport",
+    "ValueMemo",
     "as_matrix",
     "bregman_divergence",
     "check_relative_smoothness",
@@ -56,6 +58,25 @@ def as_matrix(a, name="matrix"):
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
     return out
+
+
+class ValueMemo:
+    """fn(A) for the last A, keyed by a snapshot copy compared by value.
+
+    A caller may update A in place, so the memo never trusts identity.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.key, self.value = fn, None, None
+
+    def hit(self, A):
+        k = self.key
+        return k is not None and k.dtype == A.dtype and np.array_equal(k, A)
+
+    def __call__(self, A):
+        if not self.hit(A):
+            self.value, self.key = self.fn(A), A.copy()
+        return self.value
 
 
 def cubic_norm_scale(a, c):

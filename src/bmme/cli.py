@@ -71,7 +71,7 @@ class UsageError(Exception):
 # option plumbing
 # ---------------------------------------------------------------------------
 
-def _build_parser():
+def _common_parser():
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument
     g("--config", help="JSON file with option defaults (flags override)")
@@ -102,7 +102,11 @@ def _build_parser():
     g("--out", help="output directory")
     g("--verify-descent", action="store_true", default=None,
       help="check the certified descent inequality every iteration")
+    return common
 
+
+def _build_parser():
+    common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="bmme",
         description="Block-alternating Bregman MM experiments")
@@ -130,13 +134,15 @@ def _resolve_options(args):
         if unknown:
             raise UsageError(
                 f"--config {args.config}: unknown option(s) {', '.join(unknown)}")
+        flags = {a.dest: a for a in _common_parser()._actions}
+        for key, value in loaded.items():
+            if not _config_value_ok(flags[key], value):
+                raise UsageError(f"--config: invalid {key} {value!r}")
         cfg.update(loaded)
     for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    for key in ("m", "n", "r", "max_iters", "seeds"):
-        cfg[key] = int(cfg[key])
     if cfg["r"] < 1 or cfg["m"] < 1 or cfg["n"] < 1:
         raise UsageError("--m, --n and --r must be positive")
     if cfg["max_iters"] < 0:
@@ -155,6 +161,17 @@ def _resolve_options(args):
     if cfg["init"] == "file" and not (cfg["init_u"] and cfg["init_v"]):
         raise UsageError("--init file requires --init-u and --init-v")
     return cfg
+
+
+def _config_value_ok(flag, value):
+    """Whether ``flag`` takes JSON ``value``: its type, choices, null or list."""
+    if value is None:
+        return DEFAULTS[flag.dest] is None
+    many = flag.dest in ("delta", "eta") and isinstance(value, list)
+    want = bool if flag.nargs == 0 else flag.type or str
+    return all((type(v) is want or want is float and type(v) is int)
+               and (flag.choices is None or v in flag.choices)
+               for v in (value if many else [value]))
 
 
 def _algorithm_list(cfg, allow_many):

@@ -44,7 +44,8 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .bregman import BlockKernel, RelSmoothConstants, cubic_norm_scale
+from .bregman import (BlockKernel, RelSmoothConstants, ValueMemo,
+                      cubic_norm_scale)
 from .solver import BacktrackingProblem, BlockProblem
 
 __all__ = [
@@ -129,7 +130,6 @@ class _ResidualPasses:
     """CSR pattern of the observed entries and the last packed residuals."""
 
     def __init__(self, observed):
-        self.observed = observed
         # convert the entry numbers 1..n_obs once: the data then say which
         # entry lands in each CSR slot, whatever order the entries come in
         pattern = csr_matrix((np.arange(1, observed.n_obs + 1),
@@ -137,18 +137,10 @@ class _ResidualPasses:
                              shape=(observed.rows, observed.cols))
         self.perm = pattern.data - 1
         self.indices, self.indptr = pattern.indices, pattern.indptr
-        self._Z = None
-        self._res = None
-
-    def residuals(self, Z):
-        """Residuals at packed Z, one fresh pass unless Z equals the last Z."""
-        last = self._Z
-        if (last is None or last.dtype != Z.dtype
-                or not np.array_equal(last, Z)):
-            m = self.observed.rows
-            self._res = _residuals(self.observed, Z[:m], Z[m:])
-            self._Z = Z.copy()
-        return self._res
+        # residuals at packed Z: one fresh pass unless Z equals the last Z
+        m = observed.rows
+        self.residuals = ValueMemo(
+            lambda Z: _residuals(observed, Z[:m], Z[m:]))
 
 
 def _penalty(lam, theta, M):

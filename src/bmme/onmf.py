@@ -17,9 +17,20 @@ for V the kernel-gradient inverse of the positive part of
 
 that is ``max(G, 0)`` divided by the root of ``rho^2 (rho - eps(U)) = c``
 with ``c = 6 lam ||max(G, 0)||_F^2``.
+
+The gradients read X only as X V^T and U^T X. Each :class:`OnmfProblem`
+lazily builds ``_products``: ||X||_F^2 and a one-entry memo of each product,
+keyed by a snapshot copy of its factor compared by value. The objective at
+the end of a sweep finds U^T X there and takes the Gram form ||X - U V||^2 =
+||X||^2 - 2 <U^T X, V> + <U^T U, V V^T>, so a sweep reads X twice. The form
+errs by a few eps ||X||^2, so a fit below 1e-5 (||X||^2 + <U^T U, V V^T>) is
+recomputed from the residual. ``smooth_eval`` always forms the residual: the
+line search's gap must shrink with ||x - xbar||, and the Gram error does not.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -27,6 +38,7 @@ from scipy.optimize import linear_sum_assignment
 from .bregman import (
     BlockKernel,
     RelSmoothConstants,
+    ValueMemo,
     as_matrix,
     cubic_norm_scale,
     quadratic_kernel,
@@ -67,12 +79,37 @@ class OnmfProblem:
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be positive, got {self.lam}")
 
+    @cached_property
+    def _products(self):
+        X = self.X
+        return SimpleNamespace(xx=float(np.vdot(X, X)),
+                               UtX=ValueMemo(lambda U: U.T @ X),
+                               XVt=ValueMemo(lambda V: X @ V.T))
+
+
+def _objective(p, U, V, fit=None):
+    if fit is None:
+        R = p.X - U @ V
+        fit = float(np.vdot(R, R))
+    O = np.eye(V.shape[0]) - V @ V.T
+    return 0.5 * fit + 0.5 * p.lam * float(np.vdot(O, O))
+
 
 def onmf_objective(p, U, V):
-    """0.5 ||X - U V||_F^2 + 0.5 lam ||I_r - V V^T||_F^2."""
-    R = p.X - U @ V
-    O = np.eye(V.shape[0]) - V @ V.T
-    return 0.5 * float(np.vdot(R, R)) + 0.5 * p.lam * float(np.vdot(O, O))
+    """0.5 ||X - U V||_F^2 + 0.5 lam ||I_r - V V^T||_F^2.
+
+    The fit takes the Gram form when U or V hits the product memo.
+    """
+    prod = p._products
+    if prod.UtX.hit(U):
+        cross = float(np.vdot(prod.UtX.value, V))
+    elif prod.XVt.hit(V):
+        cross = float(np.vdot(U, prod.XVt.value))
+    else:
+        return _objective(p, U, V)
+    gram = float(np.vdot(U.T @ U, V @ V.T))
+    fit = prod.xx - 2.0 * cross + gram
+    return _objective(p, U, V, None if fit < 1e-5 * (prod.xx + gram) else fit)
 
 
 def spectral_norm(M):
@@ -103,14 +140,6 @@ def v_kernel_weight(U, lam):
 def v_block_kernel(U, lam):
     """V-block kernel (6 lam / 4) ||V||^4 + 0.5 eps(U) ||V||^2: (6 lam, eps(U))."""
     return BlockKernel(c1=6.0 * lam, c2=v_kernel_weight(U, lam))
-
-
-def _grad_U(X, U, V):
-    return U @ (V @ V.T) - X @ V.T
-
-
-def _grad_V(X, lam, U, V):
-    return U.T @ U @ V - U.T @ X + 2.0 * lam * ((V @ V.T) @ V - V)
 
 
 def spa_select_rows(X, r):
@@ -194,17 +223,18 @@ def onmf_block_problems(p):
 
     These closures are the only implementation of the two block updates.
     Both blocks carry the whole objective as ``smooth_eval`` (it is all
-    smooth; nonnegativity is the feasible set), so either may backtrack.
+    smooth; nonnegativity is the feasible set), so either may backtrack;
+    it always forms the residual X - U V.
     """
-    X, lam = p.X, p.lam
+    lam = p.lam
     euclid = quadratic_kernel()
 
     def smooth_eval(blocks):
-        return onmf_objective(p, blocks[0], blocks[1])
+        return _objective(p, blocks[0], blocks[1])
 
     def u_grad(blocks):
         U, V = blocks
-        return _grad_U(X, U, V)
+        return U @ (V @ V.T) - p._products.XVt(V)
 
     def u_solve(blocks, x_bar, grad_bar, L, kernel):
         return np.maximum(x_bar - grad_bar / L, 0.0)
@@ -222,7 +252,8 @@ def onmf_block_problems(p):
 
     def v_grad(blocks):
         U, V = blocks
-        return _grad_V(X, lam, U, V)
+        return (U.T @ U @ V - p._products.UtX(U)
+                + 2.0 * lam * ((V @ V.T) @ V - V))
 
     def v_solve(blocks, x_bar, grad_bar, L, kernel):
         return kernel.grad_inverse(

@@ -103,12 +103,12 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
         D_kernel(x, xbar) <= delta * prev_L / (L + l) * D_prev(x_prev, x).
 
     Falls back to beta = 0 (condition trivially true) after ``max_shrinks``
-    failures.
+    rejections; a budget of zero or less tries no candidate.
 
     Returns
     -------
-    ExtrapolationResult with fields beta, x_bar, shrinks and
-    d_bar = D_kernel(x, xbar).
+    ExtrapolationResult with fields beta, x_bar, shrinks (the number of
+    rejected candidates) and d_bar = D_kernel(x, xbar).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -119,16 +119,14 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
     beta = float(beta_init)
     diff = x_curr - x_prev
     shrinks = 0
-    while shrinks <= max_shrinks:
-        if beta == 0.0:
-            return ExtrapolationResult(0.0, x_curr, shrinks, 0.0)
+    while beta != 0.0 and shrinks < max_shrinks:
         x_bar = x_curr + beta * diff
         d_bar = bregman_divergence(kernel, x_curr, x_bar)
         if d_bar <= rhs:
             return ExtrapolationResult(beta, x_bar, shrinks, d_bar)
         beta *= eta
         shrinks += 1
-    return ExtrapolationResult(0.0, x_curr, max_shrinks, 0.0)
+    return ExtrapolationResult(0.0, x_curr, shrinks, 0.0)
 
 
 @dataclass(frozen=True)
@@ -342,7 +340,7 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
             # x_bar indistinguishable from x up to roundoff: no finite l can
             # absorb the residue, so retire this beta candidate instead.
             shrinks += 1
-            beta = beta * eta if shrinks < MAX_SHRINKS else 0.0
+            beta *= eta  # a spent budget makes the search return 0
             continue
         L, l = cons.L, cons.l
         doublings = 0

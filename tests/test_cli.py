@@ -217,6 +217,31 @@ class TestBadUsage:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("entry", [
+        {"tol": "x"}, {"m": "a"}, {"m": 2.5}, {"max_iters": True},
+        {"lam": "big"}, {"delta": ["x", 0.9]}, {"eta": "0.9"},
+        {"verify_descent": 1}, {"problem": 5}, {"problem": "svd"},
+        {"init": "zeros"}, {"out": 3}, {"seed": None}], ids=json.dumps)
+    def test_wrongly_typed_value_exits_two(self, tmp_path, capsys, entry):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"m": 20, "n": 15, "r": 2, **entry}))
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == 2
+        assert f"invalid {next(iter(entry))}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_of_flag_types_run(self, tmp_path):
+        # every default, an int where a float is expected, per-block delta
+        # and eta lists, and null where the default is None are all valid
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({
+            **cli.DEFAULTS, "m": 20, "n": 15, "r": 2, "lam": 100,
+            "max_iters": 3, "tol": 0, "delta": [0.9, 0.95], "eta": [0.8, 0.9],
+            "verify_descent": True, "out": str(tmp_path / "o")}))
+        assert cli.main(["run", "--config", str(cfgfile)]) == 0
+        assert (tmp_path / "o" / "report.json").exists()
+
     def test_flags_override_config_values(self, tmp_path):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({

@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bmme import datakit, onmf, verify
@@ -32,6 +34,8 @@ from bmme.onmf import (
 )
 from bmme.solver import SolverConfig, run
 
+EPS = np.finfo(np.float64).eps
+
 
 def block_update(p, i, U, V, L):
     """The solver's update of block i (0 for U, 1 for V) at x_bar = [U, V][i]."""
@@ -50,6 +54,21 @@ def v_target(p, U, V_bar, L):
     return kern.grad(V_bar) - v_block.partial_grad([U, V_bar]) / L
 
 
+def direct_objective(p, U, V):
+    """F from the residual X - U V, written out here independently."""
+    R = p.X - U @ V
+    O = np.eye(V.shape[0]) - V @ V.T
+    return 0.5 * float(np.vdot(R, R)) + 0.5 * p.lam * float(np.vdot(O, O))
+
+
+def warm(p, which, U, V):
+    """Put U^T X (which="U") or X V^T (which="V") in the product memo."""
+    if which == "U":
+        p._products.UtX(U)
+    else:
+        p._products.XVt(V)
+
+
 class TestObjective:
     def test_zero_factors(self):
         # both residual terms survive: 0.5||X||^2 + 0.5 lam ||I_r||^2
@@ -62,6 +81,16 @@ class TestObjective:
         syn = datakit.gen_synthetic_onmf(10, 8, 3, noise=0.0, seed=2)
         p = OnmfProblem(X=syn.X, r=3, lam=7.0)
         assert onmf_objective(p, syn.U, syn.V) < 1e-20
+
+    @pytest.mark.parametrize("which", ["U", "V"])
+    def test_exact_factorization_with_warm_memo_is_zero(self, which):
+        # here the Gram fit alone is +-1.8e-15; the near-zero fallback
+        # takes the residual's, which is exactly 0
+        syn = datakit.gen_synthetic_onmf(10, 8, 3, noise=0.0, seed=2)
+        p = OnmfProblem(X=syn.X, r=3, lam=7.0)
+        warm(p, which, syn.U, syn.V)
+        got = onmf_objective(p, syn.U, syn.V)
+        assert got == direct_objective(p, syn.U, syn.V) < 1e-20
 
     def test_matches_elementwise_formula(self):
         rng = np.random.default_rng(11)
@@ -79,6 +108,102 @@ class TestObjective:
             for j in range(3):
                 want += 0.5 * 2.5 * Q[i, j] ** 2
         assert_allclose(onmf_objective(p, U, V), want, rtol=1e-12)
+
+
+@st.composite
+def factor_cases(draw):
+    """X = scale (U V + noise N), U, V >= 0; factors near sqrt(scale) (U, V).
+
+    noise = 0 with unperturbed factors is an exact factorization, F -> 0.
+    """
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    r = draw(st.integers(1, min(m, n, 5)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    noise = draw(st.sampled_from([0.0, 1e-8, 1e-4, 0.1]))
+    perturb = draw(st.sampled_from([0.0, 1e-6, 0.1]))
+    lam = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U, V = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
+    X = scale * (U @ V + noise * rng.standard_normal((m, n)))
+    U = np.sqrt(scale) * U * (1.0 + perturb * rng.standard_normal(U.shape))
+    return OnmfProblem(X=X, r=r, lam=lam), U, np.sqrt(scale) * V
+
+
+class TestProductMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(case=factor_cases(), which=st.sampled_from(["U", "V"]))
+    def test_warm_memo_matches_direct_form(self, case, which):
+        p, U, V = case
+        warm(p, which, U, V)
+        got, want = onmf_objective(p, U, V), direct_objective(p, U, V)
+        gram = float(np.vdot(U.T @ U, V @ V.T))
+        assert got >= 0.0
+        # the Gram form errs by a few eps (||X||^2 + ||U V||^2), far inside
+        # the descent verifier's slack
+        assert abs(got - want) <= 64 * EPS * (p._products.xx + gram + want)
+        assert abs(got - want) <= 1e-8 * (1.0 + want)
+        R = p.X - U @ V
+        if float(np.vdot(R, R)) < 0.5e-5 * (p._products.xx + gram):
+            # well inside the fallback band, so the Gram fit is in it too
+            assert got == want
+
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e3])
+    def test_verified_run_on_noise_free_data(self, scale):
+        # F falls far below ||X||^2, into the fallback band, and every
+        # sweep still passes the descent verifier
+        syn = datakit.gen_synthetic_onmf(40, 60, 3, noise=0.0, seed=1)
+        p = OnmfProblem(X=scale * syn.X, r=3, lam=100.0)
+        cfg = SolverConfig(max_iters=300, tol_rel_change=0.0,
+                           verify_descent=True)
+        res = run(onmf_block_problems(p), list(spa_init(p.X, 3)), cfg,
+                  lambda blocks: onmf_objective(p, blocks[0], blocks[1]))
+        assert len(res.trace) == 300
+        U, V = res.final
+        R = p.X - U @ V
+        assert float(np.vdot(R, R)) < 1e-5 * p._products.xx
+
+    def test_fixed_constant_sweep_reads_X_twice(self, monkeypatch):
+        syn = datakit.gen_synthetic_onmf(30, 40, 3, noise=0.05, seed=1)
+        p = OnmfProblem(X=syn.X, r=3, lam=100.0)
+        prod = p._products
+        fresh = {"UtX": 0, "XVt": 0, "residual": 0}
+        real_objective = onmf._objective
+
+        def objective_part(p, U, V, fit=None):
+            fresh["residual"] += fit is None
+            return real_objective(p, U, V, fit)
+
+        monkeypatch.setattr(onmf, "_objective", objective_part)
+
+        def counted(name, fn):
+            def product(A):
+                fresh[name] += 1
+                return fn(A)
+            return product
+
+        for name in ("UtX", "XVt"):
+            memo = getattr(prod, name)
+            memo.fn = counted(name, memo.fn)
+        hits = []
+
+        def objective(blocks):
+            U, V = blocks
+            hits.append(prod.UtX.hit(U) or prod.XVt.hit(V))
+            return onmf_objective(p, U, V)
+
+        cfg = SolverConfig(max_iters=50, tol_rel_change=0.0,
+                           verify_descent=True)
+        res = run(onmf_block_problems(p), list(spa_init(syn.X, 3)), cfg,
+                  objective)
+        # only the starting point, before any gradient, misses the memo and
+        # forms a residual
+        assert fresh == {"UtX": 50, "XVt": 50, "residual": 1}
+        assert hits == [False] + [True] * 50
+        # the line search's f stays the residual form with the memo warm
+        U, V = res.final
+        assert prod.UtX.hit(U)
+        for block in onmf_block_problems(p):
+            assert block.smooth_eval([U, V]) == direct_objective(p, U, V)
 
 
 class TestSpectralNorm:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bmme import solver
 from bmme.bregman import RelSmoothConstants, quadratic_kernel
 from bmme.solver import (
     BacktrackingProblem,
@@ -102,6 +103,26 @@ class TestSearchExtrapolation:
                                    beta_init=0.9, delta=0.5, eta=0.9,
                                    max_shrinks=4)
         assert res.beta == 0.0
+        assert_allclose(res.x_bar, [1.0])
+
+    @pytest.mark.parametrize("max_shrinks, tried", [(4, 4), (1, 1), (0, 0),
+                                                    (-1, 0)])
+    def test_shrinks_count_the_rejected_candidates(self, monkeypatch,
+                                                   max_shrinks, tried):
+        # every candidate fails; one divergence call is the right-hand side
+        # and each further one tests a candidate
+        calls = []
+        real = solver.bregman_divergence
+        monkeypatch.setattr(solver, "bregman_divergence",
+                            lambda *a: calls.append(a) or real(*a))
+        kern = quadratic_kernel()
+        res = search_extrapolation(kern, RelSmoothConstants(L=1e8, l=0.0),
+                                   kern, RelSmoothConstants(L=1.0, l=0.0),
+                                   np.array([1.0]), np.array([0.0]),
+                                   beta_init=0.9, delta=0.5, eta=0.9,
+                                   max_shrinks=max_shrinks)
+        assert len(calls) - 1 == tried
+        assert (res.beta, res.shrinks, res.d_bar) == (0.0, tried, 0.0)
         assert_allclose(res.x_bar, [1.0])
 
 
