@@ -168,6 +168,8 @@ def bregman_divergence(kernel, x, y):
 
     Evaluated in the closed form of the module docstring, a sum of
     nonnegative terms, so the result is >= 0 and ``D(x, x) == 0`` exactly.
+    With c1 = 0 only ``c2/2 ||d||^2`` is formed, so no quartic term can
+    overflow. Raises FloatingPointError if the value is not finite.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -175,9 +177,12 @@ def bregman_divergence(kernel, x, y):
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     d = x - y
     dd = float(np.vdot(d, d))
-    t = float(np.vdot(d, x + y))
-    div = (0.5 * kernel.c2 * dd + 0.25 * kernel.c1 * t * t
-           + 0.5 * kernel.c1 * float(np.vdot(y, y)) * dd)
+    if kernel.c1 == 0.0:  # Euclidean: the quartic terms vanish
+        div = 0.5 * kernel.c2 * dd
+    else:
+        t = float(np.vdot(d, x + y))
+        div = (0.5 * kernel.c2 * dd + 0.25 * kernel.c1 * t * t
+               + 0.5 * kernel.c1 * float(np.vdot(y, y)) * dd)
     if not np.isfinite(div):
         raise FloatingPointError("Bregman divergence is not finite")
     return div

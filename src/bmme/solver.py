@@ -17,6 +17,12 @@ in the sweep (see :class:`BlockProblem`). Both kinds of block pass the same
 test in step 1, against the pair the step ends with. With ``beta`` forced to
 zero the method reduces to plain block majorization-minimization
 (``algorithm="bmm"``).
+
+The right-hand side's D_{k-1}(x_i^{k-1}, x_i^k) is also the relaxation term
+of the descent inequality that :func:`run` verifies. The verifier computes
+each block's D_k(x_i^k, x_i^{k+1}) once and carries it in
+:class:`SolverState` for the next step's test and verifier. Without
+verification the test computes it, and only when it tries a candidate.
 """
 
 import time
@@ -90,11 +96,12 @@ class ExtrapolationResult(NamedTuple):
     x_bar: np.ndarray
     shrinks: int
     d_bar: float
+    d_prev: Optional[float]
 
 
 def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
                          x_curr, x_prev, beta_init, delta, eta,
-                         max_shrinks=MAX_SHRINKS):
+                         max_shrinks=MAX_SHRINKS, d_prev=None):
     """Find the largest admissible extrapolation weight by geometric shrinking.
 
     Tries ``beta = beta_init * eta**j`` for j = 0, 1, ... and accepts the first
@@ -103,30 +110,36 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
         D_kernel(x, xbar) <= delta * prev_L / (L + l) * D_prev(x_prev, x).
 
     Falls back to beta = 0 (condition trivially true) after ``max_shrinks``
-    rejections; a budget of zero or less tries no candidate.
+    rejections; a budget of zero or less tries no candidate. The right-hand
+    side is formed only when a candidate is tried, from ``d_prev`` if given
+    (it must equal ``D_prev(x_prev, x)``) and otherwise from one divergence
+    call, so beta_init = 0 or a spent budget costs no divergence.
 
     Returns
     -------
     ExtrapolationResult with fields beta, x_bar, shrinks (the number of
-    rejected candidates) and d_bar = D_kernel(x, xbar).
+    rejected candidates), d_bar = D_kernel(x, xbar), and d_prev, the
+    right-hand side's divergence (None if it was neither given nor needed).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
-    rhs = (delta * prev_constants.L / (constants.L + constants.l)
-           * bregman_divergence(prev_kernel, x_prev, x_curr))
     beta = float(beta_init)
-    diff = x_curr - x_prev
     shrinks = 0
+    if beta != 0.0 and max_shrinks > 0:
+        if d_prev is None:
+            d_prev = bregman_divergence(prev_kernel, x_prev, x_curr)
+        rhs = delta * prev_constants.L / (constants.L + constants.l) * d_prev
+        diff = x_curr - x_prev
     while beta != 0.0 and shrinks < max_shrinks:
         x_bar = x_curr + beta * diff
         d_bar = bregman_divergence(kernel, x_curr, x_bar)
         if d_bar <= rhs:
-            return ExtrapolationResult(beta, x_bar, shrinks, d_bar)
+            return ExtrapolationResult(beta, x_bar, shrinks, d_bar, d_prev)
         beta *= eta
         shrinks += 1
-    return ExtrapolationResult(0.0, x_curr, shrinks, 0.0)
+    return ExtrapolationResult(0.0, x_curr, shrinks, 0.0, d_prev)
 
 
 @dataclass(frozen=True)
@@ -244,7 +257,11 @@ class SolverState:
     """Mutable iteration state of :func:`run`.
 
     ``objective`` is F(current); :func:`run` evaluates it once at the start
-    and each step keeps it up to date.
+    and each step keeps it up to date. ``prev_divergences[i]`` is block i's
+    D(previous[i], current[i]) under ``prev_kernels[i]``, the last step's
+    D_k(x_i^k, x_i^{k+1}). The descent verifier computes it for its sum of
+    L * D; the next step's extrapolation test and verifier read it. It is
+    None after an unverified step, and the search then computes it itself.
     """
 
     current: list
@@ -252,6 +269,7 @@ class SolverState:
     prev_kernels: list
     prev_constants: list
     nesterov_nu: list
+    prev_divergences: list
     objective: Optional[float] = None
     iter: int = 0
     elapsed_seconds: float = 0.0
@@ -264,7 +282,7 @@ def initial_state(problems, init_blocks, config=SolverConfig()):
 
     The previous kernels/constants are evaluated at the initial point, which
     makes the first extrapolation condition vacuous (its right-hand side is
-    D(x^0, x^0) = 0) and beta^0 = 0 through nu_0 = 1.
+    D(x^0, x^0) = 0, stored exactly as 0.0) and beta^0 = 0 through nu_0 = 1.
     """
     blocks = [np.array(b, dtype=np.float64, copy=True) for b in init_blocks]
     if len(blocks) != len(problems):
@@ -285,6 +303,7 @@ def initial_state(problems, init_blocks, config=SolverConfig()):
         prev_constants=[floors if p.constants_for is None
                         else p.constants_for(blocks) for p in problems],
         nesterov_nu=[1.0] * len(blocks),
+        prev_divergences=[0.0] * len(blocks),
     )
 
 
@@ -319,11 +338,11 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
     fixed = p.constants_for is not None
     cons = p.constants_for(blocks) if fixed else state.prev_constants[i]
     fx = None if fixed else float(p.smooth_eval(blocks))
-    shrinks, solved_beta = 0, None
+    shrinks, solved_beta, d_prev = 0, None, state.prev_divergences[i]
     while True:
-        beta, x_bar, s, d_bar = search_extrapolation(
+        beta, x_bar, s, d_bar, d_prev = search_extrapolation(
             kernel, cons, state.prev_kernels[i], state.prev_constants[i],
-            x, x_prev, beta, delta, eta, MAX_SHRINKS - shrinks)
+            x, x_prev, beta, delta, eta, MAX_SHRINKS - shrinks, d_prev)
         shrinks += s
         if beta == solved_beta:  # the last solve already used this x_bar
             break
@@ -407,17 +426,17 @@ def _step(problems, state, config, objective, force_beta_zero):
     f_new = float(objective(blocks))
     slack = None
     sum_div = None
+    divs = [None] * m
     if config.verify_descent:
         f_old = state.objective
         sum_div = 0.0
         relaxation = 0.0
         for i in range(m):
-            sum_div += constants_k[i].L * bregman_divergence(
-                kernels_k[i], state.current[i], blocks[i])
+            divs[i] = bregman_divergence(kernels_k[i], state.current[i],
+                                         blocks[i])
+            sum_div += constants_k[i].L * divs[i]
             relaxation += (deltas[i] * state.prev_constants[i].L
-                           * bregman_divergence(state.prev_kernels[i],
-                                                state.previous[i],
-                                                state.current[i]))
+                           * state.prev_divergences[i])
         bound = f_old - sum_div + relaxation
         slack = f_new - bound
         if slack > DESCENT_SLACK * (1.0 + abs(f_old)):
@@ -430,6 +449,7 @@ def _step(problems, state, config, objective, force_beta_zero):
     state.prev_kernels = kernels_k
     state.prev_constants = constants_k
     state.nesterov_nu = nus
+    state.prev_divergences = divs
     state.objective = f_new
     state.iter += 1
     state.trace.records.append(TraceRecord(

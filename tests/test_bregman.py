@@ -118,6 +118,60 @@ class TestDivergenceProperties:
         assert d >= 0.5 * kernel.c2 * float(np.vdot(x - y, x - y))
 
 
+@st.composite
+def wide_cases(draw):
+    """(kernel, x, y) with (x, y) as in close_pairs at a scale 10^k.
+
+    k spans -150..150, and -300..300 for the Euclidean kernels, whose
+    divergence forms no product of two scaled terms.
+    """
+    kernel = draw(kernels)
+    k = 300 if kernel.c1 == 0.0 else 150
+    n = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.integers(-k, k))
+    x = scale * np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    sep = 10.0 ** draw(st.floats(-12.0, 0.0))
+    noise = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    y = draw(st.sampled_from([1.0, -1.0])) * x + sep * scale * noise
+    return kernel, x, y
+
+
+FLOAT_MAX = Fraction(np.finfo(np.float64).max)
+
+
+class TestWideScales:
+    @settings(max_examples=500, deadline=None)
+    @given(case=wide_cases())
+    def test_overflow_only_when_the_true_value_overflows(self, case):
+        kernel, x, y = case
+        exact = exact_divergence(kernel, x, y)
+        assert bregman_divergence(kernel, x, x) == 0.0
+        try:
+            d = bregman_divergence(kernel, x, y)
+        except FloatingPointError:
+            # rounding may tip a value within a few eps of the limit over
+            assert exact > FLOAT_MAX * (1 - Fraction(1e-12))
+            return
+        assert exact <= FLOAT_MAX * (1 + Fraction(1e-12))
+        assert d >= 0.0
+        if kernel.c1 == 0.0:
+            assert d == 0.5 * kernel.c2 * float(np.vdot(x - y, x - y))
+        if exact >= Fraction(1e-290):  # clear of subnormal products
+            assert abs(Fraction(d) - exact) <= Fraction(1e-12) * exact
+
+    def test_euclidean_value_near_the_limit_is_finite(self):
+        # (1e153)^2 / 2 = 5e305; the quartic terms' 0 * inf once made NaN
+        x, y = np.array([1e160]), np.array([1.0000001e160])
+        d = bregman_divergence(quadratic_kernel(), x, y)
+        assert d == 0.5 * float(np.vdot(x - y, x - y))
+        assert_allclose(d, 5e305, rtol=1e-8)
+
+    def test_overflowing_value_raises(self):
+        with pytest.raises(FloatingPointError):
+            bregman_divergence(quadratic_kernel(), np.array([1e200]),
+                               np.array([-1e200]))
+
+
 class TestNormPolynomialKernel:
     @pytest.mark.parametrize("c1, c2", [(0.0, 1.0), (6000.0, 2500.0),
                                         (3.0, 40.0)])

@@ -232,6 +232,21 @@ class TestSpectralNorm:
         assert_allclose(spectral_norm(Q @ np.diag(eigs) @ Q.T), 1.0, rtol=1e-13)
         assert_allclose(onmf_constants_U(V).L, 1.0, rtol=1e-13)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_rejected(self, bad):
+        # an SVD returns NaN for inf entries and fails to converge for NaN
+        M = np.eye(3)
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norm(M)
+
+    def test_equals_two_norm_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for shape in [(5, 5), (10, 10), (3, 7)]:
+            A = rng.standard_normal(shape)
+            for M in (A, A @ A.T):
+                assert spectral_norm(M) == np.linalg.norm(M, 2)
+
 
 class TestConstantsU:
     def test_orthonormal_rows_give_unit_L(self):

@@ -11,8 +11,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bmme import solver
-from bmme.bregman import RelSmoothConstants, quadratic_kernel
+from bmme import datakit, matcomp, onmf, solver
+from bmme.bregman import (
+    RelSmoothConstants,
+    bregman_divergence,
+    quadratic_kernel,
+)
 from bmme.solver import (
     BacktrackingProblem,
     BlockProblem,
@@ -109,8 +113,9 @@ class TestSearchExtrapolation:
                                                     (-1, 0)])
     def test_shrinks_count_the_rejected_candidates(self, monkeypatch,
                                                    max_shrinks, tried):
-        # every candidate fails; one divergence call is the right-hand side
-        # and each further one tests a candidate
+        # every candidate fails; once a candidate is tried, one divergence
+        # call is the right-hand side and each further one tests a
+        # candidate, and a spent budget makes no call at all
         calls = []
         real = solver.bregman_divergence
         monkeypatch.setattr(solver, "bregman_divergence",
@@ -121,9 +126,38 @@ class TestSearchExtrapolation:
                                    np.array([1.0]), np.array([0.0]),
                                    beta_init=0.9, delta=0.5, eta=0.9,
                                    max_shrinks=max_shrinks)
-        assert len(calls) - 1 == tried
+        assert len(calls) == (tried + 1 if tried else 0)
         assert (res.beta, res.shrinks, res.d_bar) == (0.0, tried, 0.0)
         assert_allclose(res.x_bar, [1.0])
+
+    def test_zero_beta_computes_no_divergence(self, monkeypatch):
+        monkeypatch.setattr(solver, "bregman_divergence", None)
+        kern = quadratic_kernel()
+        cons = RelSmoothConstants(L=1.0, l=0.0)
+        res = search_extrapolation(kern, cons, kern, cons, np.array([1.0]),
+                                   np.array([0.0]), beta_init=0.0,
+                                   delta=0.5, eta=0.9)
+        assert (res.beta, res.shrinks, res.d_bar, res.d_prev) == (
+            0.0, 0, 0.0, None)
+
+    @pytest.mark.parametrize("beta_init", [0.9, 0.5])
+    def test_given_d_prev_replaces_the_right_hand_side_call(self, monkeypatch,
+                                                            beta_init):
+        kern = quadratic_kernel()
+        cons = RelSmoothConstants(L=1.0, l=0.0)
+        x, x_prev = np.array([1.0, 2.0]), np.array([0.5, 1.0])
+        args = (kern, cons, kern, cons, x, x_prev, beta_init, 0.3, 0.9)
+        computed = search_extrapolation(*args)
+        assert computed.d_prev == bregman_divergence(kern, x_prev, x)
+        calls = []
+        real = solver.bregman_divergence
+        monkeypatch.setattr(solver, "bregman_divergence",
+                            lambda *a: calls.append(a) or real(*a))
+        given = search_extrapolation(*args, d_prev=computed.d_prev)
+        # only the candidates are tested; the result is bit-identical
+        assert len(calls) == given.shrinks + 1
+        assert given._replace(x_bar=None) == computed._replace(x_bar=None)
+        assert np.array_equal(given.x_bar, computed.x_bar)
 
 
 class TestRunBasics:
@@ -313,3 +347,85 @@ class TestBacktracking:
                                lambda x: 0.5 * float(np.vdot(x, x)))
         assert len(res.trace.records) == 0
         assert_allclose(res.final[0], [1.0])
+
+
+def onmf_instance(m=40, n=30, r=3, seed=2, backtracked=False):
+    syn = datakit.gen_synthetic_onmf(m, n, r, noise=0.05, seed=seed)
+    # lam below ||U^T U|| / 2, so the V-block kernel moves with U
+    p = onmf.OnmfProblem(X=syn.X, r=r, lam=1.0)
+    blocks = onmf.onmf_block_problems(p)
+    if backtracked:
+        blocks = [dataclasses.replace(b, constants_for=None) for b in blocks]
+    return (blocks, list(onmf.spa_init(syn.X, r)),
+            lambda b: onmf.onmf_objective(p, b[0], b[1]))
+
+
+def completion_instance(seed=13):
+    obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=seed)
+    p = matcomp.McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
+    return ([dataclasses.replace(matcomp.mc_block_problem(p),
+                                 constants_for=None)],
+            [matcomp.pack_state(matcomp.mc_random_init(p, seed=seed))],
+            lambda b: matcomp.mc_objective_packed(p)(b[0]))
+
+
+class TestCarriedDivergence:
+    """The verifier's D_k(x^k, x^{k+1}) is kept for the next step."""
+
+    @pytest.mark.parametrize("instance, iters", [
+        (onmf_instance, 60),
+        (completion_instance, 100),
+        (lambda: onmf_instance(60, 60, backtracked=True), 100),
+    ], ids=["onmf", "completion-bt", "onmf-bt"])
+    def test_stored_value_is_the_last_steps_divergence(self, monkeypatch,
+                                                      instance, iters):
+        real_step = solver._step
+        nonzero, kernels = [], set()
+
+        def step(problems, state, *args):
+            real_step(problems, state, *args)
+            assert state.prev_divergences == [
+                bregman_divergence(k, a, b) for k, a, b in zip(
+                    state.prev_kernels, state.previous, state.current)]
+            nonzero.append(any(d > 0.0 for d in state.prev_divergences))
+            kernels.add(state.prev_kernels[-1])
+
+        monkeypatch.setattr(solver, "_step", step)
+        problems, init, objective = instance()
+        res = run(problems, init, SolverConfig(max_iters=iters,
+                                               tol_rel_change=0.0),
+                  objective)
+        assert len(nonzero) == len(res.trace.records) == iters
+        assert all(nonzero)
+        if len(problems) == 2:
+            assert len(kernels) == iters  # a stale kernel would show
+
+    def count_divergences(self, monkeypatch):
+        calls = []
+        real = solver.bregman_divergence
+        monkeypatch.setattr(solver, "bregman_divergence",
+                            lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_unverified_bmm_run_computes_no_divergence(self, monkeypatch):
+        calls = self.count_divergences(monkeypatch)
+        problems, init, objective = onmf_instance()
+        res = run(problems, init, SolverConfig(max_iters=30,
+                                               tol_rel_change=0.0,
+                                               verify_descent=False),
+                  objective, algorithm="bmm")
+        assert len(res.trace.records) == 30
+        assert calls == []
+        assert all(d is None for d in res.state.prev_divergences)
+
+    def test_verified_bmme_call_count(self, monkeypatch):
+        # one verifier call per block and sweep, plus one per extrapolation
+        # candidate tried; the right-hand side is always the carried value
+        calls = self.count_divergences(monkeypatch)
+        problems, init, objective = onmf_instance()
+        res = run(problems, init, SolverConfig(max_iters=20,
+                                               tol_rel_change=0.0),
+                  objective)
+        tried = sum(s + (b > 0.0) for r in res.trace.records
+                    for b, s in zip(r.per_block_beta, r.per_block_shrinks))
+        assert len(calls) == 2 * 20 + tried == 102
