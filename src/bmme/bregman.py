@@ -168,8 +168,9 @@ def bregman_divergence(kernel, x, y):
 
     Evaluated in the closed form of the module docstring, a sum of
     nonnegative terms, so the result is >= 0 and ``D(x, x) == 0`` exactly.
-    With c1 = 0 only ``c2/2 ||d||^2`` is formed, so no quartic term can
-    overflow. Raises FloatingPointError if the value is not finite.
+    With c1 = 0 or ``||d||^2 == 0`` only ``c2/2 ||d||^2`` is formed, so no
+    quartic term can overflow (or make inf * 0 of a huge ``||y||^2``).
+    Raises FloatingPointError if the value is not finite.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -177,7 +178,7 @@ def bregman_divergence(kernel, x, y):
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     d = x - y
     dd = float(np.vdot(d, d))
-    if kernel.c1 == 0.0:  # Euclidean: the quartic terms vanish
+    if kernel.c1 == 0.0 or dd == 0.0:  # the quartic terms vanish
         div = 0.5 * kernel.c2 * dd
     else:
         t = float(np.vdot(d, x + y))

@@ -35,32 +35,44 @@ __all__ = ["main", "entry"]
 
 _ALGORITHMS = ("bmm", "bmme", "bmme_bt")
 
-DEFAULTS = {
-    "problem": "onmf",
-    "algorithm": "bmme",
-    "m": 100,
-    "n": 100,
-    "r": 5,
-    "lam": None,          # resolved per problem below
-    "theta": 5.0,
-    "delta": 0.99,
-    "eta": 0.9,
-    "max_iters": 500,
-    "time_budget": None,
-    "tol": 1e-9,
-    "seed": 1,
-    "seeds": 1,
-    "data": None,
-    "data_format": "csv",
-    "init": None,         # spa for onmf, random for matcomp
-    "init_u": None,
-    "init_v": None,
-    "noise": 0.05,
-    "obs_fraction": 0.3,
-    "train_fraction": 0.7,
-    "out": "bmme_out",
-    "verify_descent": False,
+_SOLVER = SolverConfig()  # the library's defaults
+
+# Every run/compare option and --config key, in flag order: key -> (default,
+# type or tuple of choices, help). ``lam`` is set by ``--lambda``. The CLI
+# leaves verify_descent off, where the library default is on.
+OPTIONS = {
+    "problem": ("onmf", ("onmf", "matcomp"), None),
+    "algorithm": ("bmme", str,
+                  "bmm | bmme | bmme_bt, where bmme_bt backtracks (L, l) on "
+                  "every block (compare accepts a comma-separated list)"),
+    "m": (100, int, "rows of the synthetic data matrix"),
+    "n": (100, int, "columns of the synthetic data matrix"),
+    "r": (5, int, "factorization rank"),
+    "lam": (None, float, "regularization weight"),  # resolved per problem
+    "theta": (5.0, float, "exponential penalty sharpness (matcomp)"),
+    "delta": (_SOLVER.delta, float, "extrapolation safety factor in (0, 1)"),
+    "eta": (_SOLVER.eta, float, "extrapolation shrink factor in (0, 1)"),
+    "max_iters": (_SOLVER.max_iters, int, None),
+    "time_budget": (None, float, "seconds of block-update time"),
+    "tol": (_SOLVER.tol_rel_change, float,
+            "relative objective-change stopping tolerance"),
+    "seed": (1, int, None),
+    "seeds": (1, int, "number of consecutive seeds (compare)"),
+    "data": (None, str, "input data file (omit for synthetic data)"),
+    "data_format": ("csv", ("csv", "mm", "ratings"), None),
+    "init": (None, ("spa", "random", "file"), None),  # spa (onmf), random
+    "init_u": (None, str,
+               "CSV with the initial left factor (with --init file)"),
+    "init_v": (None, str,
+               "CSV with the initial right factor (with --init file)"),
+    "noise": (0.05, float, "synthetic onmf noise level"),
+    "obs_fraction": (0.3, float, "synthetic matcomp sampling rate"),
+    "train_fraction": (0.7, float, "train share of observed entries"),
+    "out": ("bmme_out", str, "output directory"),
+    "verify_descent": (False, bool, "check the certified descent inequality "
+                                    "every iteration"),
 }
+DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
 
 
 class UsageError(Exception):
@@ -73,35 +85,14 @@ class UsageError(Exception):
 
 def _common_parser():
     common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument
-    g("--config", help="JSON file with option defaults (flags override)")
-    g("--problem", choices=["onmf", "matcomp"])
-    g("--algorithm",
-      help="bmm | bmme | bmme_bt, where bmme_bt backtracks (L, l) on every "
-           "block (compare accepts a comma-separated list)")
-    g("--m", type=int, help="rows of the synthetic data matrix")
-    g("--n", type=int, help="columns of the synthetic data matrix")
-    g("--r", type=int, help="factorization rank")
-    g("--lambda", dest="lam", type=float, help="regularization weight")
-    g("--theta", type=float, help="exponential penalty sharpness (matcomp)")
-    g("--delta", type=float, help="extrapolation safety factor in (0, 1)")
-    g("--eta", type=float, help="extrapolation shrink factor in (0, 1)")
-    g("--max-iters", type=int)
-    g("--time-budget", type=float, help="seconds of block-update time")
-    g("--tol", type=float, help="relative objective-change stopping tolerance")
-    g("--seed", type=int)
-    g("--seeds", type=int, help="number of consecutive seeds (compare)")
-    g("--data", help="input data file (omit for synthetic data)")
-    g("--data-format", choices=["csv", "mm", "ratings"])
-    g("--init", choices=["spa", "random", "file"])
-    g("--init-u", help="CSV with the initial left factor (with --init file)")
-    g("--init-v", help="CSV with the initial right factor (with --init file)")
-    g("--noise", type=float, help="synthetic onmf noise level")
-    g("--obs-fraction", type=float, help="synthetic matcomp sampling rate")
-    g("--train-fraction", type=float, help="train share of observed entries")
-    g("--out", help="output directory")
-    g("--verify-descent", action="store_true", default=None,
-      help="check the certified descent inequality every iteration")
+    common.add_argument(
+        "--config", help="JSON file with option defaults (flags override)")
+    for key, (_, kind, text) in OPTIONS.items():
+        flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+        extra = ({"action": "store_true", "default": None} if kind is bool
+                 else {"choices": kind} if isinstance(kind, tuple)
+                 else {"type": kind})
+        common.add_argument(flag, dest=key, help=text, **extra)
     return common
 
 
@@ -134,9 +125,8 @@ def _resolve_options(args):
         if unknown:
             raise UsageError(
                 f"--config {args.config}: unknown option(s) {', '.join(unknown)}")
-        flags = {a.dest: a for a in _common_parser()._actions}
         for key, value in loaded.items():
-            if not _config_value_ok(flags[key], value):
+            if not _config_value_ok(key, value):
                 raise UsageError(f"--config: invalid {key} {value!r}")
         cfg.update(loaded)
     for key in DEFAULTS:
@@ -163,14 +153,14 @@ def _resolve_options(args):
     return cfg
 
 
-def _config_value_ok(flag, value):
-    """Whether ``flag`` takes JSON ``value``: its type, choices, null or list."""
+def _config_value_ok(key, value):
+    """Whether ``key`` takes JSON ``value``: type, choices, null or list."""
+    default, kind, _ = OPTIONS[key]
     if value is None:
-        return DEFAULTS[flag.dest] is None
-    many = flag.dest in ("delta", "eta") and isinstance(value, list)
-    want = bool if flag.nargs == 0 else flag.type or str
-    return all((type(v) is want or want is float and type(v) is int)
-               and (flag.choices is None or v in flag.choices)
+        return default is None
+    many = key in ("delta", "eta") and isinstance(value, list)
+    return all(v in kind if isinstance(kind, tuple)
+               else type(v) is kind or kind is float and type(v) is int
                for v in (value if many else [value]))
 
 
@@ -225,8 +215,13 @@ def _json_text(payload):
 # job setup and execution
 # ---------------------------------------------------------------------------
 
-def _load_factor_csv(path):
-    return np.asarray(datakit.load_dense_csv(path), dtype=np.float64)
+def _load_init(cfg, rows, cols):
+    """The ``--init file`` factors (U, V) for a rows x cols data matrix."""
+    U0, V0 = (np.asarray(datakit.load_dense_csv(cfg[key]), dtype=np.float64)
+              for key in ("init_u", "init_v"))
+    if U0.shape != (rows, cfg["r"]) or V0.shape != (cfg["r"], cols):
+        raise UsageError("--init-u/--init-v shapes do not match the data")
+    return U0, V0
 
 
 def _prepare_onmf(cfg, seed):
@@ -250,10 +245,7 @@ def _prepare_onmf(cfg, seed):
         U0 = rng.uniform(size=(X.shape[0], cfg["r"]))
         V0 = rng.uniform(size=(cfg["r"], X.shape[1]))
     else:
-        U0 = _load_factor_csv(cfg["init_u"])
-        V0 = _load_factor_csv(cfg["init_v"])
-        if U0.shape != (X.shape[0], cfg["r"]) or V0.shape != (cfg["r"], X.shape[1]):
-            raise UsageError("--init-u/--init-v shapes do not match the data")
+        U0, V0 = _load_init(cfg, *X.shape)
 
     if cfg["lam"] is not None:
         lam = float(cfg["lam"])
@@ -315,11 +307,7 @@ def _prepare_matcomp(cfg, seed):
     if init == "random":
         state0 = matcomp.mc_random_init(p, seed=seed)
     else:
-        U0 = _load_factor_csv(cfg["init_u"])
-        V0 = _load_factor_csv(cfg["init_v"])
-        if U0.shape != (train.rows, cfg["r"]) or V0.shape != (cfg["r"], train.cols):
-            raise UsageError("--init-u/--init-v shapes do not match the data")
-        state0 = matcomp.McState(U=U0, V=V0)
+        state0 = matcomp.McState(*_load_init(cfg, train.rows, train.cols))
     obj_packed = matcomp.mc_objective_packed(p)
 
     def quality(final):

@@ -230,13 +230,12 @@ def rmse(observed, state):
     return float(np.sqrt(res @ res / res.size))
 
 
-def mc_random_init(p, seed=0, scale=None):
+def mc_random_init(p, seed=0):
     """Gaussian factors scaled so U V entries match the data magnitude."""
     rng = np.random.default_rng(seed)
     m, n = p.shape
-    if scale is None:
-        mean_abs = float(np.mean(np.abs(p.observed.values))) or 1.0
-        scale = np.sqrt(mean_abs / np.sqrt(p.r))
+    mean_abs = float(np.mean(np.abs(p.observed.values))) or 1.0
+    scale = np.sqrt(mean_abs / np.sqrt(p.r))
     return McState(U=scale * rng.standard_normal((m, p.r)),
                    V=scale * rng.standard_normal((p.r, n)))
 

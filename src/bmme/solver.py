@@ -25,6 +25,7 @@ each block's D_k(x_i^k, x_i^{k+1}) once and carries it in
 verification the test computes it, and only when it tries a candidate.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -58,6 +59,8 @@ MAX_SHRINKS = 50
 DESCENT_SLACK = 1e-8
 # Doublings allowed to each line search for a backtracked (L, l).
 MAX_DOUBLINGS = 60
+# The (L, l) a backtracked block's first line searches start from.
+BT_FLOORS = RelSmoothConstants(L=1e-2, l=1e-3)
 
 
 class DescentViolation(RuntimeError):
@@ -153,7 +156,7 @@ class BlockProblem:
     The block's relative-smoothness pair (L, l) is either fixed, given by
     ``constants_for``, or backtracked: with ``constants_for`` None, doubling
     line searches on ``smooth_eval`` find it, starting from the block's
-    previous pair (initially ``bt_L_floor``, ``bt_l_floor``). Either way the
+    previous pair (initially ``BT_FLOORS``). Either way the
     extrapolation weight passes :func:`search_extrapolation` against the
     step's final (L, l).
 
@@ -186,11 +189,10 @@ class BlockProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by all solver variants.
+    """Knobs shared by all solver variants, checked when built.
 
-    delta/eta may be scalars or per-block sequences. The backtracking floors
-    (``bt_*``) and ``keep_certificates`` only matter for blocks with
-    backtracked constants.
+    delta/eta may be scalars or per-block sequences with entries in (0, 1).
+    ``keep_certificates`` only matters for blocks with backtracked constants.
     """
 
     delta: float | Sequence[float] = 0.99
@@ -199,21 +201,28 @@ class SolverConfig:
     time_budget: Optional[float] = None
     tol_rel_change: float = 1e-9
     verify_descent: bool = True
-    bt_l_floor: float = 1e-3
-    bt_L_floor: float = 1e-2
     keep_certificates: bool = False
+
+    def __post_init__(self):
+        unit = [all(0.0 < x < 1.0 for x in np.ravel(np.asarray(v, float)))
+                for v in (self.delta, self.eta)]
+        n, tol, budget = self.max_iters, self.tol_rel_change, self.time_budget
+        for name, ok, want in (
+                ("delta", unit[0], "entries in (0, 1)"),
+                ("eta", unit[1], "entries in (0, 1)"),
+                ("max_iters", isinstance(n, numbers.Integral) and n >= 0,
+                 "an integer >= 0"),
+                ("tol_rel_change", tol >= 0.0, ">= 0"),
+                ("time_budget", budget is None or budget > 0.0, "positive")):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {want}, got {getattr(self, name)!r}")
 
     def per_block(self, which, m):
         v = getattr(self, which)
-        if np.isscalar(v):
-            out = (float(v),) * m
-        else:
-            out = tuple(float(x) for x in v)
-            if len(out) != m:
-                raise ValueError(f"{which} has {len(out)} entries for {m} blocks")
-        for x in out:
-            if not 0.0 < x < 1.0:
-                raise ValueError(f"{which} entries must lie in (0, 1), got {x}")
+        out = (float(v),) * m if np.isscalar(v) else tuple(float(x) for x in v)
+        if len(out) != m:
+            raise ValueError(f"{which} has {len(out)} entries for {m} blocks")
         return out
 
 
@@ -277,7 +286,7 @@ class SolverState:
     certificates: list = field(default_factory=list)
 
 
-def initial_state(problems, init_blocks, config=SolverConfig()):
+def initial_state(problems, init_blocks):
     """Build a SolverState at ``init_blocks`` with x^{-1} = x^0.
 
     The previous kernels/constants are evaluated at the initial point, which
@@ -287,7 +296,6 @@ def initial_state(problems, init_blocks, config=SolverConfig()):
     blocks = [np.array(b, dtype=np.float64, copy=True) for b in init_blocks]
     if len(blocks) != len(problems):
         raise ValueError("one initial value per block problem required")
-    floors = RelSmoothConstants(L=config.bt_L_floor, l=config.bt_l_floor)
     for i, (p, b) in enumerate(zip(problems, blocks)):
         if p.constants_for is None and p.smooth_eval is None:
             raise ValueError(
@@ -300,7 +308,7 @@ def initial_state(problems, init_blocks, config=SolverConfig()):
         current=blocks,
         previous=[b.copy() for b in blocks],
         prev_kernels=[p.kernel_for(blocks) for p in problems],
-        prev_constants=[floors if p.constants_for is None
+        prev_constants=[BT_FLOORS if p.constants_for is None
                         else p.constants_for(blocks) for p in problems],
         nesterov_nu=[1.0] * len(blocks),
         prev_divergences=[0.0] * len(blocks),
@@ -391,11 +399,8 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
     return x_bar, beta, shrinks, cons, x_new
 
 
-def _step(problems, state, config, objective, force_beta_zero):
+def _step(problems, state, config, objective, force_beta_zero, deltas, etas):
     m = len(problems)
-    deltas = config.per_block("delta", m)
-    etas = config.per_block("eta", m)
-
     t0 = time.perf_counter()
     blocks = list(state.current)
     betas, shrinks = [], []
@@ -502,11 +507,14 @@ def run(problems, init_blocks, config, objective, algorithm="bmme"):
     """
     if algorithm not in ("bmme", "bmm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    state = initial_state(problems, init_blocks, config)
+    state = initial_state(problems, init_blocks)
+    deltas = config.per_block("delta", len(problems))
+    etas = config.per_block("eta", len(problems))
     state.objective = float(objective(state.current))
     for _ in range(config.max_iters):
         f_prev = state.objective
-        _step(problems, state, config, objective, algorithm == "bmm")
+        _step(problems, state, config, objective, algorithm == "bmm", deltas,
+              etas)
         if (abs(state.objective - f_prev)
                 <= config.tol_rel_change * (1.0 + abs(f_prev))):
             reason = StopReason.TOL_REACHED

@@ -11,15 +11,28 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
 def _finite_positive(xs, ys):
-    out = [(x, y) for x, y in zip(xs, ys)
-           if math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0]
-    return out
+    return [(x, y) for x, y in zip(xs, ys)
+            if math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0]
 
 
 def _decades(lo, hi):
     k0 = math.ceil(math.log10(lo) - 1e-12)
     k1 = math.floor(math.log10(hi) + 1e-12)
     return [10.0 ** k for k in range(k0, k1 + 1)]
+
+
+def _line(parent, x1, y1, x2, y2):
+    """A light gray gridline."""
+    ET.SubElement(parent, "line", x1=str(x1), y1=str(y1), x2=str(x2),
+                  y2=str(y2), stroke="#dddddd", **{"stroke-width": "1"})
+
+
+def _text(parent, x, y, text, size, fill, anchor="middle", **extra):
+    """A sans-serif label at (x, y); ``extra`` holds further attributes."""
+    el = ET.SubElement(parent, "text", x=str(x), y=str(y), fill=fill,
+                       **{"font-size": str(size), "text-anchor": anchor,
+                          "font-family": "sans-serif"}, **extra)
+    el.text = text
 
 
 def render_loglog_svg(curves, bold_curves=(), title="",
@@ -34,17 +47,12 @@ def render_loglog_svg(curves, bold_curves=(), title="",
         indexes the color palette.
     bold_curves : list of (xs, ys, group, label) drawn thick, one per group.
     """
-    pts = []
-    for xs, ys, _ in curves:
-        pts.extend(_finite_positive(xs, ys))
-    for xs, ys, _, _ in bold_curves:
-        pts.extend(_finite_positive(xs, ys))
+    pts = [pt for c in (*curves, *bold_curves)
+           for pt in _finite_positive(c[0], c[1])]
     if not pts:
         raise ValueError("nothing to plot: no finite positive points")
-    x_lo = min(p[0] for p in pts)
-    x_hi = max(p[0] for p in pts)
-    y_lo = min(p[1] for p in pts)
-    y_hi = max(p[1] for p in pts)
+    all_x, all_y = zip(*pts)
+    x_lo, x_hi, y_lo, y_hi = min(all_x), max(all_x), min(all_y), max(all_y)
     # pad a few percent in log space; guard degenerate ranges
     if x_lo == x_hi:
         x_lo, x_hi = x_lo * 0.5, x_hi * 2.0
@@ -68,25 +76,15 @@ def render_loglog_svg(curves, bold_curves=(), title="",
                   fill="white")
     # decade gridlines
     for gx in _decades(10 ** lx0, 10 ** lx1):
-        X = px(gx)
-        ET.SubElement(svg, "line", x1=f"{X:.2f}", y1=str(_MT),
-                      x2=f"{X:.2f}", y2=str(_H - _MB),
-                      stroke="#dddddd", **{"stroke-width": "1"})
-        lab = ET.SubElement(svg, "text", x=f"{X:.2f}", y=str(_H - _MB + 18),
-                            fill="#444444",
-                            **{"font-size": "11", "text-anchor": "middle",
-                               "font-family": "sans-serif"})
-        lab.text = f"1e{int(round(math.log10(gx)))}"
+        X = f"{px(gx):.2f}"
+        _line(svg, X, _MT, X, _H - _MB)
+        _text(svg, X, _H - _MB + 18, f"1e{round(math.log10(gx))}", 11,
+              "#444444")
     for gy in _decades(10 ** ly0, 10 ** ly1):
         Y = py(gy)
-        ET.SubElement(svg, "line", x1=str(_ML), y1=f"{Y:.2f}",
-                      x2=str(_W - _MR), y2=f"{Y:.2f}",
-                      stroke="#dddddd", **{"stroke-width": "1"})
-        lab = ET.SubElement(svg, "text", x=str(_ML - 6), y=f"{Y + 4:.2f}",
-                            fill="#444444",
-                            **{"font-size": "11", "text-anchor": "end",
-                               "font-family": "sans-serif"})
-        lab.text = f"1e{int(round(math.log10(gy)))}"
+        _line(svg, _ML, f"{Y:.2f}", _W - _MR, f"{Y:.2f}")
+        _text(svg, _ML - 6, f"{Y + 4:.2f}", f"1e{round(math.log10(gy))}", 11,
+              "#444444", "end")
     ET.SubElement(svg, "rect", x=str(_ML), y=str(_MT),
                   width=str(_W - _ML - _MR), height=str(_H - _MT - _MB),
                   fill="none", stroke="#333333", **{"stroke-width": "1"})
@@ -106,29 +104,15 @@ def render_loglog_svg(curves, bold_curves=(), title="",
     for xs, ys, group, label in bold_curves:
         color = _PALETTE[group % len(_PALETTE)]
         polyline(xs, ys, color, 3.0, 1.0)
-        tag = ET.SubElement(svg, "text", x=str(_W - _MR - 10), y=str(legend_y),
-                            fill=color, **{"font-size": "13", "text-anchor": "end",
-                                           "font-family": "sans-serif",
-                                           "font-weight": "bold"})
-        tag.text = label
+        _text(svg, _W - _MR - 10, legend_y, label, 13, color, "end",
+              **{"font-weight": "bold"})
         legend_y += 18
     if title:
-        t = ET.SubElement(svg, "text", x=str(_W // 2), y="24",
-                          fill="#111111",
-                          **{"font-size": "15", "text-anchor": "middle",
-                             "font-family": "sans-serif"})
-        t.text = title
-    xl = ET.SubElement(svg, "text", x=str((_ML + _W - _MR) // 2),
-                       y=str(_H - 14), fill="#111111",
-                       **{"font-size": "13", "text-anchor": "middle",
-                          "font-family": "sans-serif"})
-    xl.text = xlabel
-    yl = ET.SubElement(svg, "text", x="18", y=str((_MT + _H - _MB) // 2),
-                       fill="#111111",
-                       transform=f"rotate(-90 18 {(_MT + _H - _MB) // 2})",
-                       **{"font-size": "13", "text-anchor": "middle",
-                          "font-family": "sans-serif"})
-    yl.text = ylabel
+        _text(svg, _W // 2, 24, title, 15, "#111111")
+    _text(svg, (_ML + _W - _MR) // 2, _H - 14, xlabel, 13, "#111111")
+    mid = (_MT + _H - _MB) // 2
+    _text(svg, 18, mid, ylabel, 13, "#111111",
+          transform=f"rotate(-90 18 {mid})")
     body = ET.tostring(svg, encoding="unicode")
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
 

@@ -162,7 +162,6 @@ def test_backtracked_completion_certificates_and_rmse():
 
     prob = matcomp.mc_backtracking_problem(p)
     cfg = SolverConfig(delta=0.99, max_iters=300, tol_rel_change=0.0,
-                       bt_l_floor=1e-3, bt_L_floor=1e-2,
                        keep_certificates=True)
     res = run_backtracking(prob, z0, cfg, matcomp.mc_objective_packed(p))
     assert len(res.trace.records) == 300

@@ -159,6 +159,21 @@ class TestWideScales:
         if exact >= Fraction(1e-290):  # clear of subnormal products
             assert abs(Fraction(d) - exact) <= Fraction(1e-12) * exact
 
+    @settings(max_examples=300, deadline=None)
+    @given(kernel=kernels.filter(lambda kern: kern.c1 > 0.0),
+           k=st.integers(-300, 300),
+           unit=st.lists(entries, min_size=1, max_size=4))
+    def test_quartic_kernel_zero_at_same_point_up_to_1e300(self, kernel, k,
+                                                           unit):
+        # ||y||^2 overflows above about 1.3e154, so at d = 0 the quartic
+        # term's inf * 0 must not be formed
+        x = 10.0 ** k * np.array(unit)
+        assert bregman_divergence(kernel, x, x.copy()) == 0.0
+
+    def test_quartic_kernel_same_huge_point_is_zero(self):
+        kern = BlockKernel(1.0, 1.0)
+        assert bregman_divergence(kern, [1e160], [1e160]) == 0.0
+
     def test_euclidean_value_near_the_limit_is_finite(self):
         # (1e153)^2 / 2 = 5e305; the quartic terms' 0 * inf once made NaN
         x, y = np.array([1e160]), np.array([1.0000001e160])

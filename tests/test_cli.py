@@ -7,6 +7,7 @@ stdout can be asserted without spawning an interpreter per case.
 import csv
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +217,24 @@ class TestBadUsage:
         assert not out.exists()
 
 
+class TestOptionTable:
+    def test_solver_defaults_read_from_solver_config(self):
+        lib = SolverConfig()
+        assert cli.DEFAULTS["delta"] == lib.delta
+        assert cli.DEFAULTS["eta"] == lib.eta
+        assert cli.DEFAULTS["max_iters"] == lib.max_iters
+        assert cli.DEFAULTS["tol"] == lib.tol_rel_change
+        # the library verifies descent by default, the command line does not
+        assert lib.verify_descent and cli.DEFAULTS["verify_descent"] is False
+
+    def test_every_option_has_its_flag(self, capsys):
+        assert cli.main(["run", "--help"]) == 0
+        words = capsys.readouterr().out.split()
+        for key in cli.OPTIONS:
+            flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+            assert flag in words
+
+
 class TestConfigFile:
     @pytest.mark.parametrize("entry", [
         {"tol": "x"}, {"m": "a"}, {"m": 2.5}, {"max_iters": True},
@@ -368,6 +387,23 @@ class TestSvgPlot:
         ys = np.array([1.0, -1.0, 4.0])
         svg = render_loglog_svg([(xs, ys, 0)])
         assert ET.fromstring(svg) is not None
+
+    def test_two_group_plot_elements_pinned(self):
+        # tag, sorted attributes and text of every element in document
+        # order; the attribute order within an element is free
+        curves = [([0.01, 0.1, 1.0], [100.0, 10.0, 2.0], 0),
+                  ([0.02, 0.2, 2.0], [50.0, 5.0, 1.0], 1)]
+        bold = [([0.01, 0.1, 1.0], [80.0, 8.0, 1.5], 0, "bmm"),
+                ([0.02, 0.2, 2.0], [40.0, 4.0, 1.2], 1, "bmme")]
+        svg = render_loglog_svg(curves, bold_curves=bold,
+                                title="onmf: objective", xlabel="time (s)",
+                                ylabel="objective")
+        got = [[el.tag.split("}")[-1],
+                [list(a) for a in sorted(el.attrib.items())], el.text]
+               for el in ET.fromstring(svg).iter()]
+        want = json.loads((Path(__file__).parent / "data"
+                           / "svgplot_two_groups.json").read_text())
+        assert got == want
 
     def test_nothing_to_plot_raises(self):
         with pytest.raises(ValueError):

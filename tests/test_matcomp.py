@@ -35,7 +35,7 @@ from bmme.matcomp import (
     surrogate_weights,
     unpack_state,
 )
-from bmme.solver import SolverConfig, run, run_backtracking
+from bmme.solver import BT_FLOORS, SolverConfig, run, run_backtracking
 
 
 def diagonal_problem():
@@ -358,7 +358,7 @@ class TestEndToEnd:
         res = run_backtracking(mc_backtracking_problem(p), z0, cfg,
                                mc_objective_packed(p))
         kern = mc_kernel(p)
-        L_prev = cfg.bt_L_floor
+        L_prev = BT_FLOORS.L
         grew_extrapolating = False
         for k, c in enumerate(res.state.certificates, 1):
             d_bar = bregman_divergence(kern, c.x_curr, c.x_bar)

@@ -252,6 +252,43 @@ class TestRunBasics:
                 quadratic_objective(a), algorithm="sgd")
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", -5), ("max_iters", 2.5), ("tol_rel_change", -1.0),
+        ("tol_rel_change", np.nan), ("time_budget", -1.0),
+        ("time_budget", 0.0), ("time_budget", np.nan), ("delta", 1.0),
+        ("delta", [0.5, 0.0]), ("eta", 0.0), ("eta", [0.9, np.nan])])
+    def test_bad_value_rejected_when_built(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        SolverConfig(max_iters=0, tol_rel_change=0.0, time_budget=1e-9)
+        SolverConfig(max_iters=np.int64(3), tol_rel_change=np.inf,
+                     delta=[0.5, 0.9], eta=(0.1, 0.99))
+
+    def test_per_block_length_must_match(self):
+        a = np.array([1.0])
+        with pytest.raises(ValueError, match="delta has 2 entries"):
+            run([quadratic_block(a)], [np.zeros(1)],
+                SolverConfig(delta=[0.5, 0.9]), quadratic_objective(a))
+
+    def test_per_block_values_resolved_once_per_run(self, monkeypatch):
+        calls = []
+        real = SolverConfig.per_block
+
+        def counted(self, which, m):
+            calls.append((which, m))
+            return real(self, which, m)
+
+        monkeypatch.setattr(SolverConfig, "per_block", counted)
+        problems, init, objective = onmf_instance()
+        res = run(problems, init, SolverConfig(max_iters=10,
+                                               tol_rel_change=0.0), objective)
+        assert len(res.trace) == 10
+        assert calls == [("delta", 2), ("eta", 2)]
+
+
 class TestDescentVerification:
     def test_clean_problem_passes_and_objective_decreases(self):
         a = np.array([2.0, -1.0, 0.5])
