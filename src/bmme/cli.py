@@ -34,6 +34,7 @@ from .verify import SUITES
 __all__ = ["main", "entry"]
 
 _ALGORITHMS = ("bmm", "bmme", "bmme_bt")
+_BLOCKS = {"onmf": 2, "matcomp": 1}  # blocks per problem, for delta/eta lists
 
 _SOLVER = SolverConfig()  # the library's defaults
 
@@ -139,8 +140,12 @@ def _resolve_options(args):
         raise UsageError("--max-iters must be >= 0")
     if cfg["seeds"] < 1:
         raise UsageError("--seeds must be >= 1")
+    blocks = _BLOCKS[cfg["problem"]]
     for key in ("delta", "eta"):
         vals = np.atleast_1d(np.asarray(cfg[key], dtype=np.float64))
+        if isinstance(cfg[key], list) and vals.size != blocks:
+            raise UsageError(f"--config: {key} has {vals.size} entries for "
+                             f"{blocks} {cfg['problem']} blocks")
         if not np.all((vals > 0.0) & (vals < 1.0)):
             raise UsageError(f"--{key} must lie in (0, 1), got {cfg[key]}")
     if not cfg["tol"] >= 0.0:

@@ -49,8 +49,8 @@ class ObservedMatrix:
                 raise ValueError("row index out of range")
             if ci.min() < 0 or ci.max() >= self.cols:
                 raise ValueError("column index out of range")
-            lin = ri * self.cols + ci
-            if np.unique(lin).size != lin.size:
+            lin = np.sort(ri * self.cols + ci)
+            if np.any(lin[1:] == lin[:-1]):
                 raise ValueError("duplicate observed entries")
         if not np.all(np.isfinite(vals)):
             raise ValueError("observed values contain non-finite entries")
@@ -111,7 +111,8 @@ def gen_synthetic_onmf(m, n, r, noise=0.05, seed=0):
         R = rng.uniform(size=(m, n))
         nr = float(np.linalg.norm(R))
         if nr > 0:
-            X = X + noise * (float(np.linalg.norm(U @ V)) / nr) * R
+            R *= noise * (float(np.linalg.norm(X)) / nr)
+            X += R
     return SyntheticOnmf(X=X, U=U, V=V, labels=ks + 1)
 
 

@@ -26,6 +26,12 @@ the end of a sweep finds U^T X there and takes the Gram form ||X - U V||^2 =
 errs by a few eps ||X||^2, so a fit below 1e-5 (||X||^2 + <U^T U, V V^T>) is
 recomputed from the residual. ``smooth_eval`` always forms the residual: the
 line search's gap must shrink with ||x - xbar||, and the Gram error does not.
+
+The starting point comes from successive projection (SPA), in the recursive
+form of Gillis & Vavasis (2014): each pick reads X once, as one product
+X d, and no deflated copy of X is made. A pick is rejected as rank deficient
+when its explicitly formed residual, not the updated norm estimate, falls
+to the floor (1e-12 ||X||_F)^2.
 """
 
 from dataclasses import dataclass
@@ -149,28 +155,43 @@ def v_block_kernel(U, lam):
 def spa_select_rows(X, r):
     """Successive projection: indices of r informative rows of X.
 
-    Repeatedly picks the row with the largest residual Euclidean norm, then
-    projects every row onto the orthogonal complement of the picked one.
+    Each pick is the row with the largest residual norm, its norm after
+    projection onto the orthogonal complement of the rows picked so far. The
+    recursion of Gillis & Vavasis (2014) keeps no deflated copy of X: it
+    keeps the picked directions Q (orthonormal rows) and P = X Q^T, forms
+    the picked row's residual y = x - (x Q^T) Q explicitly (orthogonalized
+    twice), and updates the squared residual norms of all rows by
+    (X d - P Q d)^2 with d = y / ||y||, one pass over X per pick.
+
+    The rank floor is checked on ||y||^2, the explicit residual. The updated
+    norms carry about eps ||x_i||^2 of error, far above the floor, and serve
+    only to choose the pick.
     """
     X = as_matrix(X, "X")
-    m = X.shape[0]
-    if not 1 <= r <= min(X.shape):
+    m, n = X.shape
+    if not 1 <= r <= min(m, n):
         raise ValueError(f"r must lie in [1, min(m, n)], got {r}")
     total = float(np.linalg.norm(X))
     if total == 0.0:
         raise ValueError("X is identically zero; no informative rows")
-    Y = X.copy()
-    selected = []
     floor = (1e-12 * total) ** 2
-    for _ in range(r):
-        norms2 = np.einsum("ij,ij->i", Y, Y)
-        norms2[selected] = -1.0
+    norms2 = np.einsum("ij,ij->i", X, X)
+    Q = np.zeros((r, n))
+    P = np.zeros((m, r))
+    selected = []
+    for k in range(r):
         pick = int(np.argmax(norms2))
-        if norms2[pick] <= floor:
-            raise ValueError(
-                f"only {len(selected)} informative rows found, need {r}")
-        d = Y[pick] / np.sqrt(norms2[pick])
-        Y -= np.outer(Y @ d, d)
+        y = X[pick].copy()
+        for _ in range(2):
+            y -= (Q[:k] @ y) @ Q[:k]
+        yy = float(y @ y)
+        if yy <= floor:
+            raise ValueError(f"only {k} informative rows found, need {r}")
+        d = y / np.sqrt(yy)
+        Xd = X @ d
+        norms2 -= (Xd - P[:, :k] @ (Q[:k] @ d)) ** 2
+        norms2[pick] = -np.inf
+        Q[k], P[:, k] = d, Xd
         selected.append(pick)
     return selected
 

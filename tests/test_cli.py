@@ -250,6 +250,25 @@ class TestConfigFile:
         assert f"invalid {next(iter(entry))}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("problem, key, value", [
+        ("onmf", "delta", []), ("onmf", "eta", [0.8, 0.8, 0.8]),
+        ("matcomp", "delta", [0.9, 0.9])])
+    def test_per_block_list_of_wrong_length_exits_two_before_running(
+            self, tmp_path, capsys, monkeypatch, problem, key, value):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data generated before the usage check")
+
+        monkeypatch.setattr(datakit, "gen_synthetic_onmf", no_data)
+        monkeypatch.setattr(datakit, "gen_synthetic_ratings", no_data)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"problem": problem, "m": 20, "n": 15,
+                                       "r": 2, key: value}))
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == 2
+        assert f"{key} has {len(value)} entries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_values_of_flag_types_run(self, tmp_path):
         # every default, an int where a float is expected, per-block delta
         # and eta lists, and null where the default is None are all valid

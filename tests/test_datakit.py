@@ -231,3 +231,16 @@ class TestObservedMatrix:
     def test_n_obs(self):
         obs = gen_synthetic_ratings(6, 5, 2, 0.5, seed=3)
         assert obs.n_obs == obs.values.size
+
+    def test_duplicate_in_unsorted_entries_rejected(self):
+        # (2, 1) comes first and last, with other entries between
+        with pytest.raises(ValueError, match="duplicate observed entries"):
+            ObservedMatrix(3, 4, np.array([2, 0, 1, 2]), np.array([1, 3, 0, 1]),
+                           np.array([1.0, 2.0, 3.0, 4.0]))
+
+    def test_unsorted_distinct_entries_accepted(self):
+        obs = ObservedMatrix(3, 4, np.array([2, 0, 1, 0]),
+                             np.array([1, 3, 0, 1]),
+                             np.array([1.0, 2.0, 3.0, 4.0]))
+        assert obs.n_obs == 4
+        assert list(obs.row_idx) == [2, 0, 1, 0]

@@ -379,7 +379,79 @@ class TestUpdateV:
         assert np.linalg.norm(V_next - V) <= 1e-8 * (1.0 + np.linalg.norm(V))
 
 
+def spa_deflation_oracle(X, r):
+    """SPA by explicit deflation: the residual matrix is kept and projected.
+
+    Recomputes every residual norm from the deflated copy at each pick; the
+    reference the recursion in ``spa_select_rows`` must match pick for pick.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    floor = (1e-12 * float(np.linalg.norm(X))) ** 2
+    Y = X.copy()
+    selected = []
+    for _ in range(r):
+        norms2 = np.einsum("ij,ij->i", Y, Y)
+        norms2[selected] = -1.0
+        pick = int(np.argmax(norms2))
+        if norms2[pick] <= floor:
+            raise ValueError(
+                f"only {len(selected)} informative rows found, need {r}")
+        d = Y[pick] / np.sqrt(norms2[pick])
+        Y -= np.outer(Y @ d, d)
+        selected.append(pick)
+    return selected
+
+
+@st.composite
+def spa_cases(draw):
+    """(X, r): uniform or clustered nonnegative data, either orientation."""
+    m = draw(st.integers(2, 40))
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        r = draw(st.integers(1, min(m, n)))
+        X = np.random.default_rng(seed).uniform(size=(m, n))
+    else:
+        # three columns per cluster, so every cluster is drawn nonempty
+        r = draw(st.integers(1, max(1, min(m, n // 3))))
+        noise = draw(st.sampled_from([0.0, 0.05]))
+        X = datakit.gen_synthetic_onmf(m, n, r, noise=noise, seed=seed).X
+    return (X.T if draw(st.booleans()) else X), r
+
+
 class TestSpa:
+    @settings(max_examples=300, deadline=None)
+    @given(case=spa_cases())
+    def test_recursion_matches_explicit_deflation(self, case):
+        X, r = case
+        try:
+            want = spa_deflation_oracle(X, r)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                spa_select_rows(X, r)
+        else:
+            assert spa_select_rows(X, r) == want
+
+    def test_nearly_dependent_row_above_the_floor_is_picked(self):
+        # row 1 leaves a residual of 1e-9 after row 0, below the rounding of
+        # the updated norms but far above the floor; picked rows must stay out
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            X = rng.uniform(size=(3, 6))
+            X[1] = X[0]
+            X[1, 0] += 1e-9
+            picked = spa_select_rows(X, 3)
+            assert sorted(picked) == [0, 1, 2]
+            assert picked == spa_deflation_oracle(X, 3)
+
+    @pytest.mark.parametrize("m, n, rank, r", [(5, 4, 1, 2), (50, 40, 3, 4)])
+    def test_rank_deficient_input_rejected(self, m, n, rank, r):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(size=(m, rank)) @ rng.uniform(size=(rank, n))
+        with pytest.raises(ValueError,
+                           match=f"only {rank} informative rows found"):
+            spa_select_rows(X, r)
+
     def test_orthogonal_rows_picked_in_norm_order(self):
         X = np.array([[3.0, 0.0, 0.0, 0.0],
                       [0.0, 2.0, 0.0, 0.0],
