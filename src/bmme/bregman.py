@@ -9,6 +9,13 @@ and with d = x - y its Bregman divergence has the closed form
 
 a sum of nonnegative terms, so D >= 0 and D(x, x) = 0 hold exactly; the
 textbook phi(x) - phi(y) - <grad phi(y), x - y> cancels once D << phi.
+Along a line y = x + beta d it is a quartic in beta: with s = ||d||^2,
+p = <x, d>, q = ||x||^2 and t = beta (2p + beta s),
+
+    D(x, x + beta d) = c2/2 beta^2 s + c1/4 t^2 + c1/2 (q + t) beta^2 s,
+
+which for c1 = 0 needs only s. The solver's extrapolation search decides
+its candidates from these scalars.
 The solver needs the smooth part f to be relatively smooth against phi:
 
     -l * D(x, y) <= f(x) - f(y) - <grad f(y), x - y> <= L * D(x, y).
@@ -17,6 +24,7 @@ The sampling-based checkers below serve the test suite and ``verify``.
 ``ValueMemo`` is the value-keyed memo that the problems keep data passes in.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +94,19 @@ def cubic_norm_scale(a, c):
     ``a/3 + cbrt((c + sqrt(D))/2 + a^3/27) + cbrt((c - sqrt(D))/2 + a^3/27)``;
     the two cube-root arguments multiply to (a^2/9)^3, which gives the
     cancellation-free evaluation used here, plus one Newton polish.
+
+    The root scales like a and like cbrt(c), so the form is evaluated on
+    a 2^-e and c 2^-3e, with 2^e the power of two just above
+    max(a, cbrt(c)), and the root is scaled back by 2^e. Power-of-two
+    scaling is exact, so no intermediate overflows or underflows at any
+    scale, and in the range where none did the result is unchanged.
     """
     if a < 0 or c < 0:
         raise ValueError("cubic_norm_scale needs a >= 0 and c >= 0")
     if a == 0.0 and c == 0.0:
         raise ValueError("cubic_norm_scale needs a + c > 0")
+    e = math.frexp(max(a, float(np.cbrt(c))))[1]
+    a, c = math.ldexp(a, -e), math.ldexp(c, -3 * e)
     disc = c * c + (4.0 / 27.0) * c * a**3
     t1 = np.cbrt((c + np.sqrt(disc)) / 2.0 + a**3 / 27.0)
     rho = a / 3.0 + t1 + (a * a / 9.0) / t1
@@ -99,7 +115,7 @@ def cubic_norm_scale(a, c):
     dh = rho * (3.0 * rho - 2.0 * a)
     if dh > 0:
         rho -= h / dh
-    return float(rho)
+    return math.ldexp(float(rho), e)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd
 from scipy.optimize import linear_sum_assignment
 
 from .bregman import (
@@ -95,43 +96,54 @@ class OnmfProblem:
                                XVt=ValueMemo(lambda V: (V @ X.T).T))
 
 
-def _objective(p, U, V, fit=None):
+def _objective(p, U, V, fit=None, VVt=None):
     if fit is None:
         R = p.X - U @ V
         fit = float(np.vdot(R, R))
-    O = np.eye(V.shape[0]) - V @ V.T
+    O = np.eye(V.shape[0]) - (V @ V.T if VVt is None else VVt)
     return 0.5 * fit + 0.5 * p.lam * float(np.vdot(O, O))
 
 
 def onmf_objective(p, U, V):
     """0.5 ||X - U V||_F^2 + 0.5 lam ||I_r - V V^T||_F^2.
 
-    The fit takes the Gram form when U or V hits the product memo.
+    The fit takes the Gram form when U or V hits the product memo. V V^T is
+    formed once, for both the Gram fit and the orthogonality term.
     """
     prod = p._products
+    VVt = V @ V.T
     if prod.UtX.hit(U):
         cross = float(np.vdot(prod.UtX.value, V))
     elif prod.XVt.hit(V):
         cross = float(np.vdot(U, prod.XVt.value))
     else:
-        return _objective(p, U, V)
-    gram = float(np.vdot(U.T @ U, V @ V.T))
+        return _objective(p, U, V, VVt=VVt)
+    gram = float(np.vdot(U.T @ U, VVt))
     fit = prod.xx - 2.0 * cross + gram
-    return _objective(p, U, V, None if fit < 1e-5 * (prod.xx + gram) else fit)
+    return _objective(p, U, V, None if fit < 1e-5 * (prod.xx + gram) else fit,
+                      VVt)
 
 
 def spectral_norm(M):
     """Largest singular value of a 2-D array, exact (an SVD; inputs are r x r).
 
     An iterative estimate falls below it, and each L built on it must be an
-    upper bound. One LAPACK call, the value ``np.linalg.norm(M, 2)`` gives.
+    upper bound. One direct LAPACK ``dgesdd`` call without singular vectors,
+    the routine ``np.linalg.svd`` runs, so the value is the one
+    ``np.linalg.norm(M, 2)`` gives, without numpy's wrapper around the call.
+    Raises ``numpy.linalg.LinAlgError`` if the SVD does not converge.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError("spectral_norm expects a 2-D array")
     if not np.isfinite(M).all():
         raise ValueError("spectral_norm input has non-finite entries")
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    if M.size == 0:
+        return 0.0
+    _, s, _, info = dgesdd(M, compute_uv=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgesdd failed with info = {info}")
+    return float(s[0])
 
 
 def onmf_constants_U(V):

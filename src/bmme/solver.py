@@ -23,8 +23,14 @@ of the descent inequality that :func:`run` verifies. The verifier computes
 each block's D_k(x_i^k, x_i^{k+1}) once and carries it in
 :class:`SolverState` for the next step's test and verifier. Without
 verification the test computes it, and only when it tries a candidate.
+The left-hand side D_k(x_i, xbar_i) is a quartic in beta. A fixed-constant
+block decides each candidate from three scalars computed once per update,
+and forms an array divergence only for a candidate within rounding of the
+bound. A backtracked block forms it for every candidate, because its line
+search reads the accepted value.
 """
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -57,6 +63,8 @@ __all__ = [
 MAX_SHRINKS = 50
 # Relative tolerance of the descent verifier: slack * (1 + |F(x^k)|).
 DESCENT_SLACK = 1e-8
+# Unit roundoff of float64, for the extrapolation screen's margin.
+_EPS = float(np.finfo(np.float64).eps) / 2.0
 # Doublings allowed to each line search for a backtracked (L, l).
 MAX_DOUBLINGS = 60
 # The (L, l) a backtracked block's first line searches start from.
@@ -98,13 +106,39 @@ class ExtrapolationResult(NamedTuple):
     beta: float
     x_bar: np.ndarray
     shrinks: int
-    d_bar: float
+    d_bar: Optional[float]
     d_prev: Optional[float]
+
+
+def _screen(kernel, beta, terms, rhs):
+    """Decide ``D_kernel(x, x + beta d) <= rhs`` from scalars, or return None.
+
+    ``terms`` is (||d||^2, <x, d>, ||x||^2, x.size); <x, d> may be None when
+    c1 = 0. True and False are the answers the array formula gives; None
+    means the quartic lies within the rounding margin of ``rhs`` (or is not
+    finite, or ||beta d|| is zero) and the caller must use that formula.
+    """
+    s, p, q, n = terms
+    dd = beta * (beta * s)
+    if not dd > 0.0:
+        return None
+    value = mag = 0.5 * kernel.c2 * dd
+    if kernel.c1 != 0.0:
+        t = beta * (2.0 * p + beta * s)
+        value += kernel.c1 * (0.25 * t * t + 0.5 * (q + t) * dd)
+        mag += 0.5 * kernel.c1 * dd * (math.sqrt(q) + math.sqrt(dd)) ** 2
+    margin = 32.0 * _EPS * (n + math.sqrt(q / dd) + 4.0) * mag
+    if value + margin < rhs:
+        return True
+    if value - margin > rhs:
+        return False
+    return None
 
 
 def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
                          x_curr, x_prev, beta_init, delta, eta,
-                         max_shrinks=MAX_SHRINKS, d_prev=None):
+                         max_shrinks=MAX_SHRINKS, d_prev=None,
+                         need_d_bar=True):
     """Find the largest admissible extrapolation weight by geometric shrinking.
 
     Tries ``beta = beta_init * eta**j`` for j = 0, 1, ... and accepts the first
@@ -118,11 +152,38 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
     (it must equal ``D_prev(x_prev, x)``) and otherwise from one divergence
     call, so beta_init = 0 or a spent budget costs no divergence.
 
+    With ``need_d_bar`` (the default, and what a backtracked block's line
+    search needs) each candidate is tested by forming xbar and calling
+    :func:`bregman.bregman_divergence`. Without it, each candidate is
+    first screened from scalars. With d = x - x_prev,
+    D(x, x + beta d) is the quartic in beta of :mod:`bmme.bregman`, built
+    from ||d||^2, <x, d> and ||x||^2 (only ||d||^2 when c1 = 0), which are
+    computed once per search. The screen decides when the quartic clears
+    the right-hand side by more than a rounding margin. Only a candidate
+    inside the margin falls back to the array formula, so every decision,
+    and with it beta, shrinks and xbar, equals the array formula's. xbar is
+    formed only for the beta returned.
+
+    The margin. Let u be the unit roundoff, a = ||x||, b = |beta| ||d||,
+    rho = a / b and n = x.size. The array formula's xbar = fl(x + beta d)
+    and fl(x - xbar) differ from x + beta d and -beta d by at most
+    u (a + 2b) and u (a + 3b) in norm, and a dot product of length n errs
+    by at most n u times the product of its operands' norms, in any
+    summation order. Carried through the three terms of D, with the
+    scalars' own dot products, this bounds the gap between the two values
+    by u M (12 n + 14 rho + 40) to first order in u, where
+    M = b^2/2 (c2 + c1 (a + b)^2) is the scale of the terms (each is at
+    most 2M). The final products and sums of both values add less than
+    40 u M. The screen's margin 32 u (n + rho + 4) M exceeds the sum in
+    each coefficient, leaving room for the second-order terms.
+
     Returns
     -------
     ExtrapolationResult with fields beta, x_bar, shrinks (the number of
-    rejected candidates), d_bar = D_kernel(x, xbar), and d_prev, the
-    right-hand side's divergence (None if it was neither given nor needed).
+    rejected candidates), d_bar = D_kernel(x, xbar) (None without
+    ``need_d_bar`` when the screen accepted xbar without forming it), and
+    d_prev, the right-hand side's divergence (None if it was neither given
+    nor needed).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -135,10 +196,19 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
             d_prev = bregman_divergence(prev_kernel, x_prev, x_curr)
         rhs = delta * prev_constants.L / (constants.L + constants.l) * d_prev
         diff = x_curr - x_prev
+        if not need_d_bar:
+            terms = (float(np.vdot(diff, diff)),
+                     float(np.vdot(x_curr, diff)) if kernel.c1 else None,
+                     float(np.vdot(x_curr, x_curr)), x_curr.size)
     while beta != 0.0 and shrinks < max_shrinks:
-        x_bar = x_curr + beta * diff
-        d_bar = bregman_divergence(kernel, x_curr, x_bar)
-        if d_bar <= rhs:
+        ok = None if need_d_bar else _screen(kernel, beta, terms, rhs)
+        if ok is None:
+            x_bar = x_curr + beta * diff
+            d_bar = bregman_divergence(kernel, x_curr, x_bar)
+            ok = d_bar <= rhs
+        elif ok:
+            x_bar, d_bar = x_curr + beta * diff, None
+        if ok:
             return ExtrapolationResult(beta, x_bar, shrinks, d_bar, d_prev)
         beta *= eta
         shrinks += 1
@@ -339,8 +409,9 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
     ``f(x_new) - f(xbar) - <grad f(xbar), x_new - xbar> <= L * D(x_new, xbar)``
     (f is ``p.smooth_eval``). If either constant grew, the search runs again
     from the accepted beta against the grown pair. Constants never shrink,
-    beta only shrinks and beta = 0 always passes, so the loop ends. Returns
-    (x_bar, beta, shrinks, (L, l), x_new).
+    beta only shrinks and beta = 0 always passes, so the loop ends. Only a
+    fixed block lets the search screen its candidates from scalars, since
+    it never reads D(x, xbar). Returns (x_bar, beta, shrinks, (L, l), x_new).
     """
     x, x_prev = state.current[i], state.previous[i]
     fixed = p.constants_for is not None
@@ -350,7 +421,8 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
     while True:
         beta, x_bar, s, d_bar, d_prev = search_extrapolation(
             kernel, cons, state.prev_kernels[i], state.prev_constants[i],
-            x, x_prev, beta, delta, eta, MAX_SHRINKS - shrinks, d_prev)
+            x, x_prev, beta, delta, eta, MAX_SHRINKS - shrinks, d_prev,
+            need_d_bar=not fixed)
         shrinks += s
         if beta == solved_beta:  # the last solve already used this x_bar
             break

@@ -16,6 +16,7 @@ from bmme.bregman import (
     check_gradient,
     check_relative_smoothness,
     check_surrogate,
+    cubic_norm_scale,
     quadratic_kernel,
 )
 
@@ -202,6 +203,67 @@ class TestNormPolynomialKernel:
     def test_invalid_weights_rejected(self, c1, c2):
         with pytest.raises(ValueError):
             BlockKernel(c1, c2)
+
+
+def closed_form_cubic_root(a, c):
+    """cubic_norm_scale as it was before scaling: the oracle on normal ranges."""
+    disc = c * c + (4.0 / 27.0) * c * a**3
+    t1 = np.cbrt((c + np.sqrt(disc)) / 2.0 + a**3 / 27.0)
+    rho = a / 3.0 + t1 + (a * a / 9.0) / t1
+    h = rho * rho * (rho - a) - c
+    dh = rho * (3.0 * rho - 2.0 * a)
+    if dh > 0:
+        rho -= h / dh
+    return float(rho)
+
+
+def bisect_cubic_root(a, c):
+    """Root of t^2 (t - a) = c by float bisection with exact sign tests.
+
+    The root lies in [max(a, cbrt c), a + cbrt c], inside (0, 2 (a + cbrt c)).
+    """
+    A, C = Fraction(a), Fraction(c)
+    lo, hi = 0.0, 2.0 * (a + float(np.cbrt(c)))
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return hi
+        T = Fraction(mid)
+        if T * T * (T - A) - C < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+# magnitudes from 1e-300 to 1e300, or exactly zero
+wide = st.one_of(st.just(0.0),
+                 st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 10.0),
+                           st.integers(-300, 299)))
+
+
+class TestCubicNormScaleScales:
+    @settings(max_examples=300, deadline=None)
+    @given(a=wide, c=wide)
+    def test_root_within_two_ulps_at_any_scale(self, a, c):
+        if a == 0.0 and c == 0.0:
+            return
+        got = cubic_norm_scale(a, c)
+        want = bisect_cubic_root(a, c)
+        assert abs(got - want) <= 2.0 * np.spacing(want)
+
+    @settings(max_examples=500, deadline=None)
+    @given(a=st.floats(1e-3, 1e4), c=st.floats(1e-3, 1e8))
+    def test_unchanged_where_the_closed_form_did_not_overflow(self, a, c):
+        assert cubic_norm_scale(a, c) == closed_form_cubic_root(a, c)
+
+    @pytest.mark.parametrize("a, c, want", [
+        (1e103, 1.0, 1e103),        # a^3 overflowed: OverflowError
+        (1e-110, 0.0, 1e-110),      # a^3 underflowed to 0: NaN
+        (0.0, 1e155, 4.641588833612779e51),  # c^2 overflowed: NaN
+        (1e-110, 1e-300, 1.0000000000333333e-100),  # 6% off
+    ])
+    def test_extreme_cases(self, a, c, want):
+        assert_allclose(cubic_norm_scale(a, c), want, rtol=1e-15)
 
 
 class TestRelSmoothConstants:

@@ -169,9 +169,9 @@ class TestProductMemo:
         fresh = {"UtX": 0, "XVt": 0, "residual": 0}
         real_objective = onmf._objective
 
-        def objective_part(p, U, V, fit=None):
+        def objective_part(p, U, V, fit=None, VVt=None):
             fresh["residual"] += fit is None
-            return real_objective(p, U, V, fit)
+            return real_objective(p, U, V, fit, VVt)
 
         monkeypatch.setattr(onmf, "_objective", objective_part)
 

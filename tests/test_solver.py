@@ -6,13 +6,17 @@ exact closed-form prox step and every quantity can be checked by hand.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bmme import datakit, matcomp, onmf, solver
 from bmme.bregman import (
+    BlockKernel,
     RelSmoothConstants,
     bregman_divergence,
     quadratic_kernel,
@@ -158,6 +162,127 @@ class TestSearchExtrapolation:
         assert len(calls) == given.shrinks + 1
         assert given._replace(x_bar=None) == computed._replace(x_bar=None)
         assert np.array_equal(given.x_bar, computed.x_bar)
+
+
+@st.composite
+def screen_cases(draw):
+    """(kernel, x, x_prev, beta, rel): one candidate and its margin to the rhs.
+
+    ||beta d|| / ||x|| spans 1e-12..10, and d is exactly zero in some cases;
+    rel sets the right-hand side to D (1 + rel), from exact ties out to 50%.
+    """
+    kernel = draw(st.sampled_from([
+        BlockKernel(0.0, 1.0), BlockKernel(0.0, 2500.0),
+        BlockKernel(6000.0, 2500.0), BlockKernel(3.0, 40.0),
+        BlockKernel(1e6, 1e-3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 200))
+    x = rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3))
+    x[rng.random(n) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    beta = draw(st.floats(1e-3, 1.0))
+    if draw(st.booleans()) and draw(st.booleans()):
+        d = np.zeros(n)
+    else:
+        d = rng.standard_normal(n)
+        ratio = 10.0 ** draw(st.floats(-12.0, 1.0))
+        d *= ratio * max(np.linalg.norm(x), 1e-3) / (beta * np.linalg.norm(d))
+    rel = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.5]))
+    return kernel, x, x - d, beta, draw(st.sampled_from([1.0, -1.0])) * rel
+
+
+class TestExtrapolationScreen:
+    """A fixed block screens its candidates from scalars (``_screen``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=screen_cases())
+    def test_decision_equals_the_array_formula(self, case):
+        kernel, x, x_prev, beta, rel = case
+        d_bar = bregman_divergence(kernel, x, x + beta * (x - x_prev))
+        # rhs = delta * L_prev / (L + l) * d_prev = 0.5 * d_prev, exactly
+        rhs = d_bar * (1.0 + rel)
+        cons = RelSmoothConstants(L=1.0, l=0.0)
+        args = (kernel, cons, kernel, cons, x, x_prev, beta, 0.5, 0.9, 1,
+                2.0 * rhs)
+        decisions = []
+        real = solver._screen
+        with mock.patch.object(
+                solver, "_screen",
+                lambda *a: decisions.append(real(*a)) or decisions[-1]):
+            screened = search_extrapolation(*args, need_d_bar=False)
+        exact = search_extrapolation(*args)
+        assert exact.beta == (beta if d_bar <= rhs else 0.0)
+        assert (screened.beta, screened.shrinks) == (exact.beta, exact.shrinks)
+        assert np.array_equal(screened.x_bar, exact.x_bar)
+        assert len(decisions) == 1
+        if decisions[0] is not None:
+            assert decisions[0] == (d_bar <= rhs)
+        if d_bar > 0.0 and abs(rel) >= 0.5:
+            assert decisions[0] is not None  # a clear margin is decided
+
+    def test_clear_candidates_make_no_divergence_call(self, monkeypatch):
+        monkeypatch.setattr(solver, "bregman_divergence", None)
+        kern = BlockKernel(6.0, 2.0)
+        cons = RelSmoothConstants(L=1.0, l=0.0)
+        rng = np.random.default_rng(4)
+        x, x_prev = rng.standard_normal((5, 20)), rng.standard_normal((5, 20))
+        # D = 1.99e5 and 1.46e5 fail the rhs 0.5 * d_prev = 1.2e5, and
+        # beta = 0.9^2 * 0.8 passes with D = 1.08e5
+        d_prev = 2.4e5
+        res = search_extrapolation(kern, cons, kern, cons, x, x_prev, 0.8,
+                                   0.5, 0.9, d_prev=d_prev, need_d_bar=False)
+        monkeypatch.undo()
+        exact = search_extrapolation(kern, cons, kern, cons, x, x_prev, 0.8,
+                                     0.5, 0.9, d_prev=d_prev)
+        assert res.shrinks == exact.shrinks == 2
+        assert res.beta == exact.beta == 0.8 * 0.9 * 0.9
+        assert np.array_equal(res.x_bar, exact.x_bar)
+        assert res.d_bar is None and exact.d_bar <= 0.5 * d_prev
+
+    @pytest.mark.parametrize("instance, calls", [("completion", 356),
+                                                 ("onmf-bt", 705)])
+    def test_backtracked_search_makes_the_array_calls(self, monkeypatch,
+                                                      instance, calls):
+        # counts of the array-only search, which also tests each rejected
+        # candidate; a backtracked block never screens
+        monkeypatch.setattr(solver, "_screen", None)
+        counted = []
+        real = solver.bregman_divergence
+        monkeypatch.setattr(solver, "bregman_divergence",
+                            lambda *a: counted.append(a) or real(*a))
+        problems, init, objective = (
+            completion_instance() if instance == "completion"
+            else onmf_instance(backtracked=True))
+        res = run(problems, init, SolverConfig(max_iters=30, delta=0.1,
+                                               tol_rel_change=0.0), objective)
+        assert sum(s for r in res.trace.records
+                   for s in r.per_block_shrinks) > 200
+        assert len(counted) == calls
+
+    def test_undecided_screen_reproduces_the_run(self, monkeypatch):
+        syn = datakit.gen_synthetic_onmf(100, 100, 5, noise=0.05, seed=1)
+        p = onmf.OnmfProblem(X=syn.X, r=5, lam=1.0)
+        init = list(onmf.spa_init(syn.X, 5))
+        cfg = SolverConfig(max_iters=100, tol_rel_change=0.0)
+        decisions = []
+        real = solver._screen
+
+        def solve():
+            return run(onmf.onmf_block_problems(p), init, cfg,
+                       lambda b: onmf.onmf_objective(p, b[0], b[1]))
+
+        monkeypatch.setattr(solver, "_screen",
+                            lambda *a: decisions.append(real(*a)) or
+                            decisions[-1])
+        screened = solve()
+        monkeypatch.setattr(solver, "_screen", lambda *a: None)
+        arrays = solve()
+        assert decisions.count(None) < len(decisions)
+        assert sum(d is False for d in decisions) > 0
+        untimed = [[dataclasses.replace(r, elapsed_seconds=0.0)
+                    for r in res.trace.records] for res in (screened, arrays)]
+        assert untimed[0] == untimed[1]
+        for a, b in zip(screened.final, arrays.final):
+            assert np.array_equal(a, b)
 
 
 class TestRunBasics:
@@ -457,12 +582,19 @@ class TestCarriedDivergence:
 
     def test_verified_bmme_call_count(self, monkeypatch):
         # one verifier call per block and sweep, plus one per extrapolation
-        # candidate tried; the right-hand side is always the carried value
+        # candidate the scalar screen leaves to the array formula; the
+        # right-hand side is always the carried value
         calls = self.count_divergences(monkeypatch)
+        decisions = []
+        real = solver._screen
+        monkeypatch.setattr(solver, "_screen",
+                            lambda *a: decisions.append(real(*a)) or
+                            decisions[-1])
         problems, init, objective = onmf_instance()
         res = run(problems, init, SolverConfig(max_iters=20,
                                                tol_rel_change=0.0),
                   objective)
         tried = sum(s + (b > 0.0) for r in res.trace.records
                     for b, s in zip(r.per_block_beta, r.per_block_shrinks))
-        assert len(calls) == 2 * 20 + tried == 102
+        assert len(decisions) == tried == 62
+        assert len(calls) == 2 * 20 + decisions.count(None) == 40
