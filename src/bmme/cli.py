@@ -12,7 +12,10 @@ Three subcommands:
     one of the named self-check suites; exits nonzero on any violation.
 
 Options may also come from a JSON file via ``--config``; explicit flags
-override file values.
+override file values. ``SolverConfig`` owns the solver's rules and ``_RULES``
+the rest; ``_resolve_options`` applies both before any data is generated or
+output written. Only the ``--init-u``/``--init-v`` shape check, which needs
+the data, comes later.
 """
 
 import argparse
@@ -75,6 +78,32 @@ OPTIONS = {
 }
 DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
 
+# The rules on options that SolverConfig does not judge, checked in order:
+# (option, test on the resolved options, what the option requires).
+_RULES = (
+    ("m", lambda o: o.m >= 1, "must be >= 1"),
+    ("n", lambda o: o.n >= 1, "must be >= 1"),
+    ("r", lambda o: o.r >= 1, "must be >= 1"),
+    ("r", lambda o: o.data is not None or o.r <= min(o.m, o.n),
+     "must be <= min(--m, --n) for synthetic data"),
+    ("lam", lambda o: o.lam is None or 0.0 < o.lam < np.inf,
+     "must be positive"),
+    ("theta", lambda o: 0.0 < o.theta < np.inf, "must be positive"),
+    ("seed", lambda o: o.seed >= 0, "must be >= 0"),
+    ("seeds", lambda o: o.seeds >= 1, "must be >= 1"),
+    ("data_format", lambda o: o.data is None or o.problem == "matcomp"
+     or o.data_format == "csv", "needs --problem matcomp"),
+    ("init", lambda o: o.init != "spa" or o.problem == "onmf",
+     "needs --problem onmf"),
+    ("init", lambda o: o.init != "file" or o.init_u and o.init_v,
+     "needs --init-u and --init-v"),
+    ("noise", lambda o: o.noise >= 0.0, "must be >= 0"),
+    ("obs_fraction", lambda o: 0.0 < o.obs_fraction <= 1.0,
+     "must lie in (0, 1]"),
+    ("train_fraction", lambda o: 0.0 < o.train_fraction <= 1.0,
+     "must lie in (0, 1]"),
+)
+
 
 class UsageError(Exception):
     """Bad flag/config combination; maps to exit code 2."""
@@ -84,16 +113,19 @@ class UsageError(Exception):
 # option plumbing
 # ---------------------------------------------------------------------------
 
+def _flag(key):
+    return "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+
+
 def _common_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--config", help="JSON file with option defaults (flags override)")
     for key, (_, kind, text) in OPTIONS.items():
-        flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
         extra = ({"action": "store_true", "default": None} if kind is bool
                  else {"choices": kind} if isinstance(kind, tuple)
                  else {"type": kind})
-        common.add_argument(flag, dest=key, help=text, **extra)
+        common.add_argument(_flag(key), dest=key, help=text, **extra)
     return common
 
 
@@ -113,6 +145,8 @@ def _build_parser():
 
 
 def _resolve_options(args):
+    """Merge defaults, ``--config`` and flags into (options, algorithms,
+    SolverConfig); any bad setting raises UsageError naming its flag."""
     cfg = dict(DEFAULTS)
     if args.config is not None:
         with open(args.config) as fh:
@@ -130,32 +164,30 @@ def _resolve_options(args):
             if not _config_value_ok(key, value):
                 raise UsageError(f"--config: invalid {key} {value!r}")
         cfg.update(loaded)
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if cfg["r"] < 1 or cfg["m"] < 1 or cfg["n"] < 1:
-        raise UsageError("--m, --n and --r must be positive")
-    if cfg["max_iters"] < 0:
-        raise UsageError("--max-iters must be >= 0")
-    if cfg["seeds"] < 1:
-        raise UsageError("--seeds must be >= 1")
-    blocks = _BLOCKS[cfg["problem"]]
-    for key in ("delta", "eta"):
-        vals = np.atleast_1d(np.asarray(cfg[key], dtype=np.float64))
-        if isinstance(cfg[key], list) and vals.size != blocks:
-            raise UsageError(f"--config: {key} has {vals.size} entries for "
-                             f"{blocks} {cfg['problem']} blocks")
-        if not np.all((vals > 0.0) & (vals < 1.0)):
-            raise UsageError(f"--{key} must lie in (0, 1), got {cfg[key]}")
-    if not cfg["tol"] >= 0.0:
-        raise UsageError(f"--tol must be >= 0, got {cfg['tol']}")
-    if cfg["time_budget"] is not None and not cfg["time_budget"] > 0.0:
+    cfg.update({key: val for key in DEFAULTS
+                if (val := getattr(args, key, None)) is not None})
+    opts = SimpleNamespace(**cfg)
+    for key, ok, want in _RULES:
+        if not ok(opts):
+            raise UsageError(f"{_flag(key)} {cfg[key]} {want}")
+    try:
+        solver = SolverConfig(
+            delta=cfg["delta"], eta=cfg["eta"], max_iters=cfg["max_iters"],
+            time_budget=cfg["time_budget"], tol_rel_change=cfg["tol"],
+            verify_descent=cfg["verify_descent"])
+        for key in ("delta", "eta"):
+            solver.per_block(key, _BLOCKS[cfg["problem"]])
+    except ValueError as exc:  # its message starts with the field's name
+        field, _, rest = str(exc).partition(" ")
+        flag = _flag("tol" if field == "tol_rel_change" else field)
+        raise UsageError(f"{flag} {rest}") from None
+    algorithms = [a.strip() for a in cfg["algorithm"].split(",") if a.strip()]
+    if (not algorithms or not set(algorithms) <= set(_ALGORITHMS)
+            or args.command == "run" and len(algorithms) > 1):
         raise UsageError(
-            f"--time-budget must be positive, got {cfg['time_budget']}")
-    if cfg["init"] == "file" and not (cfg["init_u"] and cfg["init_v"]):
-        raise UsageError("--init file requires --init-u and --init-v")
-    return cfg
+            f"--algorithm {cfg['algorithm']!r}: choose from "
+            f"{', '.join(_ALGORITHMS)} (compare takes a comma-separated list)")
+    return cfg, algorithms, solver
 
 
 def _config_value_ok(key, value):
@@ -167,20 +199,6 @@ def _config_value_ok(key, value):
     return all(v in kind if isinstance(kind, tuple)
                else type(v) is kind or kind is float and type(v) is int
                for v in (value if many else [value]))
-
-
-def _algorithm_list(cfg, allow_many):
-    names = [a.strip() for a in str(cfg["algorithm"]).split(",") if a.strip()]
-    if not names:
-        raise UsageError("--algorithm: empty value")
-    if not allow_many and len(names) > 1:
-        raise UsageError("--algorithm: run takes a single algorithm")
-    for a in names:
-        if a not in _ALGORITHMS:
-            raise UsageError(
-                f"--algorithm: unknown algorithm {a!r} "
-                f"(choose from {', '.join(_ALGORITHMS)})")
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +249,6 @@ def _load_init(cfg, rows, cols):
 
 def _prepare_onmf(cfg, seed):
     if cfg["data"] is not None:
-        if cfg["data_format"] != "csv":
-            raise UsageError("onmf input data must be a dense CSV matrix")
         X = datakit.load_dense_csv(cfg["data"])
         labels = None
         synthetic = False
@@ -295,8 +311,6 @@ def _prepare_matcomp(cfg, seed):
             cfg["m"], cfg["n"], cfg["r"], cfg["obs_fraction"], seed=seed)
 
     frac = float(cfg["train_fraction"])
-    if not 0.0 < frac <= 1.0:
-        raise UsageError("--train-fraction must lie in (0, 1]")
     if frac < 1.0:
         train, test = datakit.train_test_split(observed, frac, seed=seed)
     else:
@@ -306,10 +320,7 @@ def _prepare_matcomp(cfg, seed):
     p = matcomp.McProblem(observed=train, r=cfg["r"], lam=lam,
                           theta=cfg["theta"])
 
-    init = cfg["init"] or "random"
-    if init == "spa":
-        raise UsageError("--init spa is only available for --problem onmf")
-    if init == "random":
+    if cfg["init"] != "file":
         state0 = matcomp.mc_random_init(p, seed=seed)
     else:
         state0 = matcomp.McState(*_load_init(cfg, train.rows, train.cols))
@@ -332,20 +343,8 @@ def _prepare_matcomp(cfg, seed):
                            lam=lam, idmaps=idmaps)
 
 
-def _solver_config(cfg):
-    return SolverConfig(
-        delta=cfg["delta"],
-        eta=cfg["eta"],
-        max_iters=cfg["max_iters"],
-        time_budget=cfg["time_budget"],
-        tol_rel_change=cfg["tol"],
-        verify_descent=bool(cfg["verify_descent"]),
-    )
-
-
-def _run_single(cfg, algorithm, seed):
+def _run_single(cfg, solver_cfg, algorithm, seed):
     """Execute one job; returns a namespace with the result and report."""
-    solver_cfg = _solver_config(cfg)
     t0 = time.perf_counter()
 
     prepare = _prepare_onmf if cfg["problem"] == "onmf" else _prepare_matcomp
@@ -382,9 +381,9 @@ def _run_single(cfg, algorithm, seed):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_run(cfg):
-    algorithm = _algorithm_list(cfg, allow_many=False)[0]
-    job = _run_single(cfg, algorithm, cfg["seed"])
+def cmd_run(cfg, algorithms, solver_cfg):
+    algorithm = algorithms[0]
+    job = _run_single(cfg, solver_cfg, algorithm, cfg["seed"])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     _atomic_write_text(os.path.join(out, "trace.csv"),
@@ -421,8 +420,7 @@ def _mean_curve(runs):
     return list(grid), list(np.mean(stack, axis=0))
 
 
-def cmd_compare(cfg):
-    algorithms = _algorithm_list(cfg, allow_many=True)
+def cmd_compare(cfg, algorithms, solver_cfg):
     seeds = [cfg["seed"] + i for i in range(cfg["seeds"])]
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
@@ -430,7 +428,7 @@ def cmd_compare(cfg):
     jobs = []
     for algorithm in algorithms:
         for seed in seeds:
-            job = _run_single(cfg, algorithm, seed)
+            job = _run_single(cfg, solver_cfg, algorithm, seed)
             _atomic_write_text(
                 os.path.join(out, f"trace_{algorithm}_{seed}.csv"),
                 _trace_csv_text(job.result.trace, job.scale))
@@ -506,10 +504,10 @@ def main(argv=None):
     try:
         if args.command == "verify":
             return cmd_verify(args.suite)
-        cfg = _resolve_options(args)
+        resolved = _resolve_options(args)
         if args.command == "run":
-            return cmd_run(cfg)
-        return cmd_compare(cfg)
+            return cmd_run(*resolved)
+        return cmd_compare(*resolved)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

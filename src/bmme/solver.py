@@ -3,7 +3,7 @@
 Each outer iteration sweeps the blocks in order. For block i it
 
 1. picks a tentative extrapolation weight ``beta`` from the Nesterov sequence
-   and shrinks it geometrically until the Bregman distance of the extrapolated
+   (one per run, advanced once per sweep) and shrinks it geometrically until the Bregman distance of the extrapolated
    point satisfies
 
        D_k(x_i, xbar_i) <= delta_i * L_i^{k-1} / (L_i^k + l_i^k)
@@ -347,7 +347,7 @@ class SolverState:
     previous: list
     prev_kernels: list
     prev_constants: list
-    nesterov_nu: list
+    nesterov_nu: float
     prev_divergences: list
     objective: Optional[float] = None
     iter: int = 0
@@ -380,7 +380,7 @@ def initial_state(problems, init_blocks):
         prev_kernels=[p.kernel_for(blocks) for p in problems],
         prev_constants=[BT_FLOORS if p.constants_for is None
                         else p.constants_for(blocks) for p in problems],
-        nesterov_nu=[1.0] * len(blocks),
+        nesterov_nu=1.0,
         prev_divergences=[0.0] * len(blocks),
     )
 
@@ -477,14 +477,13 @@ def _step(problems, state, config, objective, force_beta_zero, deltas, etas):
     blocks = list(state.current)
     betas, shrinks = [], []
     kernels_k, constants_k = [], []
-    nus = []
+    nu, beta_init = nesterov_next(state.nesterov_nu)
+    if force_beta_zero:
+        beta_init = 0.0
     for i, p in enumerate(problems):
         kern = p.kernel_for(blocks)
-        nu, beta = nesterov_next(state.nesterov_nu[i])
-        if force_beta_zero:
-            beta = 0.0
         x_bar, beta, shrink, cons, x_new = _block_update(
-            p, i, blocks, kern, state, beta, deltas[i], etas[i])
+            p, i, blocks, kern, state, beta_init, deltas[i], etas[i])
         if p.constants_for is None and config.keep_certificates:
             state.certificates.append(BacktrackCertificate(
                 x_prev=state.previous[i], x_curr=state.current[i],
@@ -496,7 +495,6 @@ def _step(problems, state, config, objective, force_beta_zero, deltas, etas):
         shrinks.append(shrink)
         kernels_k.append(kern)
         constants_k.append(cons)
-        nus.append(nu)
     state.elapsed_seconds += time.perf_counter() - t0
 
     # Instrumentation below is deliberately outside the timed section.
@@ -525,7 +523,7 @@ def _step(problems, state, config, objective, force_beta_zero, deltas, etas):
     state.current = blocks
     state.prev_kernels = kernels_k
     state.prev_constants = constants_k
-    state.nesterov_nu = nus
+    state.nesterov_nu = nu
     state.prev_divergences = divs
     state.objective = f_new
     state.iter += 1

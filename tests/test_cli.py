@@ -24,6 +24,39 @@ def read_trace(path):
     return rows
 
 
+@pytest.fixture
+def no_data(monkeypatch):
+    """Fail the test if synthetic data is generated or a CSV is read."""
+    def fail(*args, **kwargs):
+        raise AssertionError("data built before the usage check")
+
+    for name in ("gen_synthetic_onmf", "gen_synthetic_ratings",
+                 "load_dense_csv"):
+        monkeypatch.setattr(datakit, name, fail)
+
+
+# One bad setting per entry; the last flag is the one its error must name.
+BAD_SETTINGS = [
+    ["--delta", "1.5"], ["--eta", "0"], ["--time-budget", "-1"],
+    ["--tol", "-1"], ["--max-iters", "-1"], ["--m", "0"], ["--seeds", "0"],
+    ["--seed", "-1"], ["--init", "file"],
+    ["--problem", "matcomp", "--train-fraction", "0"],
+    ["--problem", "matcomp", "--init", "spa"],
+    ["--data", "X.csv", "--data-format", "mm"],
+    ["--lambda", "-1"], ["--problem", "matcomp", "--lambda", "0"],
+    ["--problem", "matcomp", "--theta", "0"], ["--noise", "-1"],
+    ["--problem", "matcomp", "--obs-fraction", "2"], ["--r", "200"],
+]
+
+
+def bad_setting_cases():
+    # run cases are named by their flags alone, compare cases add "compare"
+    for command in ("run", "compare"):
+        for flags in BAD_SETTINGS:
+            name = flags if command == "run" else [command, *flags]
+            yield pytest.param(command, flags, id="-".join(name))
+
+
 class TestRunOnmf:
     def test_ten_iterations_ten_rows_nonincreasing(self, tmp_path):
         out = tmp_path / "o"
@@ -138,11 +171,6 @@ class TestRunMatcomp:
         assert col == [repr(r.objective) for r in res.trace.records]
         assert len(col) == 80
 
-    def test_spa_init_rejected_for_matcomp(self, tmp_path):
-        rc = cli.main(["run", "--problem", "matcomp", "--init", "spa",
-                       "--out", str(tmp_path / "o")])
-        assert rc == 2
-
 
 class TestDataFiles:
     def test_csv_input_for_onmf(self, tmp_path):
@@ -176,6 +204,16 @@ class TestDataFiles:
         assert set(idmap) == {"users", "items"}
         assert idmap["users"][0] == "user0"
 
+    def test_rank_above_data_size_exits_one(self, tmp_path, capsys):
+        # the rank bound on --m/--n holds for synthetic data only; for a
+        # file the problem's own check reports it
+        data = tmp_path / "X.csv"
+        datakit.save_dense_csv(data, np.ones((3, 4)))
+        rc = cli.main(["run", "--data", str(data), "--r", "4",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "r must lie in [1, min(m, n)]" in capsys.readouterr().err
+
     def test_missing_data_file_exits_one(self, tmp_path):
         rc = cli.main(["run", "--problem", "onmf", "--data",
                        str(tmp_path / "nope.csv"), "--r", "2",
@@ -204,16 +242,13 @@ class TestBadUsage:
                        "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--delta", "1.5"), ("--eta", "0"), ("--time-budget", "-1"),
-        ("--tol", "-1")])
+    @pytest.mark.parametrize("command, flags", bad_setting_cases())
     def test_out_of_range_value_exits_two_before_running(
-            self, tmp_path, capsys, flag, value):
+            self, tmp_path, capsys, no_data, command, flags):
         out = tmp_path / "o"
-        rc = cli.main(["run", "--problem", "onmf", flag, value,
-                       "--out", str(out)])
+        rc = cli.main([command, *flags, "--out", str(out)])
         assert rc == 2
-        assert flag in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {flags[-2]} ")
         assert not out.exists()
 
 
@@ -254,12 +289,7 @@ class TestConfigFile:
         ("onmf", "delta", []), ("onmf", "eta", [0.8, 0.8, 0.8]),
         ("matcomp", "delta", [0.9, 0.9])])
     def test_per_block_list_of_wrong_length_exits_two_before_running(
-            self, tmp_path, capsys, monkeypatch, problem, key, value):
-        def no_data(*args, **kwargs):
-            raise AssertionError("data generated before the usage check")
-
-        monkeypatch.setattr(datakit, "gen_synthetic_onmf", no_data)
-        monkeypatch.setattr(datakit, "gen_synthetic_ratings", no_data)
+            self, tmp_path, capsys, no_data, problem, key, value):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({"problem": problem, "m": 20, "n": 15,
                                        "r": 2, key: value}))
