@@ -595,6 +595,21 @@ class TestProblemAssembly:
         assert objs[-1] < objs[0]
         assert all(r.descent_slack is not None for r in res.trace.records)
 
+    def test_verified_fixed_run_golden(self):
+        # exact values of the fixed-constant path with its extrapolation
+        # screen, pinned so that a change to its floating-point order or
+        # its beta decisions shows
+        syn = datakit.gen_synthetic_onmf(30, 30, 3, noise=0.05, seed=2)
+        p = OnmfProblem(X=syn.X, r=3, lam=10.0)
+        cfg = SolverConfig(max_iters=100, tol_rel_change=0.0,
+                           verify_descent=True)
+        res = run(onmf_block_problems(p), list(spa_init(syn.X, 3)), cfg,
+                  lambda blocks: onmf_objective(p, blocks[0], blocks[1]))
+        assert len(res.trace.records) == 100
+        assert res.trace.records[-1].objective == 0.008337603118399131
+        assert sum(s for r in res.trace.records
+                   for s in r.per_block_shrinks) == 282
+
     def test_oracle_suite_checks_the_block_problems(self, monkeypatch):
         # a step taken with 1.01 L in the solver's own U and V updates must
         # show up as oracle mismatches on every instance
