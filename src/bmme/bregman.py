@@ -78,8 +78,10 @@ class ValueMemo:
         self.fn, self.key, self.value = fn, None, None
 
     def hit(self, A):
+        # shape before values, so that no broadcast compare can hit
         k = self.key
-        return k is not None and k.dtype == A.dtype and np.array_equal(k, A)
+        return (k is not None and k.dtype == A.dtype and k.shape == A.shape
+                and (k == A).all())
 
     def __call__(self, A):
         if not self.hit(A):
@@ -101,6 +103,9 @@ def cubic_norm_scale(a, c):
     scaling is exact, so no intermediate overflows or underflows at any
     scale, and in the range where none did the result is unchanged.
     """
+    for name, v in (("a", a), ("c", c)):
+        if not math.isfinite(v):
+            raise ValueError(f"cubic_norm_scale needs finite {name}, got {v}")
     if a < 0 or c < 0:
         raise ValueError("cubic_norm_scale needs a >= 0 and c >= 0")
     if a == 0.0 and c == 0.0:
@@ -135,9 +140,9 @@ class BlockKernel:
     c2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.c1) and self.c1 >= 0):
+        if not (math.isfinite(self.c1) and self.c1 >= 0):
             raise ValueError(f"c1 must be nonnegative and finite, got {self.c1}")
-        if not (np.isfinite(self.c2) and self.c2 > 0):
+        if not (math.isfinite(self.c2) and self.c2 > 0):
             raise ValueError(f"c2 must be positive and finite, got {self.c2}")
 
     @property
@@ -156,8 +161,13 @@ class BlockKernel:
 
     def grad_inverse(self, G):
         """The x with ``grad phi(x) = G``: ``G / rho``, where
-        ``rho = c1 ||x||^2 + c2`` solves ``rho^2 (rho - c2) = c1 ||G||^2``."""
-        return G / cubic_norm_scale(self.c2, self.c1 * float(np.vdot(G, G)))
+        ``rho = c1 ||x||^2 + c2`` solves ``rho^2 (rho - c2) = c1 ||G||^2``.
+
+        Raises FloatingPointError if c1 ||G||^2 is not finite."""
+        c = self.c1 * float(np.vdot(G, G))
+        if not math.isfinite(c):
+            raise FloatingPointError(f"c1 * ||G||^2 is not finite: {c}")
+        return G / cubic_norm_scale(self.c2, c)
 
 
 @dataclass(frozen=True)
@@ -168,9 +178,9 @@ class RelSmoothConstants:
     l: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.L) and self.L > 0):
+        if not (math.isfinite(self.L) and self.L > 0):
             raise ValueError(f"L must be positive and finite, got {self.L}")
-        if not (np.isfinite(self.l) and self.l >= 0):
+        if not (math.isfinite(self.l) and self.l >= 0):
             raise ValueError(f"l must be nonnegative and finite, got {self.l}")
 
 
@@ -200,7 +210,7 @@ def bregman_divergence(kernel, x, y):
         t = float(np.vdot(d, x + y))
         div = (0.5 * kernel.c2 * dd + 0.25 * kernel.c1 * t * t
                + 0.5 * kernel.c1 * float(np.vdot(y, y)) * dd)
-    if not np.isfinite(div):
+    if not math.isfinite(div):
         raise FloatingPointError("Bregman divergence is not finite")
     return div
 

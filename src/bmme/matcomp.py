@@ -26,10 +26,12 @@ small helper, used by the packed evaluations (``f_eval``, ``grad``,
 ``partial_grad``, :func:`mc_objective_packed`), that holds two things:
 
 - the CSR pattern of the observed entries, built once. A gradient fills it
-  with the permuted residuals instead of converting COO to CSR on each call;
+  with the residuals instead of converting COO to CSR on each call. They
+  are permuted into CSR order only when the entries do not already come in
+  that order; otherwise the memo's residual array is the matrix's data;
 - a one-entry residual memo keyed by value: a snapshot copy of the last Z,
-  compared with ``np.array_equal``. A caller may update Z in place, so the
-  memo never trusts array identity.
+  a hit only on the same dtype, the same shape and equal entries. A caller
+  may update Z in place, so the memo never trusts array identity.
 
 The backtracked solver asks for f and grad f at x̄, then for f at x_new in
 the upper check, in the trace objective and at the start of the next step.
@@ -135,7 +137,9 @@ class _ResidualPasses:
         pattern = csr_matrix((np.arange(1, observed.n_obs + 1),
                               (observed.row_idx, observed.col_idx)),
                              shape=(observed.rows, observed.cols))
-        self.perm = pattern.data - 1
+        # None when the entries already come in CSR order: no gather then
+        perm = pattern.data - 1
+        self.perm = None if (perm == np.arange(perm.size)).all() else perm
         self.indices, self.indptr = pattern.indices, pattern.indptr
         # residuals at packed Z: one fresh pass unless Z equals the last Z
         m = observed.rows
@@ -154,8 +158,10 @@ def _smooth_eval_packed(p, Z):
 
 def _smooth_grad_packed(p, Z):
     m, passes = p.observed.rows, p._passes
-    R = csr_matrix((passes.residuals(Z)[passes.perm], passes.indices,
-                    passes.indptr), shape=p.shape)
+    res = passes.residuals(Z)
+    if passes.perm is not None:
+        res = res[passes.perm]
+    R = csr_matrix((res, passes.indices, passes.indptr), shape=p.shape)
     return np.vstack([R @ Z[m:], R.T @ Z[:m]])
 
 

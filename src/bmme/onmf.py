@@ -100,7 +100,10 @@ def _objective(p, U, V, fit=None, VVt=None):
     if fit is None:
         R = p.X - U @ V
         fit = float(np.vdot(R, R))
-    O = np.eye(V.shape[0]) - (V @ V.T if VVt is None else VVt)
+    # I - V V^T: 1 + (-g) is 1 - g exactly, and the square hides the sign
+    # of an off-diagonal -0.0
+    O = -(V @ V.T if VVt is None else VVt)
+    O.ravel()[::V.shape[0] + 1] += 1.0
     return 0.5 * fit + 0.5 * p.lam * float(np.vdot(O, O))
 
 
@@ -281,7 +284,7 @@ def onmf_block_problems(p):
         kernel_for=lambda blocks: euclid,
         constants_for=lambda blocks: onmf_constants_U(blocks[1]),
         solve_subproblem=u_solve,
-        feasible=lambda x: bool(np.all(x >= 0.0)),
+        feasible=lambda x: (x >= 0.0).all(),
         smooth_eval=smooth_eval,
     )
 
@@ -301,7 +304,7 @@ def onmf_block_problems(p):
         kernel_for=lambda blocks: v_block_kernel(blocks[0], lam),
         constants_for=lambda blocks: v_constants,
         solve_subproblem=v_solve,
-        feasible=lambda x: bool(np.all(x >= 0.0)),
+        feasible=lambda x: (x >= 0.0).all(),
         smooth_eval=smooth_eval,
     )
     return [u_block, v_block]

@@ -96,10 +96,10 @@ def nesterov_next(nu_prev):
     nu = (1 + sqrt(1 + 4 nu_prev^2)) / 2 and beta_init = (nu_prev - 1) / nu.
     Starting from nu = 1 the first beta_init is exactly 0.
     """
-    if not (np.isfinite(nu_prev) and nu_prev >= 1.0):
+    if not (math.isfinite(nu_prev) and nu_prev >= 1.0):
         raise ValueError(f"nu_prev must be >= 1, got {nu_prev}")
-    nu = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * nu_prev * nu_prev))
-    return NesterovStep(nu=float(nu), beta_init=float((nu_prev - 1.0) / nu))
+    nu = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * nu_prev * nu_prev))
+    return NesterovStep(nu=nu, beta_init=float((nu_prev - 1.0) / nu))
 
 
 class ExtrapolationResult(NamedTuple):
@@ -392,7 +392,7 @@ def _at(blocks, i, x):
 
 
 def _finite(i, x):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SubproblemError(f"block {i} update produced non-finite values")
     return x
 

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from bmme.bregman import (
     BlockKernel,
     RelSmoothConstants,
+    ValueMemo,
     as_matrix,
     bregman_divergence,
     check_gradient,
@@ -198,11 +199,27 @@ class TestNormPolynomialKernel:
         assert_allclose(kern.grad(x), G, rtol=1e-12)
         assert check_gradient(kern.eval, kern.grad, x) < 1e-5
 
-    @pytest.mark.parametrize("c1, c2", [(-1.0, 1.0), (1.0, 0.0),
-                                        (np.inf, 1.0), (1.0, np.nan)])
+    @pytest.mark.parametrize("c1, c2", [
+        (-1.0, 1.0), (1.0, 0.0), (np.inf, 1.0), (1.0, np.nan),
+        (np.float64(-np.inf), 1.0), (np.float64(-2.0), 1.0),
+        (1.0, np.float32(np.nan)), (1.0, np.float64(np.inf)),
+        (0.0, np.float64(0.0))])
     def test_invalid_weights_rejected(self, c1, c2):
         with pytest.raises(ValueError):
             BlockKernel(c1, c2)
+
+    def test_numpy_scalar_weights_accepted(self):
+        kern = BlockKernel(np.float64(6.0), np.float32(2.0))
+        assert (kern.c1, kern.c2) == (6.0, 2.0)
+
+    @pytest.mark.parametrize("c1, G", [
+        (3.0, np.full((2, 2), 1e160)),  # ||G||^2 = 4e320 overflows
+        (0.0, np.full((2, 2), 1e160)),
+        (3.0, np.array([[1.0, np.nan]]))])
+    def test_grad_inverse_non_finite_product_raises(self, c1, G):
+        # the root of a non-finite c1 ||G||^2 would be NaN
+        with pytest.raises(FloatingPointError, match=r"c1 \* \|\|G\|\|\^2"):
+            BlockKernel(c1, 1.0).grad_inverse(G)
 
 
 def closed_form_cubic_root(a, c):
@@ -265,14 +282,75 @@ class TestCubicNormScaleScales:
     def test_extreme_cases(self, a, c, want):
         assert_allclose(cubic_norm_scale(a, c), want, rtol=1e-15)
 
+    @pytest.mark.parametrize("a, c, name", [
+        (1.0, np.inf, "c"), (np.nan, 1.0, "a"), (np.inf, 0.0, "a"),
+        (0.0, np.nan, "c"), (np.float64(np.inf), 1.0, "a")])
+    def test_non_finite_argument_rejected(self, a, c, name):
+        with pytest.raises(ValueError, match=f"finite {name},"):
+            cubic_norm_scale(a, c)
+
 
 class TestRelSmoothConstants:
     # the solver builds its (L, l) here, so no L <= 0 reaches a subproblem
     @pytest.mark.parametrize("L, l", [(0.0, 1.0), (-1.0, 0.0), (np.inf, 0.0),
-                                      (1.0, -1e-3), (1.0, np.nan)])
+                                      (1.0, -1e-3), (1.0, np.nan),
+                                      (np.float64(np.nan), 0.0),
+                                      (np.float64(0.0), 0.0),
+                                      (1.0, np.float32(-np.inf)),
+                                      (1.0, np.float64(-1e-2))])
     def test_invalid_pair_rejected(self, L, l):
         with pytest.raises(ValueError):
             RelSmoothConstants(L=L, l=l)
+
+
+class TestValueMemo:
+    @staticmethod
+    def counted():
+        calls = []
+
+        def fn(A):
+            calls.append(A.shape)
+            return A.sum()
+
+        return ValueMemo(fn), calls
+
+    def test_hit_on_equal_value_of_same_dtype_and_shape(self):
+        memo, calls = self.counted()
+        A = np.arange(6.0).reshape(2, 3)
+        assert not memo.hit(A)
+        assert memo(A) == 15.0
+        assert memo.hit(A.copy())
+        assert memo(A.copy()) == 15.0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("key, other", [
+        (np.ones((1, 5)), np.ones((5, 5))),          # broadcastable
+        (np.zeros((2, 3)), np.zeros((3, 2))),        # same size
+        (np.ones((2, 2)), np.ones((2, 2), dtype=np.float32)),  # dtype
+    ], ids=["broadcastable", "same-size", "dtype"])
+    def test_miss_on_other_shape_or_dtype(self, key, other):
+        memo, calls = self.counted()
+        memo(key)
+        assert not memo.hit(other)
+        memo(other)
+        assert calls == [key.shape, other.shape]
+
+    def test_miss_after_source_changed_in_place(self):
+        memo, calls = self.counted()
+        A = np.ones((3, 3))
+        assert memo(A) == 9.0
+        A[1, 2] = 2.0
+        assert not memo.hit(A)
+        assert memo(A) == 10.0
+        assert len(calls) == 2
+
+    def test_nan_entries_never_hit(self):
+        memo, calls = self.counted()
+        A = np.array([[1.0, np.nan]])
+        memo(A)
+        assert not memo.hit(A)
+        memo(A)
+        assert len(calls) == 2
 
 
 class TestValidators:

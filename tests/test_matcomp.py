@@ -487,6 +487,21 @@ class TestCsrPattern:
         got = self.check(shuffled, r=4, seed=9)
         assert np.array_equal(got, self.check(obs, r=4, seed=9))
 
+    def test_entries_in_csr_order_need_no_gather(self):
+        obs = datakit.gen_synthetic_ratings(305, 203, 4, 0.1, seed=7)
+        train, _ = datakit.train_test_split(obs, 0.8, seed=3)
+        for observed in (obs, train):
+            p = McProblem(observed=observed, r=4, lam=0.1, theta=5.0)
+            assert p._passes.perm is None
+            Z = np.random.default_rng(9).standard_normal(
+                (observed.rows + observed.cols, 4))
+            res = p._passes.residuals(Z)
+            before = res.copy()
+            assert np.array_equal(matcomp._smooth_grad_packed(p, Z),
+                                  per_call_csr_grad(observed, Z))
+            assert p._passes.residuals.value is res
+            assert np.array_equal(res, before)
+
     def test_empty_rows_and_columns(self):
         # rows 0, 2, 5 and columns 1, 3 hold no entry
         obs = datakit.ObservedMatrix(

@@ -65,6 +65,18 @@ class TestNesterovSequence:
         assert_allclose(step.nu, 2.1935270960796582, rtol=1e-12)
         assert_allclose(step.beta_init, 0.2817535288734614, rtol=1e-12)
 
+    @pytest.mark.parametrize("nu", [np.inf, np.nan, 0.5, -1.0,
+                                    np.float64(np.inf), np.float64(np.nan),
+                                    np.float32(0.5)])
+    def test_invalid_nu_rejected(self, nu):
+        with pytest.raises(ValueError, match="nu_prev"):
+            nesterov_next(nu)
+
+    def test_numpy_scalar_nu_gives_the_float_step(self):
+        step = nesterov_next(np.float64(1.618034))
+        assert step == nesterov_next(1.618034)
+        assert type(step.nu) is float and type(step.beta_init) is float
+
     def test_sequence_grows_and_momentum_approaches_one(self):
         nu = 1.0
         betas = []
