@@ -110,17 +110,20 @@ def cubic_norm_scale(a, c):
         raise ValueError("cubic_norm_scale needs a >= 0 and c >= 0")
     if a == 0.0 and c == 0.0:
         raise ValueError("cubic_norm_scale needs a + c > 0")
-    e = math.frexp(max(a, float(np.cbrt(c))))[1]
+    # 2^e from the exponents alone: cbrt(c) < 2^k exactly when c < 8^k;
+    # a zero gets -1075, below every double's exponent
+    e = max(math.frexp(a)[1] if a else -1075,
+            -(-math.frexp(c)[1] // 3) if c else -1075)
     a, c = math.ldexp(a, -e), math.ldexp(c, -3 * e)
     disc = c * c + (4.0 / 27.0) * c * a**3
-    t1 = np.cbrt((c + np.sqrt(disc)) / 2.0 + a**3 / 27.0)
+    t1 = float(np.cbrt((c + math.sqrt(disc)) / 2.0 + a**3 / 27.0))
     rho = a / 3.0 + t1 + (a * a / 9.0) / t1
     # one Newton step on t^3 - a t^2 - c sharpens the last bits
     h = rho * rho * (rho - a) - c
     dh = rho * (3.0 * rho - 2.0 * a)
     if dh > 0:
         rho -= h / dh
-    return math.ldexp(float(rho), e)
+    return math.ldexp(rho, e)
 
 
 @dataclass(frozen=True)
@@ -163,11 +166,23 @@ class BlockKernel:
         """The x with ``grad phi(x) = G``: ``G / rho``, where
         ``rho = c1 ||x||^2 + c2`` solves ``rho^2 (rho - c2) = c1 ||G||^2``.
 
-        Raises FloatingPointError if c1 ||G||^2 is not finite."""
-        c = self.c1 * float(np.vdot(G, G))
-        if not math.isfinite(c):
-            raise FloatingPointError(f"c1 * ||G||^2 is not finite: {c}")
-        return G / cubic_norm_scale(self.c2, c)
+        Where c1 ||G||^2 would overflow, rho is found from G 2^-k, with
+        2^k just above max |G_ij|: rho(c2, c) = 2^e rho(c2 2^-e, c 2^-3e)
+        and c 2^-3e = c1 ||G 2^-k||^2 2^(2k - 3e), with e = ceil(2k / 3).
+        Raises FloatingPointError if G has a non-finite entry."""
+        s = float(np.vdot(G, G))
+        if not math.isfinite(s) and not np.isfinite(G).all():
+            raise FloatingPointError("G has a non-finite entry")
+        c = self.c1 * s if self.c1 else 0.0
+        if math.isfinite(c):
+            return G / cubic_norm_scale(self.c2, c)
+        k = math.frexp(float(np.abs(G).max()))[1]
+        Gk = np.ldexp(G, -k)
+        e = -(-2 * k // 3)
+        rho = cubic_norm_scale(
+            math.ldexp(self.c2, -e),
+            math.ldexp(self.c1 * float(np.vdot(Gk, Gk)), 2 * k - 3 * e))
+        return G / math.ldexp(rho, e)
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,12 @@ class ObservedMatrix:
                 raise ValueError("row index out of range")
             if ci.min() < 0 or ci.max() >= self.cols:
                 raise ValueError("column index out of range")
-            lin = np.sort(ri * self.cols + ci)
-            if np.any(lin[1:] == lin[:-1]):
-                raise ValueError("duplicate observed entries")
+            # strictly increasing positions are distinct; sort only others
+            lin = ri * self.cols + ci
+            if not (lin[1:] > lin[:-1]).all():
+                lin.sort()
+                if (lin[1:] == lin[:-1]).any():
+                    raise ValueError("duplicate observed entries")
         if not np.all(np.isfinite(vals)):
             raise ValueError("observed values contain non-finite entries")
         object.__setattr__(self, "row_idx", ri)
@@ -127,14 +130,16 @@ def gen_synthetic_ratings(m, n, r, obs_fraction, seed=0):
     if not 0 < obs_fraction <= 1:
         raise ValueError("obs_fraction must lie in (0, 1]")
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    L, R = rng.standard_normal((m, r)), rng.standard_normal((r, n))
     count = int(round(obs_fraction * m * n))
     count = max(count, 1)
     lin = rng.choice(m * n, size=count, replace=False)
     lin.sort()
     ri, ci = np.divmod(lin, n)
+    # the product after the draw, so its m x n array and the draw's
+    # m * n positions are never alive together
     return ObservedMatrix(rows=m, cols=n, row_idx=ri, col_idx=ci,
-                          values=A[ri, ci])
+                          values=np.take(L @ R, lin))
 
 
 def train_test_split(observed, fraction, seed=0):

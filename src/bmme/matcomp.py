@@ -20,11 +20,18 @@ Internally the factor pair is packed into a single (m + n) x r array
 matrix.
 
 Every smooth evaluation and gradient rests on one residual pass over the
-observed entries: gather the rows of U and V^T for each entry, take their
-row-wise products and subtract A. Each :class:`McProblem` lazily builds a
-small helper, used by the packed evaluations (``f_eval``, ``grad``,
-``partial_grad``, :func:`mc_objective_packed`), that holds two things:
+observed entries: one gather of V^T's rows, one sparse mat-vec over U's
+entries, and a subtraction of A. The gathered rows, their columns in
+even-k-then-odd-k order, are the data of a (2 n_obs) x (m r) CSR matrix
+whose fixed pattern indexes ``U.ravel()``: row 2e holds entry e's even-k
+products and row 2e + 1 its odd-k ones, so the mat-vec returns both partial
+sums, each summed left to right, and the prediction is their sum. That is
+the order numpy 2.4's ``einsum("ij,ij->i")`` uses at r <= 7 on x86_64; at
+larger r the two differ by rounding. Each :class:`McProblem` lazily builds
+a helper, used by the packed evaluations (``f_eval``, ``grad``,
+``partial_grad``, :func:`mc_objective_packed`), that holds three things:
 
+- the residual pass's CSR pattern, built once;
 - the CSR pattern of the observed entries, built once. A gradient fills it
   with the residuals instead of converting COO to CSR on each call. They
   are permuted into CSR order only when the entries do not already come in
@@ -91,7 +98,7 @@ class McProblem:
 
     @cached_property
     def _passes(self):
-        return _ResidualPasses(self.observed)
+        return _ResidualPasses(self.observed, self.r)
 
 
 @dataclass(frozen=True)
@@ -118,20 +125,38 @@ def unpack_state(Z, m):
     return McState(U=Z[:m], V=Z[m:].T)
 
 
-def _residuals(observed, U, Vt):
+def _pass_pattern(observed, r):
+    """Column order, CSR indices and indptr of the residual pass at rank r."""
+    n = observed.n_obs
+    order = np.r_[0:r:2, 1:r:2]
+    ends = np.arange(n + 1) * r
+    indptr = np.empty(2 * n + 1, dtype=np.int64)
+    indptr[0::2] = ends
+    indptr[1::2] = ends[:-1] + (r + 1) // 2
+    indices = (observed.row_idx[:, None] * r + order).ravel()
+    # scipy picks the index dtype here, once, so no pass re-checks it
+    A = csr_matrix((np.empty(indices.size), indices, indptr),
+                   shape=(2 * n, observed.rows * r))
+    return order, A.indices, A.indptr
+
+
+def _residuals(observed, U, Vt, pattern=None):
     # predicted minus observed, on observed positions only; U is m x r and
-    # Vt is n x r, so both gathers take whole rows
-    if observed.n_obs == 0:
-        return np.zeros(0)
-    pred = np.einsum("ij,ij->i", np.take(U, observed.row_idx, axis=0),
-                     np.take(Vt, observed.col_idx, axis=0))
-    return pred - observed.values
+    # Vt is n x r. Rows 2e and 2e + 1 of the mat-vec are entry e's even-k
+    # and odd-k sums (module docstring).
+    order, indices, indptr = pattern or _pass_pattern(observed, U.shape[1])
+    data = np.take(Vt[:, order], observed.col_idx, axis=0)
+    y = csr_matrix((data.ravel(), indices, indptr),
+                   shape=(indptr.size - 1, U.size)) @ U.ravel()
+    res = y[0::2] + y[1::2]
+    res -= observed.values
+    return res
 
 
 class _ResidualPasses:
-    """CSR pattern of the observed entries and the last packed residuals."""
+    """CSR patterns of the observed entries and the last packed residuals."""
 
-    def __init__(self, observed):
+    def __init__(self, observed, r):
         # convert the entry numbers 1..n_obs once: the data then say which
         # entry lands in each CSR slot, whatever order the entries come in
         pattern = csr_matrix((np.arange(1, observed.n_obs + 1),
@@ -142,9 +167,9 @@ class _ResidualPasses:
         self.perm = None if (perm == np.arange(perm.size)).all() else perm
         self.indices, self.indptr = pattern.indices, pattern.indptr
         # residuals at packed Z: one fresh pass unless Z equals the last Z
-        m = observed.rows
+        m, pass_pattern = observed.rows, _pass_pattern(observed, r)
         self.residuals = ValueMemo(
-            lambda Z: _residuals(observed, Z[:m], Z[m:]))
+            lambda Z: _residuals(observed, Z[:m], Z[m:], pass_pattern))
 
 
 def _penalty(lam, theta, M):

@@ -212,14 +212,24 @@ class TestNormPolynomialKernel:
         kern = BlockKernel(np.float64(6.0), np.float32(2.0))
         assert (kern.c1, kern.c2) == (6.0, 2.0)
 
-    @pytest.mark.parametrize("c1, G", [
-        (3.0, np.full((2, 2), 1e160)),  # ||G||^2 = 4e320 overflows
-        (0.0, np.full((2, 2), 1e160)),
-        (3.0, np.array([[1.0, np.nan]]))])
-    def test_grad_inverse_non_finite_product_raises(self, c1, G):
-        # the root of a non-finite c1 ||G||^2 would be NaN
-        with pytest.raises(FloatingPointError, match=r"c1 \* \|\|G\|\|\^2"):
+    @pytest.mark.parametrize("c1", [0.0, 3.0])
+    @pytest.mark.parametrize("G", [np.array([[1.0, np.nan]]),
+                                   np.array([[np.inf, 1.0]]),
+                                   np.array([[1e300, -np.inf]])])
+    def test_grad_inverse_non_finite_G_raises(self, c1, G):
+        with pytest.raises(FloatingPointError, match="non-finite entry"):
             BlockKernel(c1, 1.0).grad_inverse(G)
+
+    @pytest.mark.parametrize("c1", [0.0, 3.0])
+    def test_grad_inverse_where_norm_squared_overflows(self, c1):
+        # ||G||^2 = 4e320 overflows; the root and x are representable
+        G = np.full((2, 2), 1e160)
+        x = BlockKernel(c1, 1.0).grad_inverse(G)
+        # rho^2 (rho - c2) = c1 ||G||^2 is homogeneous: with G 2^-600 and
+        # c2 2^-400, rho becomes rho 2^-400 and x becomes x 2^-200
+        small = BlockKernel(c1, 2.0**-400).grad_inverse(np.ldexp(G, -600))
+        assert np.all(np.isfinite(x))
+        assert_allclose(np.ldexp(x, -200), small, rtol=1e-15)
 
 
 def closed_form_cubic_root(a, c):

@@ -238,6 +238,12 @@ class TestObservedMatrix:
             ObservedMatrix(3, 4, np.array([2, 0, 1, 2]), np.array([1, 3, 0, 1]),
                            np.array([1.0, 2.0, 3.0, 4.0]))
 
+    def test_duplicate_in_sorted_entries_rejected(self):
+        # positions 3, 4, 4, 9: in order, but not strictly increasing
+        with pytest.raises(ValueError, match="duplicate observed entries"):
+            ObservedMatrix(3, 4, np.array([0, 1, 1, 2]), np.array([3, 0, 0, 1]),
+                           np.array([1.0, 2.0, 3.0, 4.0]))
+
     def test_unsorted_distinct_entries_accepted(self):
         obs = ObservedMatrix(3, 4, np.array([2, 0, 1, 0]),
                              np.array([1, 3, 0, 1]),

@@ -9,6 +9,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.sparse import csr_matrix
 
@@ -466,6 +468,62 @@ class TestResidualMemo:
         passes = fresh_passes[0]
         assert passes <= calls["grad"] + calls["subproblem"] + 1
         assert 2 * passes < calls["f_eval"] + calls["grad"] + calls["objective"]
+
+
+# zero, or a magnitude from 1e-100 to 1e100 of either sign: no product or
+# sum of up to 8 products underflows or overflows
+moderate = st.one_of(st.just(0.0), st.builds(
+    lambda sign, m, k: sign * m * 10.0 ** k, st.sampled_from([-1.0, 1.0]),
+    st.floats(1.0, 10.0), st.integers(-100, 100)))
+
+
+@st.composite
+def residual_pass_cases(draw):
+    """Observed entries in drawn order (sorted or not), factors, values."""
+    m, n, r = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(
+        st.integers(1, 8))
+    lin = np.array(draw(st.lists(st.integers(0, m * n - 1), unique=True,
+                                 max_size=m * n)), dtype=np.int64)
+    if draw(st.booleans()):
+        lin.sort()
+    floats = st.lists(moderate, min_size=(m + n) * r + lin.size,
+                      max_size=(m + n) * r + lin.size)
+    draws = np.array(draw(floats))
+    U = draws[:m * r].reshape(m, r)
+    V = draws[m * r:(m + n) * r].reshape(r, n)
+    ri, ci = np.divmod(lin, n)
+    obs = datakit.ObservedMatrix(m, n, ri, ci, draws[(m + n) * r:])
+    return obs, U, V
+
+
+class TestResidualPass:
+    @settings(max_examples=200, deadline=None)
+    @given(case=residual_pass_cases())
+    def test_matches_dense_product_within_rounding(self, case):
+        # the standard bound for a sum of r products and one value, doubled
+        obs, U, V = case
+        got = matcomp._residuals(obs, U, V.T)
+        kept = matcomp._ResidualPasses(obs, U.shape[1]).residuals(
+            np.vstack([U, V.T]))
+        assert np.array_equal(kept, got)
+        ri, ci = obs.row_idx, obs.col_idx
+        want = (U @ V)[ri, ci] - obs.values
+        size = (np.abs(U[ri]) * np.abs(V.T[ci])).sum(axis=1) + np.abs(
+            obs.values)
+        assert got.shape == (obs.n_obs,)
+        assert np.all(np.abs(got - want) <= 4 * U.shape[1] * 2.0**-53 * size)
+
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_sums_in_the_order_of_einsum(self, r):
+        # even-k and odd-k products, each summed left to right, then added:
+        # numpy's einsum("ij,ij->i") order at r <= 7, which the golden runs
+        # were recorded with
+        obs = datakit.gen_synthetic_ratings(60, 50, 4, 0.3, seed=r)
+        rng = np.random.default_rng(r)
+        U, Vt = rng.standard_normal((60, r)), rng.standard_normal((50, r))
+        pred = np.einsum("ij,ij->i", U[obs.row_idx], Vt[obs.col_idx])
+        assert np.array_equal(matcomp._residuals(obs, U, Vt),
+                              pred - obs.values)
 
 
 class TestCsrPattern:
