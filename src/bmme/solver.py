@@ -23,11 +23,11 @@ of the descent inequality that :func:`run` verifies. The verifier computes
 each block's D_k(x_i^k, x_i^{k+1}) once and carries it in
 :class:`SolverState` for the next step's test and verifier. Without
 verification the test computes it, and only when it tries a candidate.
-The left-hand side D_k(x_i, xbar_i) is a quartic in beta. A fixed-constant
-block decides each candidate from three scalars computed once per update,
-and forms an array divergence only for a candidate within rounding of the
-bound. A backtracked block forms it for every candidate, because its line
-search reads the accepted value.
+The left-hand side D_k(x_i, xbar_i) is a quartic in beta. Every block
+decides each candidate from three scalars computed once per search, and
+forms an array divergence only for a candidate within rounding of the
+bound. A backtracked block's line search forms D_k(x_i, xbar_i) once, for
+the xbar it accepted.
 """
 
 import math
@@ -106,7 +106,6 @@ class ExtrapolationResult(NamedTuple):
     beta: float
     x_bar: np.ndarray
     shrinks: int
-    d_bar: Optional[float]
     d_prev: Optional[float]
 
 
@@ -137,8 +136,7 @@ def _screen(kernel, beta, terms, rhs):
 
 def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
                          x_curr, x_prev, beta_init, delta, eta,
-                         max_shrinks=MAX_SHRINKS, d_prev=None,
-                         need_d_bar=True):
+                         max_shrinks=MAX_SHRINKS, d_prev=None):
     """Find the largest admissible extrapolation weight by geometric shrinking.
 
     Tries ``beta = beta_init * eta**j`` for j = 0, 1, ... and accepts the first
@@ -152,17 +150,14 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
     (it must equal ``D_prev(x_prev, x)``) and otherwise from one divergence
     call, so beta_init = 0 or a spent budget costs no divergence.
 
-    With ``need_d_bar`` (the default, and what a backtracked block's line
-    search needs) each candidate is tested by forming xbar and calling
-    :func:`bregman.bregman_divergence`. Without it, each candidate is
-    first screened from scalars. With d = x - x_prev,
+    Each candidate is first screened from scalars. With d = x - x_prev,
     D(x, x + beta d) is the quartic in beta of :mod:`bmme.bregman`, built
     from ||d||^2, <x, d> and ||x||^2 (only ||d||^2 when c1 = 0), which are
     computed once per search. The screen decides when the quartic clears
     the right-hand side by more than a rounding margin. Only a candidate
-    inside the margin falls back to the array formula, so every decision,
-    and with it beta, shrinks and xbar, equals the array formula's. xbar is
-    formed only for the beta returned.
+    inside the margin falls back to the array formula (xbar and
+    :func:`bregman.bregman_divergence`), so every decision, and with it
+    beta, shrinks and xbar, equals the array formula's.
 
     The margin. Let u be the unit roundoff, a = ||x||, b = |beta| ||d||,
     rho = a / b and n = x.size. The array formula's xbar = fl(x + beta d)
@@ -180,10 +175,8 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
     Returns
     -------
     ExtrapolationResult with fields beta, x_bar, shrinks (the number of
-    rejected candidates), d_bar = D_kernel(x, xbar) (None without
-    ``need_d_bar`` when the screen accepted xbar without forming it), and
-    d_prev, the right-hand side's divergence (None if it was neither given
-    nor needed).
+    rejected candidates) and d_prev, the right-hand side's divergence (None
+    if it was neither given nor needed).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -196,23 +189,18 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
             d_prev = bregman_divergence(prev_kernel, x_prev, x_curr)
         rhs = delta * prev_constants.L / (constants.L + constants.l) * d_prev
         diff = x_curr - x_prev
-        if not need_d_bar:
-            terms = (float(np.vdot(diff, diff)),
-                     float(np.vdot(x_curr, diff)) if kernel.c1 else None,
-                     float(np.vdot(x_curr, x_curr)), x_curr.size)
+        terms = (float(np.vdot(diff, diff)),
+                 float(np.vdot(x_curr, diff)) if kernel.c1 else None,
+                 float(np.vdot(x_curr, x_curr)), x_curr.size)
     while beta != 0.0 and shrinks < max_shrinks:
-        ok = None if need_d_bar else _screen(kernel, beta, terms, rhs)
-        if ok is None:
+        ok = _screen(kernel, beta, terms, rhs)
+        if ok is not False:
             x_bar = x_curr + beta * diff
-            d_bar = bregman_divergence(kernel, x_curr, x_bar)
-            ok = d_bar <= rhs
-        elif ok:
-            x_bar, d_bar = x_curr + beta * diff, None
-        if ok:
-            return ExtrapolationResult(beta, x_bar, shrinks, d_bar, d_prev)
+            if ok or bregman_divergence(kernel, x_curr, x_bar) <= rhs:
+                return ExtrapolationResult(beta, x_bar, shrinks, d_prev)
         beta *= eta
         shrinks += 1
-    return ExtrapolationResult(0.0, x_curr, shrinks, 0.0, d_prev)
+    return ExtrapolationResult(0.0, x_curr, shrinks, d_prev)
 
 
 @dataclass(frozen=True)
@@ -257,11 +245,20 @@ class BlockProblem:
     smooth_eval: Optional[Callable] = None
 
 
+def _unit_setting(v):
+    """A float, or a 1-D sequence as a tuple of floats, if all in (0, 1)."""
+    seq = type(v) in (list, tuple) or getattr(v, "ndim", 0) == 1
+    vals = tuple(v) if seq else (v,)
+    if all(isinstance(x, numbers.Real) and 0.0 < x < 1.0 for x in vals):
+        return tuple(map(float, vals)) if seq else float(v)
+    return None
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by all solver variants, checked when built.
 
-    delta/eta may be scalars or per-block sequences with entries in (0, 1).
+    delta/eta are stored as a float or a tuple of per-block floats in (0, 1).
     ``keep_certificates`` only matters for blocks with backtracked constants.
     """
 
@@ -274,12 +271,12 @@ class SolverConfig:
     keep_certificates: bool = False
 
     def __post_init__(self):
-        unit = [all(0.0 < x < 1.0 for x in np.ravel(np.asarray(v, float)))
-                for v in (self.delta, self.eta)]
+        unit = [_unit_setting(self.delta), _unit_setting(self.eta)]
+        unit_want = "a real in (0, 1) or a 1-D sequence of them"
         n, tol, budget = self.max_iters, self.tol_rel_change, self.time_budget
         for name, ok, want in (
-                ("delta", unit[0], "entries in (0, 1)"),
-                ("eta", unit[1], "entries in (0, 1)"),
+                ("delta", unit[0] is not None, unit_want),
+                ("eta", unit[1] is not None, unit_want),
                 ("max_iters", isinstance(n, numbers.Integral) and n >= 0,
                  "an integer >= 0"),
                 ("tol_rel_change", tol >= 0.0, ">= 0"),
@@ -287,10 +284,12 @@ class SolverConfig:
             if not ok:
                 raise ValueError(
                     f"{name} must be {want}, got {getattr(self, name)!r}")
+        for name, value in zip(("delta", "eta"), unit):  # stored normalized
+            object.__setattr__(self, name, value)
 
     def per_block(self, which, m):
         v = getattr(self, which)
-        out = (float(v),) * m if np.isscalar(v) else tuple(float(x) for x in v)
+        out = (v,) * m if isinstance(v, float) else v
         if len(out) != m:
             raise ValueError(f"{which} has {len(out)} entries for {m} blocks")
         return out
@@ -409,9 +408,9 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
     ``f(x_new) - f(xbar) - <grad f(xbar), x_new - xbar> <= L * D(x_new, xbar)``
     (f is ``p.smooth_eval``). If either constant grew, the search runs again
     from the accepted beta against the grown pair. Constants never shrink,
-    beta only shrinks and beta = 0 always passes, so the loop ends. Only a
-    fixed block lets the search screen its candidates from scalars, since
-    it never reads D(x, xbar). Returns (x_bar, beta, shrinks, (L, l), x_new).
+    beta only shrinks and beta = 0 always passes, so the loop ends. The lower
+    search is the only reader of D(x, xbar); it forms it once per accepted
+    xbar. Returns (x_bar, beta, shrinks, (L, l), x_new).
     """
     x, x_prev = state.current[i], state.previous[i]
     fixed = p.constants_for is not None
@@ -419,10 +418,9 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
     fx = None if fixed else float(p.smooth_eval(blocks))
     shrinks, solved_beta, d_prev = 0, None, state.prev_divergences[i]
     while True:
-        beta, x_bar, s, d_bar, d_prev = search_extrapolation(
+        beta, x_bar, s, d_prev = search_extrapolation(
             kernel, cons, state.prev_kernels[i], state.prev_constants[i],
-            x, x_prev, beta, delta, eta, MAX_SHRINKS - shrinks, d_prev,
-            need_d_bar=not fixed)
+            x, x_prev, beta, delta, eta, MAX_SHRINKS - shrinks, d_prev)
         shrinks += s
         if beta == solved_beta:  # the last solve already used this x_bar
             break
@@ -432,6 +430,7 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
             x_new = _finite(i, p.solve_subproblem(blocks, x_bar, g_bar,
                                                   cons.L, kernel))
             break
+        d_bar = bregman_divergence(kernel, x, x_bar) if beta else 0.0
         f_bar = float(p.smooth_eval(point))
         g_bar = p.partial_grad(point)
         gap = fx - f_bar - float(np.vdot(g_bar, x - x_bar))

@@ -11,22 +11,18 @@ strings (empty means the suite passed); the command-line ``verify``
 subcommand exposes them by name.
 """
 
-import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
 from . import datakit, matcomp, onmf
-from .bregman import (
-    RelSmoothConstants,
-    check_gradient,
-    check_relative_smoothness,
-    check_surrogate,
-)
+from .bregman import check_gradient, check_relative_smoothness, check_surrogate
 from .solver import DescentViolation, SolverConfig, _at, run
 
 __all__ = [
     "bisect_root",
+    "bisect_cubic_root",
     "prox_gradient",
     "brute_force_accuracy",
     "suite_relsmooth",
@@ -58,6 +54,26 @@ def bisect_root(h, lo, hi, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def bisect_cubic_root(a, c):
+    """Root of t^2 (t - a) = c by float bisection with exact sign tests.
+
+    The root lies in [max(a, cbrt c), a + cbrt c], inside (0, 2 (a + cbrt c)).
+    Each sign is decided in rational arithmetic, so at any scale, and with
+    a or c zero, the result is the least float at or above the root.
+    """
+    A, C = Fraction(a), Fraction(c)
+    lo, hi = 0.0, 2.0 * (a + float(np.cbrt(c)))
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return hi
+        T = Fraction(mid)
+        if T * T * (T - A) - C < 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _polish_fixed_step(grad, step_to, map_to, x, t, tol, max_iters):
@@ -263,22 +279,12 @@ def suite_relsmooth(n_samples=1000, seed=0, tol=1e-9):
     return bad
 
 
-def suite_descent(seed=1, iters=100, l1_scale=1.0, size=(60, 60, 3), lam=100.0):
-    """Run extrapolated sweeps with the certified-descent assertion armed.
-
-    ``l1_scale`` deliberately corrupts the U block constant so tests can
-    confirm the verifier actually trips on a wrong majorizer.
-    """
+def suite_descent(seed=1, iters=100, size=(60, 60, 3), lam=100.0):
+    """Run extrapolated sweeps with the certified-descent assertion armed."""
     m, n, r = size
     data = datakit.gen_synthetic_onmf(m, n, r, noise=0.05, seed=seed)
     p = onmf.OnmfProblem(X=data.X, r=r, lam=lam)
     problems = onmf.onmf_block_problems(p)
-    if l1_scale != 1.0:
-        def scaled(blocks):
-            c = onmf.onmf_constants_U(blocks[1])
-            return RelSmoothConstants(L=l1_scale * c.L, l=c.l)
-
-        problems[0] = dataclasses.replace(problems[0], constants_for=scaled)
     U0, V0 = onmf.spa_init(data.X, r)
     config = SolverConfig(max_iters=iters, verify_descent=True,
                           tol_rel_change=0.0)
@@ -343,7 +349,11 @@ def suite_oracles(n_instances=10, seed=0, tol=1e-6):
 
 
 def suite_cubic(n_draws=10_000, seed=0, n_bisect=200):
-    """Residual identities for both cubic solvers plus bisection cross-checks."""
+    """Residual identities for both cubic solvers plus bisection cross-checks.
+
+    ``n_bisect`` draws also check ``cubic_norm_scale`` within 2 ulps of
+    :func:`bisect_cubic_root` for a, c from 1e-300 to 1e300, zeros included.
+    """
     rng = np.random.default_rng(seed)
     bad = []
     # Residual draws keep a <= 1e2: evaluating rho^2 (rho - a) - c in float64
@@ -380,6 +390,18 @@ def suite_cubic(n_draws=10_000, seed=0, n_bisect=200):
         ref = bisect_root(lambda t: 3.0 * s * t**3 + c2 * t - 1.0, 0.0, 1.0 / c2)
         if abs(matcomp.cubic_step_scale(3.0, c2, s) - ref) > 1e-9 * (1.0 + ref):
             bad.append(f"step-scale cubic disagrees with bisection at ({c2}, {s})")
+
+    def wide():  # log-uniform from 1e-300 to 1e300, or exactly zero
+        return 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-300, 300)
+
+    for _ in range(n_bisect):
+        a, c = wide(), wide()
+        if a or c:
+            ref = bisect_cubic_root(a, c)
+            ulps = abs(onmf.cubic_norm_scale(a, c) - ref) / np.spacing(ref)
+            if ulps > 2.0:
+                bad.append(f"norm-scale cubic off by {ulps:.0f} ulps at "
+                           f"({a!r}, {c!r})")
     return bad
 
 

@@ -20,6 +20,7 @@ from bmme.bregman import (
     cubic_norm_scale,
     quadratic_kernel,
 )
+from bmme.verify import bisect_cubic_root
 
 
 class TestQuadraticKernel:
@@ -242,24 +243,6 @@ def closed_form_cubic_root(a, c):
     if dh > 0:
         rho -= h / dh
     return float(rho)
-
-
-def bisect_cubic_root(a, c):
-    """Root of t^2 (t - a) = c by float bisection with exact sign tests.
-
-    The root lies in [max(a, cbrt c), a + cbrt c], inside (0, 2 (a + cbrt c)).
-    """
-    A, C = Fraction(a), Fraction(c)
-    lo, hi = 0.0, 2.0 * (a + float(np.cbrt(c)))
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        if not lo < mid < hi:
-            return hi
-        T = Fraction(mid)
-        if T * T * (T - A) - C < 0:
-            lo = mid
-        else:
-            hi = mid
 
 
 # magnitudes from 1e-300 to 1e300, or exactly zero

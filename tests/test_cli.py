@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bmme import cli, datakit, matcomp, verify
+from bmme import cli, datakit, matcomp, onmf, verify
+from bmme.bregman import RelSmoothConstants
 from bmme.solver import SolverConfig, run_backtracking
 from bmme.svgplot import render_loglog_svg
 
@@ -406,11 +407,15 @@ class TestVerifyCommand:
         assert verify.suite_accuracy(n_cases=10, seed=0) == []
         assert verify.suite_oracles(n_instances=2, seed=0) == []
 
-    def test_descent_fault_injection_is_detected(self, capsys):
+    def test_descent_fault_injection_is_detected(self, monkeypatch):
         # halving the certified curvature of the first block must produce a
         # violation — this guards the verifier against vacuous passes
-        bad = verify.suite_descent(seed=1, iters=20, l1_scale=0.5,
-                                   size=(30, 30, 2), lam=50.0)
+        real = onmf.onmf_constants_U
+        monkeypatch.setattr(onmf, "onmf_constants_U",
+                            lambda V: RelSmoothConstants(L=0.5 * real(V).L,
+                                                         l=real(V).l))
+        bad = verify.suite_descent(seed=1, iters=20, size=(30, 30, 2),
+                                   lam=50.0)
         assert len(bad) > 0
         assert "exceeds certified bound" in bad[0]
 

@@ -130,21 +130,26 @@ class TestSearchExtrapolation:
     def test_shrinks_count_the_rejected_candidates(self, monkeypatch,
                                                    max_shrinks, tried):
         # every candidate fails; once a candidate is tried, one divergence
-        # call is the right-hand side and each further one tests a
-        # candidate, and a spent budget makes no call at all
+        # call is the right-hand side, the array formula (the screen forced
+        # undecided) makes one more per candidate and the screen rejects
+        # these clear failures without one; a spent budget makes no call
         calls = []
         real = solver.bregman_divergence
         monkeypatch.setattr(solver, "bregman_divergence",
                             lambda *a: calls.append(a) or real(*a))
         kern = quadratic_kernel()
-        res = search_extrapolation(kern, RelSmoothConstants(L=1e8, l=0.0),
-                                   kern, RelSmoothConstants(L=1.0, l=0.0),
-                                   np.array([1.0]), np.array([0.0]),
-                                   beta_init=0.9, delta=0.5, eta=0.9,
-                                   max_shrinks=max_shrinks)
-        assert len(calls) == (tried + 1 if tried else 0)
-        assert (res.beta, res.shrinks, res.d_bar) == (0.0, tried, 0.0)
-        assert_allclose(res.x_bar, [1.0])
+        for per_candidate in (0, 1):
+            if per_candidate:
+                monkeypatch.setattr(solver, "_screen", lambda *a: None)
+            calls.clear()
+            res = search_extrapolation(
+                kern, RelSmoothConstants(L=1e8, l=0.0), kern,
+                RelSmoothConstants(L=1.0, l=0.0), np.array([1.0]),
+                np.array([0.0]), beta_init=0.9, delta=0.5, eta=0.9,
+                max_shrinks=max_shrinks)
+            assert len(calls) == (1 + per_candidate * tried if tried else 0)
+            assert (res.beta, res.shrinks) == (0.0, tried)
+            assert_allclose(res.x_bar, [1.0])
 
     def test_zero_beta_computes_no_divergence(self, monkeypatch):
         monkeypatch.setattr(solver, "bregman_divergence", None)
@@ -153,8 +158,7 @@ class TestSearchExtrapolation:
         res = search_extrapolation(kern, cons, kern, cons, np.array([1.0]),
                                    np.array([0.0]), beta_init=0.0,
                                    delta=0.5, eta=0.9)
-        assert (res.beta, res.shrinks, res.d_bar, res.d_prev) == (
-            0.0, 0, 0.0, None)
+        assert (res.beta, res.shrinks, res.d_prev) == (0.0, 0, None)
 
     @pytest.mark.parametrize("beta_init", [0.9, 0.5])
     def test_given_d_prev_replaces_the_right_hand_side_call(self, monkeypatch,
@@ -169,8 +173,10 @@ class TestSearchExtrapolation:
         real = solver.bregman_divergence
         monkeypatch.setattr(solver, "bregman_divergence",
                             lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(solver, "_screen", lambda *a: None)
         given = search_extrapolation(*args, d_prev=computed.d_prev)
-        # only the candidates are tested; the result is bit-identical
+        # the array formula tests only the candidates; the result is
+        # bit-identical
         assert len(calls) == given.shrinks + 1
         assert given._replace(x_bar=None) == computed._replace(x_bar=None)
         assert np.array_equal(given.x_bar, computed.x_bar)
@@ -203,7 +209,11 @@ def screen_cases(draw):
 
 
 class TestExtrapolationScreen:
-    """A fixed block screens its candidates from scalars (``_screen``)."""
+    """Every block screens its candidates from scalars (``_screen``).
+
+    The reference is the array formula: the search with ``_screen`` forced
+    undecided, which forms xbar and a divergence for every candidate.
+    """
 
     @settings(max_examples=400, deadline=None)
     @given(case=screen_cases())
@@ -220,8 +230,9 @@ class TestExtrapolationScreen:
         with mock.patch.object(
                 solver, "_screen",
                 lambda *a: decisions.append(real(*a)) or decisions[-1]):
-            screened = search_extrapolation(*args, need_d_bar=False)
-        exact = search_extrapolation(*args)
+            screened = search_extrapolation(*args)
+        with mock.patch.object(solver, "_screen", lambda *a: None):
+            exact = search_extrapolation(*args)
         assert exact.beta == (beta if d_bar <= rhs else 0.0)
         assert (screened.beta, screened.shrinks) == (exact.beta, exact.shrinks)
         assert np.array_equal(screened.x_bar, exact.x_bar)
@@ -241,22 +252,23 @@ class TestExtrapolationScreen:
         # beta = 0.9^2 * 0.8 passes with D = 1.08e5
         d_prev = 2.4e5
         res = search_extrapolation(kern, cons, kern, cons, x, x_prev, 0.8,
-                                   0.5, 0.9, d_prev=d_prev, need_d_bar=False)
+                                   0.5, 0.9, d_prev=d_prev)
         monkeypatch.undo()
+        monkeypatch.setattr(solver, "_screen", lambda *a: None)
         exact = search_extrapolation(kern, cons, kern, cons, x, x_prev, 0.8,
                                      0.5, 0.9, d_prev=d_prev)
         assert res.shrinks == exact.shrinks == 2
         assert res.beta == exact.beta == 0.8 * 0.9 * 0.9
         assert np.array_equal(res.x_bar, exact.x_bar)
-        assert res.d_bar is None and exact.d_bar <= 0.5 * d_prev
+        assert bregman_divergence(kern, x, res.x_bar) <= 0.5 * d_prev
 
-    @pytest.mark.parametrize("instance, calls", [("completion", 356),
-                                                 ("onmf-bt", 705)])
-    def test_backtracked_search_makes_the_array_calls(self, monkeypatch,
-                                                      instance, calls):
-        # counts of the array-only search, which also tests each rejected
-        # candidate; a backtracked block never screens
-        monkeypatch.setattr(solver, "_screen", None)
+    @pytest.mark.parametrize("instance, calls", [("completion", 94),
+                                                 ("onmf-bt", 192)])
+    def test_backtracked_run_equals_the_array_formula_run(
+            self, monkeypatch, instance, calls):
+        # a backtracked block screens too: the same records and iterates as
+        # with the screen forced undecided, with fewer divergence calls, as
+        # its rejected candidates form no xbar and no divergence
         counted = []
         real = solver.bregman_divergence
         monkeypatch.setattr(solver, "bregman_divergence",
@@ -264,11 +276,22 @@ class TestExtrapolationScreen:
         problems, init, objective = (
             completion_instance() if instance == "completion"
             else onmf_instance(backtracked=True))
-        res = run(problems, init, SolverConfig(max_iters=30, delta=0.1,
-                                               tol_rel_change=0.0), objective)
-        assert sum(s for r in res.trace.records
+        cfg = SolverConfig(max_iters=30, delta=0.1, tol_rel_change=0.0)
+        runs, counts = [], []
+        for screen in (solver._screen, lambda *a: None):
+            monkeypatch.setattr(solver, "_screen", screen)
+            counted.clear()
+            runs.append(run(problems, init, cfg, objective))
+            counts.append(len(counted))
+        screened, arrays = runs
+        assert sum(s for r in screened.trace.records
                    for s in r.per_block_shrinks) > 200
-        assert len(counted) == calls
+        untimed = [[dataclasses.replace(r, elapsed_seconds=0.0)
+                    for r in res.trace.records] for res in runs]
+        assert untimed[0] == untimed[1]
+        for a, b in zip(screened.final, arrays.final):
+            assert np.array_equal(a, b)
+        assert counts[0] == calls < counts[1]
 
     def test_undecided_screen_reproduces_the_run(self, monkeypatch):
         syn = datakit.gen_synthetic_onmf(100, 100, 5, noise=0.05, seed=1)
@@ -394,8 +417,11 @@ class TestSolverConfig:
         ("max_iters", -5), ("max_iters", 2.5), ("tol_rel_change", -1.0),
         ("tol_rel_change", np.nan), ("time_budget", -1.0),
         ("time_budget", 0.0), ("time_budget", np.nan), ("delta", 1.0),
-        ("delta", [0.5, 0.0]), ("eta", 0.0), ("eta", [0.9, np.nan])])
+        ("delta", [0.5, 0.0]), ("eta", 0.0), ("eta", [0.9, np.nan]),
+        ("delta", np.array(0.5)), ("delta", [[0.5, 0.6]])])
     def test_bad_value_rejected_when_built(self, field, value):
+        # the last two passed a check on np.ravel and then made run raise
+        # a bare TypeError in per_block
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
 
@@ -403,6 +429,11 @@ class TestSolverConfig:
         SolverConfig(max_iters=0, tol_rel_change=0.0, time_budget=1e-9)
         SolverConfig(max_iters=np.int64(3), tol_rel_change=np.inf,
                      delta=[0.5, 0.9], eta=(0.1, 0.99))
+        # stored normalized, as per_block reads them
+        cfg = SolverConfig(delta=np.float32(0.5), eta=np.array([0.8, 0.9]))
+        assert (cfg.delta, cfg.eta) == (0.5, (0.8, 0.9))
+        assert type(cfg.delta) is float
+        assert cfg.per_block("delta", 2) == (0.5, 0.5)
 
     def test_per_block_length_must_match(self):
         a = np.array([1.0])
@@ -514,6 +545,37 @@ class TestBacktracking:
             slack = 1e-12 * (1.0 + abs(prob.f_eval(cert.x_new)))
             assert gap(cert.x_new, cert.x_bar) <= cert.L * d_new + slack
             assert gap(cert.x_curr, cert.x_bar) >= -cert.l * d_curr - slack
+
+    def test_lower_search_doubles_l_to_the_least_that_holds(self):
+        # f = sum(x^4)/4 - ||x||^2/2 curves downward near 0, so the lower
+        # search must grow l past its floor. Replayed with the true
+        # D(x, xbar), each step's l satisfies the lower inequality, and a
+        # step that grew l fails it at l / 2: an understated D would leave
+        # l too small, an overstated one would double it once too often
+        def f(x):
+            return 0.25 * float(np.sum(x ** 4)) - 0.5 * float(np.vdot(x, x))
+
+        def grad(x):
+            return x ** 3 - x
+
+        prob = BacktrackingProblem(
+            f_eval=f, grad=grad, kernel=quadratic_kernel(),
+            solve_subproblem=lambda x_bar, g, L, x_prev: x_bar - g / L)
+        cfg = SolverConfig(max_iters=40, tol_rel_change=0.0,
+                           keep_certificates=True)
+        res = run_backtracking(prob, np.array([2.0, -1.5, 0.05]), cfg, f)
+        l_prev, grew = solver.BT_FLOORS.l, 0
+        for cert in res.state.certificates:
+            gap = f(cert.x_curr) - f(cert.x_bar) - float(
+                np.vdot(grad(cert.x_bar), cert.x_curr - cert.x_bar))
+            d = 0.5 * float(np.vdot(cert.x_curr - cert.x_bar,
+                                    cert.x_curr - cert.x_bar))
+            assert gap >= -cert.l * d
+            if cert.l > l_prev:
+                assert gap < -0.5 * cert.l * d
+                grew += 1
+            l_prev = cert.l
+        assert grew > 0
 
     def test_zero_iterations(self):
         res = run_backtracking(self.problem(), np.array([1.0]),
