@@ -3,8 +3,8 @@
 Each outer iteration sweeps the blocks in order. For block i it
 
 1. picks a tentative extrapolation weight ``beta`` from the Nesterov sequence
-   (one per run, advanced once per sweep) and shrinks it geometrically until the Bregman distance of the extrapolated
-   point satisfies
+   (one per run, advanced once per sweep) and shrinks it geometrically
+   until the Bregman distance of the extrapolated point satisfies
 
        D_k(x_i, xbar_i) <= delta_i * L_i^{k-1} / (L_i^k + l_i^k)
                            * D_{k-1}(x_i^{k-1}, x_i^k),
@@ -19,15 +19,14 @@ zero the method reduces to plain block majorization-minimization
 (``algorithm="bmm"``).
 
 The right-hand side's D_{k-1}(x_i^{k-1}, x_i^k) is also the relaxation term
-of the descent inequality that :func:`run` verifies. The verifier computes
-each block's D_k(x_i^k, x_i^{k+1}) once and carries it in
-:class:`SolverState` for the next step's test and verifier. Without
-verification the test computes it, and only when it tries a candidate.
-The left-hand side D_k(x_i, xbar_i) is a quartic in beta. Every block
-decides each candidate from three scalars computed once per search, and
-forms an array divergence only for a candidate within rounding of the
-bound. A backtracked block's line search forms D_k(x_i, xbar_i) once, for
-the xbar it accepted.
+of the descent inequality that :func:`run` verifies. Each step computes
+block i's D_k(x_i^k, x_i^{k+1}) once, right after the block's update and
+with its kernel, and carries it in :class:`SolverState`; the next step's
+test, the verifier and the trace all read that value. The left-hand side
+D_k(x_i, xbar_i) is a quartic in beta. Every block decides each candidate
+from three scalars computed once per search, and forms an array divergence
+only for a candidate within rounding of the bound. A backtracked block's
+line search forms D_k(x_i, xbar_i) once, for the xbar it accepted.
 """
 
 import math
@@ -106,7 +105,6 @@ class ExtrapolationResult(NamedTuple):
     beta: float
     x_bar: np.ndarray
     shrinks: int
-    d_prev: Optional[float]
 
 
 def _screen(kernel, beta, terms, rhs):
@@ -134,21 +132,20 @@ def _screen(kernel, beta, terms, rhs):
     return None
 
 
-def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
-                         x_curr, x_prev, beta_init, delta, eta,
-                         max_shrinks=MAX_SHRINKS, d_prev=None):
+def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
+                         d_prev, beta_init, delta, eta,
+                         max_shrinks=MAX_SHRINKS):
     """Find the largest admissible extrapolation weight by geometric shrinking.
 
     Tries ``beta = beta_init * eta**j`` for j = 0, 1, ... and accepts the first
     beta whose extrapolated point ``xbar = x + beta (x - x_prev)`` satisfies
 
-        D_kernel(x, xbar) <= delta * prev_L / (L + l) * D_prev(x_prev, x).
+        D_kernel(x, xbar) <= delta * prev_L / (L + l) * d_prev,
 
-    Falls back to beta = 0 (condition trivially true) after ``max_shrinks``
-    rejections; a budget of zero or less tries no candidate. The right-hand
-    side is formed only when a candidate is tried, from ``d_prev`` if given
-    (it must equal ``D_prev(x_prev, x)``) and otherwise from one divergence
-    call, so beta_init = 0 or a spent budget costs no divergence.
+    where ``d_prev`` is the previous step's D(x_prev, x), carried by the
+    caller. Falls back to beta = 0 (condition trivially true) after
+    ``max_shrinks`` rejections; a budget of zero or less tries no candidate,
+    and neither that nor beta_init = 0 reads ``d_prev``.
 
     Each candidate is first screened from scalars. With d = x - x_prev,
     D(x, x + beta d) is the quartic in beta of :mod:`bmme.bregman`, built
@@ -174,9 +171,8 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
 
     Returns
     -------
-    ExtrapolationResult with fields beta, x_bar, shrinks (the number of
-    rejected candidates) and d_prev, the right-hand side's divergence (None
-    if it was neither given nor needed).
+    ExtrapolationResult with fields beta, x_bar and shrinks (the number of
+    rejected candidates).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -185,8 +181,6 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
     beta = float(beta_init)
     shrinks = 0
     if beta != 0.0 and max_shrinks > 0:
-        if d_prev is None:
-            d_prev = bregman_divergence(prev_kernel, x_prev, x_curr)
         rhs = delta * prev_constants.L / (constants.L + constants.l) * d_prev
         diff = x_curr - x_prev
         terms = (float(np.vdot(diff, diff)),
@@ -197,10 +191,10 @@ def search_extrapolation(kernel, constants, prev_kernel, prev_constants,
         if ok is not False:
             x_bar = x_curr + beta * diff
             if ok or bregman_divergence(kernel, x_curr, x_bar) <= rhs:
-                return ExtrapolationResult(beta, x_bar, shrinks, d_prev)
+                return ExtrapolationResult(beta, x_bar, shrinks)
         beta *= eta
         shrinks += 1
-    return ExtrapolationResult(0.0, x_curr, shrinks, d_prev)
+    return ExtrapolationResult(0.0, x_curr, shrinks)
 
 
 @dataclass(frozen=True)
@@ -245,6 +239,10 @@ class BlockProblem:
     smooth_eval: Optional[Callable] = None
 
 
+def _number(v, kind=numbers.Real):
+    return isinstance(v, kind) and not isinstance(v, bool)  # no True/False
+
+
 def _unit_setting(v):
     """A float, or a 1-D sequence as a tuple of floats, if all in (0, 1)."""
     seq = type(v) in (list, tuple) or getattr(v, "ndim", 0) == 1
@@ -277,10 +275,13 @@ class SolverConfig:
         for name, ok, want in (
                 ("delta", unit[0] is not None, unit_want),
                 ("eta", unit[1] is not None, unit_want),
-                ("max_iters", isinstance(n, numbers.Integral) and n >= 0,
+                ("max_iters", _number(n, numbers.Integral) and n >= 0,
                  "an integer >= 0"),
-                ("tol_rel_change", tol >= 0.0, ">= 0"),
-                ("time_budget", budget is None or budget > 0.0, "positive")):
+                ("tol_rel_change", _number(tol) and tol >= 0.0, "a real >= 0"),
+                ("time_budget", budget is None or _number(budget)
+                 and budget > 0.0, "None or a positive real"),
+                *((f, type(getattr(self, f)) is bool, "a bool")
+                  for f in ("verify_descent", "keep_certificates"))):
             if not ok:
                 raise ValueError(
                     f"{name} must be {want}, got {getattr(self, name)!r}")
@@ -297,6 +298,10 @@ class SolverConfig:
 
 @dataclass
 class TraceRecord:
+    """One sweep. ``descent_slack`` (F minus :func:`run`'s certified bound)
+    and ``sum_block_divergence`` (sum_i L_i^k D_k(x_i^k, x_i^{k+1})) are
+    None only in an unverified ``bmm`` run, which computes no divergence."""
+
     iter: int
     elapsed_seconds: float
     objective: float
@@ -336,15 +341,13 @@ class SolverState:
 
     ``objective`` is F(current); :func:`run` evaluates it once at the start
     and each step keeps it up to date. ``prev_divergences[i]`` is block i's
-    D(previous[i], current[i]) under ``prev_kernels[i]``, the last step's
-    D_k(x_i^k, x_i^{k+1}). The descent verifier computes it for its sum of
-    L * D; the next step's extrapolation test and verifier read it. It is
-    None after an unverified step, and the search then computes it itself.
+    D(previous[i], current[i]) under the last step's kernel. Each step of a
+    run that extrapolates or verifies computes it, for the next step's
+    extrapolation test and verifier; an unverified ``bmm`` run leaves None.
     """
 
     current: list
     previous: list
-    prev_kernels: list
     prev_constants: list
     nesterov_nu: float
     prev_divergences: list
@@ -358,9 +361,10 @@ class SolverState:
 def initial_state(problems, init_blocks):
     """Build a SolverState at ``init_blocks`` with x^{-1} = x^0.
 
-    The previous kernels/constants are evaluated at the initial point, which
-    makes the first extrapolation condition vacuous (its right-hand side is
-    D(x^0, x^0) = 0, stored exactly as 0.0) and beta^0 = 0 through nu_0 = 1.
+    No kernel or constants are evaluated: every previous pair is
+    ``BT_FLOORS``, which only multiplies D(x^0, x^0) = 0 (stored exactly)
+    and starts a backtracked block's first line searches. beta^0 = 0
+    through nu_0 = 1.
     """
     blocks = [np.array(b, dtype=np.float64, copy=True) for b in init_blocks]
     if len(blocks) != len(problems):
@@ -376,9 +380,7 @@ def initial_state(problems, init_blocks):
     return SolverState(
         current=blocks,
         previous=[b.copy() for b in blocks],
-        prev_kernels=[p.kernel_for(blocks) for p in problems],
-        prev_constants=[BT_FLOORS if p.constants_for is None
-                        else p.constants_for(blocks) for p in problems],
+        prev_constants=[BT_FLOORS] * len(blocks),
         nesterov_nu=1.0,
         prev_divergences=[0.0] * len(blocks),
     )
@@ -416,11 +418,11 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
     fixed = p.constants_for is not None
     cons = p.constants_for(blocks) if fixed else state.prev_constants[i]
     fx = None if fixed else float(p.smooth_eval(blocks))
-    shrinks, solved_beta, d_prev = 0, None, state.prev_divergences[i]
+    shrinks, solved_beta = 0, None
     while True:
-        beta, x_bar, s, d_prev = search_extrapolation(
-            kernel, cons, state.prev_kernels[i], state.prev_constants[i],
-            x, x_prev, beta, delta, eta, MAX_SHRINKS - shrinks, d_prev)
+        beta, x_bar, s = search_extrapolation(
+            kernel, cons, state.prev_constants[i], x, x_prev,
+            state.prev_divergences[i], beta, delta, eta, MAX_SHRINKS - shrinks)
         shrinks += s
         if beta == solved_beta:  # the last solve already used this x_bar
             break
@@ -471,14 +473,14 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
 
 
 def _step(problems, state, config, objective, force_beta_zero, deltas, etas):
-    m = len(problems)
     t0 = time.perf_counter()
     blocks = list(state.current)
-    betas, shrinks = [], []
-    kernels_k, constants_k = [], []
+    betas, shrinks, constants_k, divs = [], [], [], []
     nu, beta_init = nesterov_next(state.nesterov_nu)
     if force_beta_zero:
         beta_init = 0.0
+    # D_k(x_i^k, x_i^{k+1}), read by the next step's test and the verifier
+    carry = config.verify_descent or not force_beta_zero
     for i, p in enumerate(problems):
         kern = p.kernel_for(blocks)
         x_bar, beta, shrink, cons, x_new = _block_update(
@@ -492,35 +494,31 @@ def _step(problems, state, config, objective, force_beta_zero, deltas, etas):
         blocks[i] = x_new
         betas.append(beta)
         shrinks.append(shrink)
-        kernels_k.append(kern)
         constants_k.append(cons)
+        divs.append(bregman_divergence(kern, state.current[i], x_new)
+                    if carry else None)
     state.elapsed_seconds += time.perf_counter() - t0
 
     # Instrumentation below is deliberately outside the timed section.
     f_new = float(objective(blocks))
-    slack = None
-    sum_div = None
-    divs = [None] * m
-    if config.verify_descent:
+    slack = sum_div = None
+    if carry:
         f_old = state.objective
-        sum_div = 0.0
-        relaxation = 0.0
-        for i in range(m):
-            divs[i] = bregman_divergence(kernels_k[i], state.current[i],
-                                         blocks[i])
-            sum_div += constants_k[i].L * divs[i]
+        sum_div = relaxation = 0.0
+        for i, (cons, d) in enumerate(zip(constants_k, divs)):
+            sum_div += cons.L * d
             relaxation += (deltas[i] * state.prev_constants[i].L
                            * state.prev_divergences[i])
         bound = f_old - sum_div + relaxation
         slack = f_new - bound
-        if slack > DESCENT_SLACK * (1.0 + abs(f_old)):
+        if (config.verify_descent
+                and slack > DESCENT_SLACK * (1.0 + abs(f_old))):
             raise DescentViolation(
                 f"iteration {state.iter + 1}: objective {f_new:.12e} exceeds "
                 f"certified bound {bound:.12e} by {slack:.3e}")
 
     state.previous = state.current
     state.current = blocks
-    state.prev_kernels = kernels_k
     state.prev_constants = constants_k
     state.nesterov_nu = nu
     state.prev_divergences = divs

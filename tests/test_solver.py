@@ -93,8 +93,8 @@ class TestSearchExtrapolation:
     def test_admissible_beta_accepted_without_shrinking(self):
         kern = quadratic_kernel()
         consts = RelSmoothConstants(L=1.0, l=0.0)
-        res = search_extrapolation(kern, consts, kern, consts,
-                                   np.array([1.0]), np.array([1.0]),
+        res = search_extrapolation(kern, consts, consts,
+                                   np.array([1.0]), np.array([1.0]), 0.0,
                                    beta_init=0.5, delta=0.99, eta=0.9)
         # x_curr == x_prev makes the divergence bound trivially satisfied
         assert res.shrinks == 0
@@ -107,8 +107,8 @@ class TestSearchExtrapolation:
         # beta=0.95 fails (0.45125 > 0.405), one shrink to 0.855 passes.
         kern = quadratic_kernel()
         consts = RelSmoothConstants(L=1.0, l=0.0)
-        res = search_extrapolation(kern, consts, kern, consts,
-                                   np.array([1.0]), np.array([0.0]),
+        res = search_extrapolation(kern, consts, consts,
+                                   np.array([1.0]), np.array([0.0]), 0.5,
                                    beta_init=0.95, delta=0.81, eta=0.9)
         assert res.shrinks == 1
         assert_allclose(res.beta, 0.855, rtol=1e-15)
@@ -117,9 +117,9 @@ class TestSearchExtrapolation:
     def test_beta_zero_when_shrinks_exhausted(self):
         kern = quadratic_kernel()
         tight = RelSmoothConstants(L=1e8, l=0.0)
-        res = search_extrapolation(kern, tight, kern,
+        res = search_extrapolation(kern, tight,
                                    RelSmoothConstants(L=1.0, l=0.0),
-                                   np.array([1.0]), np.array([0.0]),
+                                   np.array([1.0]), np.array([0.0]), 0.5,
                                    beta_init=0.9, delta=0.5, eta=0.9,
                                    max_shrinks=4)
         assert res.beta == 0.0
@@ -129,10 +129,9 @@ class TestSearchExtrapolation:
                                                     (-1, 0)])
     def test_shrinks_count_the_rejected_candidates(self, monkeypatch,
                                                    max_shrinks, tried):
-        # every candidate fails; once a candidate is tried, one divergence
-        # call is the right-hand side, the array formula (the screen forced
-        # undecided) makes one more per candidate and the screen rejects
-        # these clear failures without one; a spent budget makes no call
+        # every candidate fails; the array formula (the screen forced
+        # undecided) makes one divergence call per candidate and the screen
+        # rejects these clear failures without one
         calls = []
         real = solver.bregman_divergence
         monkeypatch.setattr(solver, "bregman_divergence",
@@ -143,11 +142,11 @@ class TestSearchExtrapolation:
                 monkeypatch.setattr(solver, "_screen", lambda *a: None)
             calls.clear()
             res = search_extrapolation(
-                kern, RelSmoothConstants(L=1e8, l=0.0), kern,
+                kern, RelSmoothConstants(L=1e8, l=0.0),
                 RelSmoothConstants(L=1.0, l=0.0), np.array([1.0]),
-                np.array([0.0]), beta_init=0.9, delta=0.5, eta=0.9,
+                np.array([0.0]), 0.5, beta_init=0.9, delta=0.5, eta=0.9,
                 max_shrinks=max_shrinks)
-            assert len(calls) == (1 + per_candidate * tried if tried else 0)
+            assert len(calls) == per_candidate * tried
             assert (res.beta, res.shrinks) == (0.0, tried)
             assert_allclose(res.x_bar, [1.0])
 
@@ -155,31 +154,10 @@ class TestSearchExtrapolation:
         monkeypatch.setattr(solver, "bregman_divergence", None)
         kern = quadratic_kernel()
         cons = RelSmoothConstants(L=1.0, l=0.0)
-        res = search_extrapolation(kern, cons, kern, cons, np.array([1.0]),
-                                   np.array([0.0]), beta_init=0.0,
+        res = search_extrapolation(kern, cons, cons, np.array([1.0]),
+                                   np.array([0.0]), None, beta_init=0.0,
                                    delta=0.5, eta=0.9)
-        assert (res.beta, res.shrinks, res.d_prev) == (0.0, 0, None)
-
-    @pytest.mark.parametrize("beta_init", [0.9, 0.5])
-    def test_given_d_prev_replaces_the_right_hand_side_call(self, monkeypatch,
-                                                            beta_init):
-        kern = quadratic_kernel()
-        cons = RelSmoothConstants(L=1.0, l=0.0)
-        x, x_prev = np.array([1.0, 2.0]), np.array([0.5, 1.0])
-        args = (kern, cons, kern, cons, x, x_prev, beta_init, 0.3, 0.9)
-        computed = search_extrapolation(*args)
-        assert computed.d_prev == bregman_divergence(kern, x_prev, x)
-        calls = []
-        real = solver.bregman_divergence
-        monkeypatch.setattr(solver, "bregman_divergence",
-                            lambda *a: calls.append(a) or real(*a))
-        monkeypatch.setattr(solver, "_screen", lambda *a: None)
-        given = search_extrapolation(*args, d_prev=computed.d_prev)
-        # the array formula tests only the candidates; the result is
-        # bit-identical
-        assert len(calls) == given.shrinks + 1
-        assert given._replace(x_bar=None) == computed._replace(x_bar=None)
-        assert np.array_equal(given.x_bar, computed.x_bar)
+        assert (res.beta, res.shrinks) == (0.0, 0)
 
 
 @st.composite
@@ -223,8 +201,7 @@ class TestExtrapolationScreen:
         # rhs = delta * L_prev / (L + l) * d_prev = 0.5 * d_prev, exactly
         rhs = d_bar * (1.0 + rel)
         cons = RelSmoothConstants(L=1.0, l=0.0)
-        args = (kernel, cons, kernel, cons, x, x_prev, beta, 0.5, 0.9, 1,
-                2.0 * rhs)
+        args = (kernel, cons, cons, x, x_prev, 2.0 * rhs, beta, 0.5, 0.9, 1)
         decisions = []
         real = solver._screen
         with mock.patch.object(
@@ -251,12 +228,12 @@ class TestExtrapolationScreen:
         # D = 1.99e5 and 1.46e5 fail the rhs 0.5 * d_prev = 1.2e5, and
         # beta = 0.9^2 * 0.8 passes with D = 1.08e5
         d_prev = 2.4e5
-        res = search_extrapolation(kern, cons, kern, cons, x, x_prev, 0.8,
-                                   0.5, 0.9, d_prev=d_prev)
+        res = search_extrapolation(kern, cons, cons, x, x_prev, d_prev, 0.8,
+                                   0.5, 0.9)
         monkeypatch.undo()
         monkeypatch.setattr(solver, "_screen", lambda *a: None)
-        exact = search_extrapolation(kern, cons, kern, cons, x, x_prev, 0.8,
-                                     0.5, 0.9, d_prev=d_prev)
+        exact = search_extrapolation(kern, cons, cons, x, x_prev, d_prev,
+                                     0.8, 0.5, 0.9)
         assert res.shrinks == exact.shrinks == 2
         assert res.beta == exact.beta == 0.8 * 0.9 * 0.9
         assert np.array_equal(res.x_bar, exact.x_bar)
@@ -418,10 +395,15 @@ class TestSolverConfig:
         ("tol_rel_change", np.nan), ("time_budget", -1.0),
         ("time_budget", 0.0), ("time_budget", np.nan), ("delta", 1.0),
         ("delta", [0.5, 0.0]), ("eta", 0.0), ("eta", [0.9, np.nan]),
-        ("delta", np.array(0.5)), ("delta", [[0.5, 0.6]])])
+        ("delta", np.array(0.5)), ("delta", [[0.5, 0.6]]),
+        ("tol_rel_change", None), ("tol_rel_change", "x"),
+        ("time_budget", "x"), ("max_iters", True),
+        ("verify_descent", "no"), ("keep_certificates", 1)])
     def test_bad_value_rejected_when_built(self, field, value):
-        # the last two passed a check on np.ravel and then made run raise
-        # a bare TypeError in per_block
+        # delta=np.array(0.5) and [[0.5, 0.6]] passed a check on np.ravel and
+        # then made run raise a bare TypeError in per_block; the non-numbers
+        # raised a bare TypeError, max_iters=True ran one sweep and
+        # verify_descent="no" turned verification on
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
 
@@ -605,36 +587,106 @@ def completion_instance(seed=13):
             lambda b: matcomp.mc_objective_packed(p)(b[0]))
 
 
-class TestCarriedDivergence:
-    """The verifier's D_k(x^k, x^{k+1}) is kept for the next step."""
+CARRIED_INSTANCES = [
+    pytest.param(onmf_instance, 60, id="onmf"),
+    pytest.param(completion_instance, 100, id="completion-bt"),
+    pytest.param(lambda: onmf_instance(60, 60, backtracked=True), 100,
+                 id="onmf-bt")]
 
-    @pytest.mark.parametrize("instance, iters", [
-        (onmf_instance, 60),
-        (completion_instance, 100),
-        (lambda: onmf_instance(60, 60, backtracked=True), 100),
-    ], ids=["onmf", "completion-bt", "onmf-bt"])
+
+def recording_kernels(problems):
+    """``problems`` with each ``kernel_for`` result recorded; the records."""
+    records = [[] for _ in problems]
+
+    def wrap(kernel_for, out):
+        return lambda blocks: out.append(kernel_for(blocks)) or out[-1]
+
+    return ([dataclasses.replace(p, kernel_for=wrap(p.kernel_for, out))
+             for p, out in zip(problems, records)], records)
+
+
+class TestCarriedDivergence:
+    """Each step's D_k(x^k, x^{k+1}) is computed once and kept for the next."""
+
+    @pytest.mark.parametrize("instance, iters, verify", [
+        pytest.param(*c.values, verify,
+                     id=c.id if verify else f"{c.id}-unverified")
+        for verify in (True, False) for c in CARRIED_INSTANCES])
     def test_stored_value_is_the_last_steps_divergence(self, monkeypatch,
-                                                      instance, iters):
+                                                      instance, iters,
+                                                      verify):
         real_step = solver._step
-        nonzero, kernels = [], set()
+        nonzero = []
+        problems, init, objective = instance()
+        problems, kernels = recording_kernels(problems)
 
         def step(problems, state, *args):
             real_step(problems, state, *args)
             assert state.prev_divergences == [
-                bregman_divergence(k, a, b) for k, a, b in zip(
-                    state.prev_kernels, state.previous, state.current)]
+                bregman_divergence(k[-1], a, b) for k, a, b in zip(
+                    kernels, state.previous, state.current)]
             nonzero.append(any(d > 0.0 for d in state.prev_divergences))
-            kernels.add(state.prev_kernels[-1])
 
         monkeypatch.setattr(solver, "_step", step)
-        problems, init, objective = instance()
         res = run(problems, init, SolverConfig(max_iters=iters,
-                                               tol_rel_change=0.0),
+                                               tol_rel_change=0.0,
+                                               verify_descent=verify),
                   objective)
         assert len(nonzero) == len(res.trace.records) == iters
         assert all(nonzero)
+        assert [len(k) for k in kernels] == [iters] * len(problems)
         if len(problems) == 2:
-            assert len(kernels) == iters  # a stale kernel would show
+            assert len(set(kernels[-1])) == iters  # a stale kernel would show
+
+    @pytest.mark.parametrize("instance, iters", CARRIED_INSTANCES)
+    def test_verification_changes_no_trace_record(self, instance, iters):
+        # the slack and sum of L * D are computed whenever bmme runs; the
+        # verifier only decides whether a slack raises
+        problems, init, objective = instance()
+        runs = [run(problems, init, SolverConfig(max_iters=iters,
+                                                 tol_rel_change=0.0,
+                                                 verify_descent=verify),
+                    objective) for verify in (True, False)]
+        untimed = [[dataclasses.replace(r, elapsed_seconds=0.0)
+                    for r in res.trace.records] for res in runs]
+        assert len(untimed[1]) == iters
+        assert untimed[0] == untimed[1]
+        assert all(r.descent_slack is not None
+                   and r.sum_block_divergence is not None for r in untimed[1])
+        for a, b in zip(runs[0].final, runs[1].final):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("backtracked", [False, True],
+                             ids=["fixed", "backtracked"])
+    def test_no_kernel_or_constants_before_the_first_sweep(self, monkeypatch,
+                                                          backtracked):
+        # the first step's test is vacuous (D(x^0, x^0) = 0), so no block is
+        # asked for its kernel or constants before the sweep starts
+        problems, init, objective = onmf_instance(backtracked=backtracked)
+        started = []
+
+        def guard(fn):
+            def call(blocks):
+                if not started:
+                    raise RuntimeError("called before the first sweep")
+                return fn(blocks)
+            return call
+
+        guarded = [dataclasses.replace(
+            p, kernel_for=guard(p.kernel_for),
+            constants_for=p.constants_for and guard(p.constants_for))
+            for p in problems]
+        state = initial_state(guarded, init)
+        assert state.prev_constants == [solver.BT_FLOORS] * 2
+        assert state.prev_divergences == [0.0, 0.0]
+        real_step = solver._step
+        monkeypatch.setattr(solver, "_step",
+                            lambda *a: started.append(1) or real_step(*a))
+        cfg = SolverConfig(max_iters=5, tol_rel_change=0.0)
+        res = run(guarded, init, cfg, objective)
+        plain = run(problems, init, cfg, objective)
+        assert len(res.trace) == 5
+        assert np.array_equal(res.trace.objectives(), plain.trace.objectives())
 
     def count_divergences(self, monkeypatch):
         calls = []
