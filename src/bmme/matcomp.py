@@ -229,8 +229,8 @@ def soft_threshold(A, B):
     B = np.asarray(B, dtype=np.float64)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    if np.any(B < 0):
-        raise ValueError("thresholds must be nonnegative")
+    if not (B >= 0).all():  # also rejects NaN
+        raise ValueError("thresholds must be nonnegative numbers")
     return np.sign(A) * np.maximum(np.abs(A) - B, 0.0)
 
 

@@ -227,6 +227,16 @@ def predict_clusters(V):
     return np.argmax(V, axis=0) + 1
 
 
+def _labels(name, labels):
+    """``labels`` as int64, if integer-typed or floats equal to integers."""
+    a = np.asarray(labels)
+    if not np.issubdtype(a.dtype, np.integer):
+        if not (np.issubdtype(a.dtype, np.floating)
+                and np.isfinite(a).all() and (a == np.round(a)).all()):
+            raise ValueError(f"{name} must hold integer cluster ids")
+    return a.astype(np.int64)
+
+
 def clustering_accuracy(labels_true, labels_pred, r=None):
     """Best label-matching agreement rate between two clusterings.
 
@@ -234,8 +244,8 @@ def clustering_accuracy(labels_true, labels_pred, r=None):
     ``pi`` of the 1-based cluster ids, solved as a linear assignment problem
     on the r x r confusion matrix. ``r`` defaults to the largest id present.
     """
-    t = np.asarray(labels_true, dtype=np.int64)
-    q = np.asarray(labels_pred, dtype=np.int64)
+    t = _labels("labels_true", labels_true)
+    q = _labels("labels_pred", labels_pred)
     if t.ndim != 1 or t.shape != q.shape:
         raise ValueError("label arrays must be 1-D and equally long")
     if t.size == 0:

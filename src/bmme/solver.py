@@ -47,6 +47,7 @@ __all__ = [
     "SolverState",
     "Trace",
     "TraceRecord",
+    "LineSearchSides",
     "RunResult",
     "StopReason",
     "DescentViolation",
@@ -296,11 +297,31 @@ class SolverConfig:
         return out
 
 
+class LineSearchSides(NamedTuple):
+    """Both sides of a backtracked step's two line-search inequalities.
+
+    With f the block's ``smooth_eval``, g its gradient at xbar and (L, l) the
+    step's final pair, the step accepted
+
+        lower_gap = f(x) - f(xbar) - <g, x - xbar>             >= -lower_div
+        upper_gap = f(x_new) - f(xbar) - <g, x_new - xbar>     <= upper_div
+
+    where lower_div = l D(x, xbar) and upper_div = L D(x_new, xbar).
+    """
+
+    lower_gap: float
+    lower_div: float
+    upper_gap: float
+    upper_div: float
+
+
 @dataclass
 class TraceRecord:
     """One sweep. ``descent_slack`` (F minus :func:`run`'s certified bound)
     and ``sum_block_divergence`` (sum_i L_i^k D_k(x_i^k, x_i^{k+1})) are
-    None only in an unverified ``bmm`` run, which computes no divergence."""
+    None only in an unverified ``bmm`` run, which computes no divergence.
+    ``per_block_line_search`` holds each block's :class:`LineSearchSides`,
+    None for a block with fixed constants."""
 
     iter: int
     elapsed_seconds: float
@@ -309,6 +330,7 @@ class TraceRecord:
     per_block_shrinks: tuple
     descent_slack: Optional[float] = None
     sum_block_divergence: Optional[float] = None
+    per_block_line_search: tuple = ()
 
 
 @dataclass
@@ -324,15 +346,28 @@ class Trace:
 
 @dataclass
 class BacktrackCertificate:
-    """Everything needed to re-verify one backtracked step after the fact."""
+    """Everything needed to re-verify one backtracked step after the fact.
+
+    The iterates are the ones the run itself holds, so consecutive
+    certificates share arrays and each step adds one array, ``x_new``.
+    ``x_bar`` is not stored: each read rebuilds it with the operations
+    :func:`search_extrapolation` used, bit for bit. A read with beta = 0
+    returns ``x_curr`` itself; any other read makes three passes over arrays
+    of ``x_curr``'s size and returns a new one.
+    """
 
     x_prev: np.ndarray
     x_curr: np.ndarray
-    x_bar: np.ndarray
     x_new: np.ndarray
     L: float
     l: float
     beta: float
+
+    @property
+    def x_bar(self):
+        if self.beta == 0.0:
+            return self.x_curr
+        return self.x_curr + self.beta * (self.x_curr - self.x_prev)
 
 
 @dataclass
@@ -361,6 +396,10 @@ class SolverState:
 def initial_state(problems, init_blocks):
     """Build a SolverState at ``init_blocks`` with x^{-1} = x^0.
 
+    x^{-1} and x^0 are the same arrays: the solver never writes to an
+    iterate, so a copy would only add one array per block to what the
+    certificates hold.
+
     No kernel or constants are evaluated: every previous pair is
     ``BT_FLOORS``, which only multiplies D(x^0, x^0) = 0 (stored exactly)
     and starts a backtracked block's first line searches. beta^0 = 0
@@ -379,7 +418,7 @@ def initial_state(problems, init_blocks):
             raise ValueError(f"block {i} initial value is infeasible")
     return SolverState(
         current=blocks,
-        previous=[b.copy() for b in blocks],
+        previous=list(blocks),
         prev_constants=[BT_FLOORS] * len(blocks),
         nesterov_nu=1.0,
         prev_divergences=[0.0] * len(blocks),
@@ -412,13 +451,14 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
     from the accepted beta against the grown pair. Constants never shrink,
     beta only shrinks and beta = 0 always passes, so the loop ends. The lower
     search is the only reader of D(x, xbar); it forms it once per accepted
-    xbar. Returns (x_bar, beta, shrinks, (L, l), x_new).
+    xbar. Returns (beta, shrinks, (L, l), x_new, sides), with ``sides`` the
+    final pair's :class:`LineSearchSides`, None for a fixed block.
     """
     x, x_prev = state.current[i], state.previous[i]
     fixed = p.constants_for is not None
     cons = p.constants_for(blocks) if fixed else state.prev_constants[i]
     fx = None if fixed else float(p.smooth_eval(blocks))
-    shrinks, solved_beta = 0, None
+    shrinks, solved_beta, sides = 0, None, None
     while True:
         beta, x_bar, s = search_extrapolation(
             kernel, cons, state.prev_constants[i], x, x_prev,
@@ -457,7 +497,8 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
                                                   kernel))
             gap_new = (float(p.smooth_eval(_at(blocks, i, x_new))) - f_bar
                        - float(np.vdot(g_bar, x_new - x_bar)))
-            if gap_new <= L * bregman_divergence(kernel, x_new, x_bar):
+            upper_div = L * bregman_divergence(kernel, x_new, x_bar)
+            if gap_new <= upper_div:
                 break
             if doublings >= MAX_DOUBLINGS:
                 raise SubproblemError(
@@ -467,15 +508,16 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
             doublings += 1
         grew = (L, l) != (cons.L, cons.l)
         cons, solved_beta = RelSmoothConstants(L=L, l=l), beta
+        sides = LineSearchSides(gap, l * d_bar, gap_new, upper_div)
         if not grew:
             break
-    return x_bar, beta, shrinks, cons, x_new
+    return beta, shrinks, cons, x_new, sides
 
 
 def _step(problems, state, config, objective, force_beta_zero, deltas, etas):
     t0 = time.perf_counter()
     blocks = list(state.current)
-    betas, shrinks, constants_k, divs = [], [], [], []
+    betas, shrinks, constants_k, divs, sides = [], [], [], [], []
     nu, beta_init = nesterov_next(state.nesterov_nu)
     if force_beta_zero:
         beta_init = 0.0
@@ -483,18 +525,19 @@ def _step(problems, state, config, objective, force_beta_zero, deltas, etas):
     carry = config.verify_descent or not force_beta_zero
     for i, p in enumerate(problems):
         kern = p.kernel_for(blocks)
-        x_bar, beta, shrink, cons, x_new = _block_update(
+        beta, shrink, cons, x_new, side = _block_update(
             p, i, blocks, kern, state, beta_init, deltas[i], etas[i])
         if p.constants_for is None and config.keep_certificates:
             state.certificates.append(BacktrackCertificate(
                 x_prev=state.previous[i], x_curr=state.current[i],
-                x_bar=x_bar, x_new=x_new, L=cons.L, l=cons.l, beta=beta))
+                x_new=x_new, L=cons.L, l=cons.l, beta=beta))
         if not p.feasible(x_new):
             raise SubproblemError(f"block {i} update left the feasible set")
         blocks[i] = x_new
         betas.append(beta)
         shrinks.append(shrink)
         constants_k.append(cons)
+        sides.append(side)
         divs.append(bregman_divergence(kern, state.current[i], x_new)
                     if carry else None)
     state.elapsed_seconds += time.perf_counter() - t0
@@ -532,6 +575,7 @@ def _step(problems, state, config, objective, force_beta_zero, deltas, etas):
         per_block_shrinks=tuple(shrinks),
         descent_slack=slack,
         sum_block_divergence=sum_div,
+        per_block_line_search=tuple(sides),
     ))
 
 

@@ -157,6 +157,12 @@ class TestSoftThreshold:
         out = soft_threshold(np.array([[-3.0, 1.0]]), np.array([[1.0, 2.0]]))
         assert np.array_equal(out, [[-2.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_negative_or_nan_threshold_rejected(self, bad):
+        # np.any(B < 0) is False for NaN, which let [nan, 1, 1] through
+        with pytest.raises(ValueError, match="nonnegative"):
+            soft_threshold(np.ones(3), np.array([bad, 0.0, 0.0]))
+
 
 class TestCubicStepScale:
     def test_zero_s_linear_case(self):

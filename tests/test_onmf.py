@@ -539,6 +539,19 @@ class TestClusteringAccuracy:
         with pytest.raises(ValueError):
             clustering_accuracy(np.array([1, 2]), np.array([1, 2, 3]))
 
+    def test_integer_valued_floats_accepted(self):
+        assert clustering_accuracy([1.0, 2.0, 1.0], np.array([2, 1, 2])) == 1.0
+
+    @pytest.mark.parametrize("true, pred, name", [
+        ([1.5, 2.7, 1.0], [1, 2, 1], "labels_true"),
+        ([1, 2, 1], [1.0, 2.0, np.nan], "labels_pred"),
+        ([1, 2, 1], [1.0, np.inf, 1.0], "labels_pred"),
+        (["1", "2"], [1, 2], "labels_true")])
+    def test_non_integer_labels_rejected_by_name(self, true, pred, name):
+        # these used to be truncated to int64: [1.5, 2.7, 1.0] scored 1.0
+        with pytest.raises(ValueError, match=name):
+            clustering_accuracy(true, pred)
+
     def test_exhaustive_alignment_definition(self):
         # double-check the Hungarian score against raw permutation search on
         # one fixed instance (r small enough to enumerate)

@@ -6,6 +6,8 @@ exact closed-form prox step and every quantity can be checked by hand.
 """
 
 import dataclasses
+import gc
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,6 +24,7 @@ from bmme.bregman import (
     quadratic_kernel,
 )
 from bmme.solver import (
+    BacktrackCertificate,
     BacktrackingProblem,
     BlockProblem,
     DescentViolation,
@@ -724,3 +727,152 @@ class TestCarriedDivergence:
                     for b, s in zip(r.per_block_beta, r.per_block_shrinks))
         assert len(decisions) == tried == 62
         assert len(calls) == 2 * 20 + decisions.count(None) == 40
+
+
+BACKTRACKED_INSTANCES = [
+    pytest.param(completion_instance, 60, id="completion-bt"),
+    pytest.param(lambda: onmf_instance(60, 60, backtracked=True), 40,
+                 id="onmf-bt")]
+
+
+def certificates_of(instance, iters, monkeypatch):
+    """A certificate-keeping run, and each backtracked step's x_bar as the
+    solver passed it to ``solve_subproblem``, in certificate order."""
+    problems, init, objective = instance()
+    last, recorded = {}, []
+
+    def wrap(i, solve):
+        def call(blocks, x_bar, *rest):
+            last[i] = x_bar  # the final call of a step solves its x_bar
+            return solve(blocks, x_bar, *rest)
+        return call
+
+    problems = [dataclasses.replace(p, solve_subproblem=wrap(
+        i, p.solve_subproblem)) for i, p in enumerate(problems)]
+    real_step = solver._step
+
+    def step(*args):
+        last.clear()
+        real_step(*args)
+        recorded.extend(last[i] for i in sorted(last))
+
+    monkeypatch.setattr(solver, "_step", step)
+    res = run(problems, init, SolverConfig(max_iters=iters,
+                                           tol_rel_change=0.0,
+                                           keep_certificates=True), objective)
+    return res, recorded
+
+
+class TestCertificates:
+    """A certificate holds the run's own iterates and rebuilds x_bar."""
+
+    @pytest.mark.parametrize("instance, iters", BACKTRACKED_INSTANCES)
+    def test_rebuilt_x_bar_is_the_solvers(self, monkeypatch, instance, iters):
+        res, recorded = certificates_of(instance, iters, monkeypatch)
+        certs = res.state.certificates
+        assert len(certs) == len(recorded) == iters * len(res.final)
+        for cert, x_bar in zip(certs, recorded):
+            assert np.array_equal(cert.x_bar, x_bar)
+            if cert.beta == 0.0:
+                assert cert.x_bar is cert.x_curr
+        assert any(c.beta > 0.0 for c in certs)
+
+    def test_certificates_hold_one_array_per_step(self):
+        # a 600 x 3 packed Z; each certificate object with its three floats
+        # takes well under 1 KiB, the allowance per certificate below
+        obs = datakit.gen_synthetic_ratings(300, 300, 3, 0.05, seed=4)
+        p = matcomp.McProblem(observed=obs, r=3, lam=0.1, theta=5.0)
+        z0 = matcomp.pack_state(matcomp.mc_random_init(p, seed=4))
+        block = dataclasses.replace(matcomp.mc_block_problem(p),
+                                    constants_for=None)
+        objective = matcomp.mc_objective_packed(p)
+        n = 20
+        assert "x_bar" not in {
+            f.name for f in dataclasses.fields(BacktrackCertificate)}
+        tracemalloc.start()
+        try:
+            res = run([block], [z0], SolverConfig(max_iters=n,
+                                                  tol_rel_change=0.0,
+                                                  keep_certificates=True),
+                      lambda b: objective(b[0]))
+            certs = res.state.certificates
+            assert len(certs) == n and sum(c.beta > 0.0 for c in certs) > 1
+            # x^{-1} = x^0, ..., x^n
+            arrays = [getattr(c, f.name) for c in certs
+                      for f in dataclasses.fields(c)]
+            assert len({id(a) for a in arrays
+                        if isinstance(a, np.ndarray)}) == n + 1
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del certs, arrays
+            res.state.certificates.clear()
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < held <= (n + 2) * z0.nbytes + n * 1024
+
+
+def onmf_v_backtracked():
+    """:func:`onmf_instance` with a fixed U block and a backtracked V."""
+    (u, v), init, objective = onmf_instance()
+    return [u, dataclasses.replace(v, constants_for=None)], init, objective
+
+
+def replay_sides(problems, certs):
+    """One sweep's :class:`solver.LineSearchSides`, recomputed from its
+    certificates (every block backtracked)."""
+    blocks = [c.x_curr for c in certs]
+    sides = []
+    for i, (p, c) in enumerate(zip(problems, certs)):
+        kern, x_bar = p.kernel_for(blocks), c.x_bar
+        point = solver._at(blocks, i, x_bar)
+        f_bar, g = p.smooth_eval(point), p.partial_grad(point)
+
+        def gap(x):
+            return (p.smooth_eval(solver._at(blocks, i, x)) - f_bar
+                    - float(np.vdot(g, x - x_bar)))
+
+        sides.append(solver.LineSearchSides(
+            gap(c.x_curr), c.l * bregman_divergence(kern, c.x_curr, x_bar),
+            gap(c.x_new), c.L * bregman_divergence(kern, c.x_new, x_bar)))
+        blocks[i] = c.x_new
+    return sides
+
+
+class TestLineSearchSides:
+    """Each record carries both sides of each line-search inequality."""
+
+    @pytest.mark.parametrize("instance, iters", [
+        *BACKTRACKED_INSTANCES,
+        pytest.param(onmf_v_backtracked, 40, id="onmf-V-bt")])
+    def test_every_record_satisfies_both_without_certificates(
+            self, instance, iters):
+        problems, init, objective = instance()
+        res = run(problems, init, SolverConfig(max_iters=iters,
+                                               tol_rel_change=0.0), objective)
+        assert res.state.certificates == []
+        fixed = [p.constants_for is not None for p in problems]
+        for rec in res.trace.records:
+            assert len(rec.per_block_line_search) == len(problems)
+            for is_fixed, s in zip(fixed, rec.per_block_line_search):
+                if is_fixed:
+                    assert s is None
+                    continue
+                assert s.lower_gap >= -s.lower_div
+                assert s.upper_gap <= s.upper_div
+
+    @pytest.mark.parametrize("instance, iters", BACKTRACKED_INSTANCES)
+    def test_values_match_a_replay_from_the_certificates(self, instance,
+                                                         iters):
+        problems, init, objective = instance()
+        res = run(problems, init, SolverConfig(max_iters=iters,
+                                               tol_rel_change=0.0,
+                                               keep_certificates=True),
+                  objective)
+        m, certs = len(problems), res.state.certificates
+        assert len(certs) == iters * m
+        for k, rec in enumerate(res.trace.records):
+            want = replay_sides(problems, certs[k * m:(k + 1) * m])
+            assert_allclose(np.array(rec.per_block_line_search),
+                            np.array(want), rtol=1e-12, atol=0.0)
