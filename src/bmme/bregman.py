@@ -210,7 +210,8 @@ def bregman_divergence(kernel, x, y):
     Evaluated in the closed form of the module docstring, a sum of
     nonnegative terms, so the result is >= 0 and ``D(x, x) == 0`` exactly.
     With c1 = 0 or ``||d||^2 == 0`` only ``c2/2 ||d||^2`` is formed, so no
-    quartic term can overflow (or make inf * 0 of a huge ``||y||^2``).
+    quartic term can overflow (or make inf * 0 of a huge ``||y||^2``); with
+    c1 = 0 an overflowing ``||d||^2`` is re-formed at a power-of-two scale.
     Raises FloatingPointError if the value is not finite.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -219,7 +220,14 @@ def bregman_divergence(kernel, x, y):
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     d = x - y
     dd = float(np.vdot(d, d))
-    if kernel.c1 == 0.0 or dd == 0.0:  # the quartic terms vanish
+    if kernel.c1 == 0.0 and not math.isfinite(dd):
+        # ||d||^2 overflowed, yet c2/2 ||d||^2 may fit: form it on x, y
+        # scaled by 2^-e below 1 in magnitude and scale back by 2^(2e)
+        e = math.frexp(max(float(np.max(np.abs(x))),
+                           float(np.max(np.abs(y)))))[1]
+        ds = np.ldexp(x, -e) - np.ldexp(y, -e)
+        div = float(np.ldexp(0.5 * kernel.c2 * float(np.vdot(ds, ds)), 2 * e))
+    elif kernel.c1 == 0.0 or dd == 0.0:  # the quartic terms vanish
         div = 0.5 * kernel.c2 * dd
     else:
         t = float(np.vdot(d, x + y))

@@ -1,5 +1,6 @@
 """Tests for the Bregman kernel/divergence layer and its validators."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -157,8 +158,11 @@ class TestWideScales:
             return
         assert exact <= FLOAT_MAX * (1 + Fraction(1e-12))
         assert d >= 0.0
-        if kernel.c1 == 0.0:
-            assert d == 0.5 * kernel.c2 * float(np.vdot(x - y, x - y))
+        euclid = 0.5 * kernel.c2 * float(np.vdot(x - y, x - y))
+        if kernel.c1 == 0.0 and math.isfinite(euclid):
+            # where ||x - y||^2 overflows but the value fits, only the
+            # exact-value check below applies
+            assert d == euclid
         if exact >= Fraction(1e-290):  # clear of subnormal products
             assert abs(Fraction(d) - exact) <= Fraction(1e-12) * exact
 
@@ -183,6 +187,12 @@ class TestWideScales:
         d = bregman_divergence(quadratic_kernel(), x, y)
         assert d == 0.5 * float(np.vdot(x - y, x - y))
         assert_allclose(d, 5e305, rtol=1e-8)
+
+    def test_euclidean_value_fits_though_squared_distance_overflows(self):
+        # ||x - y||^2 = 4e308 overflows; c2/2 ||x - y||^2 = 1e308 does not
+        d = bregman_divergence(BlockKernel(0.0, 0.5), np.array([-1e154]),
+                               np.array([1e154]))
+        assert_allclose(d, 1e308, rtol=1e-15)
 
     def test_overflowing_value_raises(self):
         with pytest.raises(FloatingPointError):
