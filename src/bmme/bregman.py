@@ -25,6 +25,7 @@ The sampling-based checkers below serve the test suite and ``verify``.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,20 @@ __all__ = [
     "cubic_norm_scale",
     "quadratic_kernel",
 ]
+
+
+def _number(v, kind=numbers.Real):
+    return isinstance(v, kind) and not isinstance(v, bool)  # no True/False
+
+
+def _check_problem(shape, r, **weights):
+    """ValueError unless ``r`` is an integer in [1, min(shape)] and each of
+    the ``weights`` a positive finite real, naming the first bad value."""
+    if not (_number(r, numbers.Integral) and 1 <= r <= min(shape)):
+        raise ValueError(f"r must lie in [1, min(m, n)] as an integer, got {r!r}")
+    for name, v in weights.items():
+        if not (_number(v) and 0.0 < v < math.inf):
+            raise ValueError(f"{name} must be a positive real, got {v!r}")
 
 
 def as_matrix(a, name="matrix"):

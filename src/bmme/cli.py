@@ -97,7 +97,7 @@ _RULES = (
      "needs --problem onmf"),
     ("init", lambda o: o.init != "file" or o.init_u and o.init_v,
      "needs --init-u and --init-v"),
-    ("noise", lambda o: o.noise >= 0.0, "must be >= 0"),
+    ("noise", lambda o: 0.0 <= o.noise < np.inf, "must be finite and >= 0"),
     ("obs_fraction", lambda o: 0.0 < o.obs_fraction <= 1.0,
      "must lie in (0, 1]"),
     ("train_fraction", lambda o: 0.0 < o.train_fraction <= 1.0,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import as_matrix
+from .bregman import _check_problem, as_matrix
 
 __all__ = [
     "ObservedMatrix",
@@ -91,10 +91,9 @@ def gen_synthetic_onmf(m, n, r, noise=0.05, seed=0):
     SyntheticOnmf with fields X, U, V, labels (labels[j] in 1..r is the row
     of V holding column j's nonzero).
     """
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"r must lie in [1, min(m, n)], got {r}")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    _check_problem((m, n), r)
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")
     rng = np.random.default_rng(seed)
     U = rng.uniform(size=(m, r))
     for _ in range(100):
@@ -125,8 +124,7 @@ def gen_synthetic_ratings(m, n, r, obs_fraction, seed=0):
     The full matrix is ``L @ R`` with standard normal factors; round(fraction
     * m * n) distinct positions are drawn without replacement.
     """
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"r must lie in [1, min(m, n)], got {r}")
+    _check_problem((m, n), r)
     if not 0 < obs_fraction <= 1:
         raise ValueError("obs_fraction must lie in (0, 1]")
     rng = np.random.default_rng(seed)

@@ -54,7 +54,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .bregman import (BlockKernel, RelSmoothConstants, ValueMemo,
-                      cubic_norm_scale)
+                      _check_problem, cubic_norm_scale)
 from .solver import BacktrackingProblem, BlockProblem
 
 __all__ = [
@@ -85,12 +85,7 @@ class McProblem:
     theta: float
 
     def __post_init__(self):
-        if not 1 <= self.r <= min(self.observed.rows, self.observed.cols):
-            raise ValueError(f"r must lie in [1, min(m, n)], got {self.r}")
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not (np.isfinite(self.theta) and self.theta > 0):
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        _check_problem(self.shape, self.r, lam=self.lam, theta=self.theta)
 
     @property
     def shape(self):

@@ -34,18 +34,20 @@ when its explicitly formed residual, not the updated norm estimate, falls
 to the floor (1e-12 ||X||_F)^2.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg.lapack import dgesdd
-from scipy.optimize import linear_sum_assignment
 
 from .bregman import (
     BlockKernel,
     RelSmoothConstants,
     ValueMemo,
+    _check_problem,
+    _number,
     as_matrix,
     cubic_norm_scale,
     quadratic_kernel,
@@ -81,10 +83,7 @@ class OnmfProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "X", as_matrix(self.X, "X"))
-        if not 1 <= self.r <= min(self.X.shape):
-            raise ValueError(f"r must lie in [1, min(m, n)], got {self.r}")
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        _check_problem(self.X.shape, self.r, lam=self.lam)
 
     @cached_property
     def _products(self):
@@ -184,8 +183,7 @@ def spa_select_rows(X, r):
     """
     X = as_matrix(X, "X")
     m, n = X.shape
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"r must lie in [1, min(m, n)], got {r}")
+    _check_problem((m, n), r)
     total = float(np.linalg.norm(X))
     if total == 0.0:
         raise ValueError("X is identically zero; no informative rows")
@@ -237,12 +235,44 @@ def _labels(name, labels):
     return a.astype(np.int64)
 
 
+def _max_assignment(W):
+    """Largest sum of W[i, pi(i)] over permutations pi of a square int64 W.
+
+    Hungarian method (Kuhn 1955) as shortest augmenting paths (Jonker &
+    Volgenant 1987) on costs -W, 1-based, column 0 holding the row being
+    added: O(k^2) Python steps, each a vector update over the columns.
+    """
+    k = W.shape[0]
+    a = np.pad(-W, ((1, 0), (1, 0)))
+    u, v = np.zeros((2, k + 1), dtype=np.int64)
+    p, way = np.zeros((2, k + 1), dtype=np.intp)
+    big = np.iinfo(np.int64).max
+    for i in range(1, k + 1):
+        p[0], j0 = i, 0
+        minv, used = np.full(k + 1, big), np.zeros(k + 1, dtype=bool)
+        while p[j0]:  # Dijkstra on reduced costs until a free column
+            used[j0] = True
+            cur = a[p[j0]] - u[p[j0]] - v
+            closer = ~used & (cur < minv)
+            minv[closer], way[closer] = cur[closer], j0
+            j0 = int(np.argmin(np.where(used, big, minv)))
+            delta = minv[j0]
+            u[p[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+        while j0:  # flip the matches along the path back to column 0
+            p[j0], j0 = p[way[j0]], way[j0]
+    return int(W[p[1:] - 1, np.arange(k)].sum())
+
+
 def clustering_accuracy(labels_true, labels_pred, r=None):
     """Best label-matching agreement rate between two clusterings.
 
     Maximizes ``(1/n) * #{j : pred[j] == pi(true[j])}`` over permutations
-    ``pi`` of the 1-based cluster ids, solved as a linear assignment problem
-    on the r x r confusion matrix. ``r`` defaults to the largest id present.
+    ``pi`` of the 1-based cluster ids, solved exactly by the Hungarian method
+    (:func:`_max_assignment`) on the confusion matrix of the ids present: ids
+    neither labeling uses cannot change the optimum. ``r``, if given, must be
+    an integer at least every id.
     """
     t = _labels("labels_true", labels_true)
     q = _labels("labels_pred", labels_pred)
@@ -252,14 +282,13 @@ def clustering_accuracy(labels_true, labels_pred, r=None):
         raise ValueError("label arrays are empty")
     if t.min() < 1 or q.min() < 1:
         raise ValueError("cluster ids must be >= 1")
-    if r is None:
-        r = int(max(t.max(), q.max()))
-    elif r < max(t.max(), q.max()):
-        raise ValueError(f"cluster ids exceed r={r}")
-    conf = np.zeros((r, r), dtype=np.int64)
-    np.add.at(conf, (t - 1, q - 1), 1)
-    rows, cols = linear_sum_assignment(conf, maximize=True)
-    return float(conf[rows, cols].sum()) / float(t.size)
+    if r is not None and not (_number(r, numbers.Integral)
+                              and r >= max(t.max(), q.max())):
+        raise ValueError(f"r must be an integer >= every cluster id, got {r!r}")
+    ids, both = np.unique(np.concatenate([t, q]), return_inverse=True)
+    conf = np.bincount(both[:t.size] * ids.size + both[t.size:],
+                       minlength=ids.size ** 2).reshape(ids.size, ids.size)
+    return _max_assignment(conf) / t.size
 
 
 def default_lambda(X, U0, V0):

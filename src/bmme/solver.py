@@ -38,7 +38,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bregman import BlockKernel, RelSmoothConstants, bregman_divergence
+from .bregman import (BlockKernel, RelSmoothConstants, _number,
+                      bregman_divergence)
 
 __all__ = [
     "BlockProblem",
@@ -238,10 +239,6 @@ class BlockProblem:
     solve_subproblem: Callable
     feasible: Callable = lambda x: True
     smooth_eval: Optional[Callable] = None
-
-
-def _number(v, kind=numbers.Real):
-    return isinstance(v, kind) and not isinstance(v, bool)  # no True/False
 
 
 def _unit_setting(v):

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the closed-form production code paths: block
 updates are re-solved by an iterative first-order method run to tight
 stationarity, cubic roots are re-derived by bisection, and assignment-based
-accuracy is re-derived by brute-force permutation search. The closed forms
+accuracy is re-derived by brute-force permutation search and checked against
+optima that dual certificates fix by construction. The closed forms
 they are checked against are the ones the solver runs: each problem's
 ``BlockProblem`` list, driven by :func:`_block_update` the way a fixed-constant
 solver step drives it. Each ``suite_*`` function returns a list of violation
@@ -406,7 +407,12 @@ def suite_cubic(n_draws=10_000, seed=0, n_bisect=200):
 
 
 def suite_accuracy(n_cases=100, seed=0):
-    """Assignment-based accuracy against brute force, and exact recovery."""
+    """Accuracy against brute force (r = 2..6), planted optima, recovery.
+
+    Each of 20 planted cases (r = 10..40) has integer duals u, v >= 1 and
+    counts W <= u_a + v_b, equal on a random permutation, which therefore
+    scores the optimum sum(u) + sum(v). Row maxima collide, so paths augment.
+    """
     rng = np.random.default_rng(seed)
     bad = []
     for k in range(n_cases):
@@ -418,6 +424,15 @@ def suite_accuracy(n_cases=100, seed=0):
         slow = brute_force_accuracy(t, q)
         if fast != slow:
             bad.append(f"accuracy mismatch on case {k}: {fast} vs {slow}")
+    for k in range(20):
+        r = int(rng.integers(10, 41))
+        u, v = rng.integers(1, 6, size=(2, r))
+        W, pi = rng.integers(0, u[:, None] + v + 1), rng.permutation(r)
+        W[np.arange(r), pi] = u + v[pi]
+        t, q = np.repeat(np.indices((r, r)).reshape(2, -1) + 1, W.ravel(), 1)
+        fast, want = onmf.clustering_accuracy(t, q), (u.sum() + v.sum()) / t.size
+        if fast != want:
+            bad.append(f"planted case {k} (r={r}): {fast} vs optimum {want}")
     data = datakit.gen_synthetic_onmf(40, 120, 4, noise=0.0, seed=seed)
     acc = onmf.clustering_accuracy(data.labels, onmf.predict_clusters(data.V))
     if acc != 1.0:

@@ -46,6 +46,7 @@ BAD_SETTINGS = [
     ["--data", "X.csv", "--data-format", "mm"],
     ["--lambda", "-1"], ["--problem", "matcomp", "--lambda", "0"],
     ["--problem", "matcomp", "--theta", "0"], ["--noise", "-1"],
+    ["--noise", "inf"],
     ["--problem", "matcomp", "--obs-fraction", "2"], ["--r", "200"],
 ]
 

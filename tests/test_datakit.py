@@ -59,6 +59,19 @@ class TestSyntheticOnmf:
         with pytest.raises(ValueError):
             gen_synthetic_onmf(4, 3, 2, noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, noise):
+        # NaN passed the old "noise < 0" test and returned an all-NaN X
+        with pytest.raises(ValueError, match="noise"):
+            gen_synthetic_onmf(4, 3, 2, noise=noise)
+
+    @pytest.mark.parametrize("r", [2.5, True])
+    def test_non_integer_rank_rejected(self, r):
+        with pytest.raises(ValueError, match="r must"):
+            gen_synthetic_onmf(4, 3, r)
+        with pytest.raises(ValueError, match="r must"):
+            gen_synthetic_ratings(4, 3, r, 0.5)
+
 
 class TestSyntheticRatings:
     def test_observation_count_and_distinct_positions(self):

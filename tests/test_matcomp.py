@@ -278,6 +278,16 @@ class TestStateHandling:
         with pytest.raises(ValueError):
             McState(U=np.zeros((3, 2)), V=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("r", 2.5), ("r", True), ("r", 0), ("r", 4), ("lam", "1"),
+        ("lam", None), ("lam", 0.0), ("lam", np.inf), ("theta", "x"),
+        ("theta", np.nan), ("theta", False)])
+    def test_bad_field_rejected_by_name(self, field, value):
+        # r=2.5 and r=True used to be accepted, and a string or None weight
+        # raised a bare TypeError from the comparison
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            dataclasses.replace(diagonal_problem(), **{field: value})
+
     def test_random_init_shapes_and_determinism(self):
         p = diagonal_problem()
         a = mc_random_init(p, seed=3)

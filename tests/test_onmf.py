@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -552,6 +552,60 @@ class TestClusteringAccuracy:
         with pytest.raises(ValueError, match=name):
             clustering_accuracy(true, pred)
 
+    def test_far_apart_ids_need_no_dense_matrix(self):
+        # the r x r matrix over ids 1..10**6 needed 7.28 TiB
+        assert clustering_accuracy([1, 10**6], [1, 2]) == 1.0
+        assert clustering_accuracy([1, 10**6], [1, 2], r=10**6) == 1.0
+        assert clustering_accuracy([1, 10**6, 10**6], [2, 2, 1]) == 2 / 3
+
+    @pytest.mark.parametrize("r", [2.5, True, 1, "3", 2.0])
+    def test_r_must_be_an_integer_at_least_every_id(self, r):
+        with pytest.raises(ValueError, match="r must be an integer"):
+            clustering_accuracy([1, 2], [2, 1], r=r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), r=st.integers(1, 7))
+    def test_matches_brute_force(self, data, r):
+        n = data.draw(st.integers(1, 40))
+        ids = st.lists(st.integers(1, r), min_size=n, max_size=n)
+        t, q = data.draw(ids), data.draw(ids)
+        assert clustering_accuracy(t, q) == verify.brute_force_accuracy(t, q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 40), high=st.sampled_from([0, 1, 3, 10**6]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(k=1, high=0, seed=0)
+    @example(k=1, high=10**6, seed=1)
+    @example(k=40, high=0, seed=0)
+    @example(k=40, high=1, seed=2)
+    def test_assignment_matches_scipy(self, k, high, seed):
+        from scipy.optimize import linear_sum_assignment
+
+        # small ``high`` makes many ties; 0 gives the all-zero matrix
+        W = np.random.default_rng(seed).integers(0, high + 1, size=(k, k))
+        rows, cols = linear_sum_assignment(W, maximize=True)
+        assert onmf._max_assignment(W) == int(W[rows, cols].sum())
+
+    def test_planted_suite_cases_defeat_greedy_matching(self, monkeypatch):
+        # the planted cases lie beyond brute force (r >= 10); a matching
+        # that takes row maxima, or the largest entry first, misses them
+        assert verify.suite_accuracy(n_cases=0) == []
+
+        def row_maxima(W):
+            return int(W.max(axis=1).sum())
+
+        def largest_first(W):
+            W, total = W.astype(float), 0
+            for _ in range(len(W)):
+                i, j = np.unravel_index(np.argmax(W), W.shape)
+                total += int(W[i, j])
+                W[i, :] = W[:, j] = -1.0
+            return total
+
+        for greedy in (row_maxima, largest_first):
+            monkeypatch.setattr(onmf, "_max_assignment", greedy)
+            assert len(verify.suite_accuracy(n_cases=0)) == 20
+
     def test_exhaustive_alignment_definition(self):
         # double-check the Hungarian score against raw permutation search on
         # one fixed instance (r small enough to enumerate)
@@ -566,6 +620,23 @@ class TestClusteringAccuracy:
 
 
 class TestProblemAssembly:
+    @pytest.mark.parametrize("field, value", [
+        ("r", 2.5), ("r", True), ("r", 0), ("r", 5), ("lam", "1"),
+        ("lam", None), ("lam", -1.0), ("lam", np.nan), ("lam", True)])
+    def test_bad_field_rejected_by_name(self, field, value):
+        # r=2.5 and r=True used to be accepted, and a string or None lam
+        # raised a bare TypeError from the comparison
+        kwargs = {"X": np.ones((4, 4)), "r": 2, "lam": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            OnmfProblem(**kwargs)
+
+    def test_numpy_integer_rank_accepted(self):
+        assert OnmfProblem(X=np.ones((4, 4)), r=np.int64(2), lam=1).r == 2
+
+    def test_spa_rejects_non_integer_rank(self):
+        with pytest.raises(ValueError, match="r must"):
+            spa_select_rows(np.eye(4), 2.5)
+
     def test_default_lambda_positive_and_scales_with_X(self):
         rng = np.random.default_rng(13)
         X = rng.uniform(size=(10, 8))
