@@ -247,6 +247,12 @@ def _load_init(cfg, rows, cols):
     return U0, V0
 
 
+def _init_seed(seed):
+    """Seed of a run's random start: a child of ``seed``, so the start draws
+    from a stream independent of the one that generated synthetic data."""
+    return np.random.SeedSequence(seed).spawn(1)[0]
+
+
 def _prepare_onmf(cfg, seed):
     if cfg["data"] is not None:
         X = datakit.load_dense_csv(cfg["data"])
@@ -262,7 +268,7 @@ def _prepare_onmf(cfg, seed):
     if init == "spa":
         U0, V0 = onmf.spa_init(X, cfg["r"])
     elif init == "random":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_init_seed(seed))
         U0 = rng.uniform(size=(X.shape[0], cfg["r"]))
         V0 = rng.uniform(size=(cfg["r"], X.shape[1]))
     else:
@@ -321,7 +327,7 @@ def _prepare_matcomp(cfg, seed):
                           theta=cfg["theta"])
 
     if cfg["init"] != "file":
-        state0 = matcomp.mc_random_init(p, seed=seed)
+        state0 = matcomp.mc_random_init(p, seed=_init_seed(seed))
     else:
         state0 = matcomp.McState(*_load_init(cfg, train.rows, train.cols))
     obj_packed = matcomp.mc_objective_packed(p)

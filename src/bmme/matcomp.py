@@ -257,7 +257,10 @@ def rmse(observed, state):
 
 
 def mc_random_init(p, seed=0):
-    """Gaussian factors scaled so U V entries match the data magnitude."""
+    """Gaussian factors scaled so U V entries match the data magnitude.
+
+    Warning: ``gen_synthetic_ratings``' own seed redraws its planted factors.
+    """
     rng = np.random.default_rng(seed)
     m, n = p.shape
     mean_abs = float(np.mean(np.abs(p.observed.values))) or 1.0

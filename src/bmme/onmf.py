@@ -9,7 +9,9 @@ norm-polynomial family ``phi = c1/4 ||.||_F^4 + c2/2 ||.||_F^2`` of
 :mod:`bmme.bregman`. The U block is plain Lipschitz with constant
 ``||V V^T||_2`` against the Euclidean kernel (c1, c2) = (0, 1). The V block
 is (1, 1)-relatively smooth against (c1, c2) = (6 lam, eps(U)) with
-``eps(U) = max(||U^T U||_2, 2 lam)``. The r x r spectral norms are exact.
+``eps(U) = max(||U^T U||_2, 2 lam)``. The r x r spectral norms are exact:
+numpy's SVD (LAPACK ``dgesdd``). eps(U) skips its SVD when ||U||_F^2, an
+upper bound on ||U^T U||_2, already clears 2 lam by a rounding margin.
 Both block updates have closed forms: a projected gradient step for U, and
 for V the kernel-gradient inverse of the positive part of
 
@@ -40,7 +42,6 @@ from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd
 
 from .bregman import (
     BlockKernel,
@@ -52,7 +53,7 @@ from .bregman import (
     cubic_norm_scale,
     quadratic_kernel,
 )
-from .solver import BlockProblem
+from .solver import _EPS, BlockProblem
 
 __all__ = [
     "OnmfProblem",
@@ -71,6 +72,7 @@ __all__ = [
 ]
 
 _L1_FLOOR = 1e-12
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -130,9 +132,8 @@ def spectral_norm(M):
     """Largest singular value of a 2-D array, exact (an SVD; inputs are r x r).
 
     An iterative estimate falls below it, and each L built on it must be an
-    upper bound. One direct LAPACK ``dgesdd`` call without singular vectors,
-    the routine ``np.linalg.svd`` runs, so the value is the one
-    ``np.linalg.norm(M, 2)`` gives, without numpy's wrapper around the call.
+    upper bound. ``np.linalg.svd`` without singular vectors runs LAPACK
+    ``dgesdd``, so the value is the one ``np.linalg.norm(M, 2)`` gives.
     Raises ``numpy.linalg.LinAlgError`` if the SVD does not converge.
     """
     M = np.asarray(M, dtype=np.float64)
@@ -142,10 +143,7 @@ def spectral_norm(M):
         raise ValueError("spectral_norm input has non-finite entries")
     if M.size == 0:
         return 0.0
-    _, s, _, info = dgesdd(M, compute_uv=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgesdd failed with info = {info}")
-    return float(s[0])
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def onmf_constants_U(V):
@@ -156,9 +154,38 @@ def onmf_constants_U(V):
 def v_kernel_weight(U, lam):
     """Quadratic-term weight max(||U^T U||_2, 2 lam) of the V-block kernel.
 
-    Also the kernel's strong-convexity modulus.
+    Also the kernel's strong-convexity modulus. The result is always
+    ``max(spectral_norm(U.T @ U), 2 lam)``, bit for bit. One dot product
+    screens out the Gram and its SVD: ||U^T U||_2 <= trace(U^T U) =
+    ||U||_F^2, so 2 lam is the max whenever fl(||U||_F^2) clears it by
+    more than every rounding between the two.
+
+    The margin. Let u be the unit roundoff, U be m x r with N = m r
+    entries, F = ||U||_F^2 and f = fl(<U, U>). A dot product of N
+    nonnegative terms errs by at most N u F in any summation order, so
+    F <= f (1 + N u). The Gram's entries err by at most m u (|U|^T |U|),
+    whose Frobenius norm is at most F, so ||fl(U^T U)||_2 <= F (1 + m u).
+    ``dgesdd`` returns the singular values of fl(U^T U) + E with
+    ||E||_2 <= p(r) u ||fl(U^T U)||_2: Householder bidiagonalization gives
+    p(r) of order r^2.5, and the bidiagonal's singular values come with a
+    relative error of a few r u. So the computed ||U^T U||_2 is at most
+    f (1 + (N + m + p(r)) u) to first order. The screen's factor
+    1 + 8 u (N + m + r^3 + 8) exceeds that, with room for the second-order
+    terms and its own roundings. Gradual underflow adds at most half the
+    subnormal spacing s to each product: N s / 2 to f, and N s / 2 to the
+    Gram in Frobenius norm (r^2 entries of m products). The screen adds
+    2 N s, and ``dgesdd`` scales a tiny matrix up before it bidiagonalizes.
+    A non-finite f fails the screen, so the SVD still raises as it would;
+    a U that is not 2-D float64 is not screened.
     """
-    return max(spectral_norm(U.T @ U), 2.0 * lam)
+    two_lam = 2.0 * lam
+    if U.dtype == np.float64 and U.ndim == 2:
+        (m, r), n = U.shape, U.size
+        bound = (float(np.vdot(U, U)) * (1.0 + 8.0 * _EPS * (n + m + r**3 + 8))
+                 + 2.0 * n * _TINY)
+        if bound < two_lam:
+            return two_lam
+    return max(spectral_norm(U.T @ U), two_lam)
 
 
 def v_block_kernel(U, lam):

@@ -23,13 +23,31 @@ def test_every_exported_name_resolves_and_is_listed_once(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_package_and_cli_leave_scipy_optimize_unloaded():
-    # scipy.optimize holds about 19 MB of resident memory and 200 modules;
-    # cluster scoring solves its assignment in numpy instead
-    code = ("import sys, bmme, bmme.cli\n"
-            "from bmme.onmf import clustering_accuracy\n"
-            "assert clustering_accuracy([1, 2, 2], [2, 1, 1]) == 1.0\n"
-            "print([m for m in sys.modules if m.startswith('scipy.optimize')])")
+def test_package_and_cli_leave_scipy_linalg_and_optimize_unloaded():
+    # scipy.optimize holds about 19 MB of resident memory and 200 modules,
+    # scipy.linalg about 8 MB: cluster scoring solves its assignment in
+    # numpy, and the r x r spectral norms take numpy's SVD
+    code = """\
+import sys, bmme, bmme.cli
+from bmme import datakit, matcomp, onmf, solver
+assert onmf.clustering_accuracy([1, 2, 2], [2, 1, 1]) == 1.0
+syn = datakit.gen_synthetic_onmf(20, 15, 3, seed=1)
+p = onmf.OnmfProblem(X=syn.X, r=3, lam=10.0)
+res = solver.run(onmf.onmf_block_problems(p), list(onmf.spa_init(p.X, 3)),
+                 solver.SolverConfig(max_iters=3, tol_rel_change=0.0),
+                 lambda b: onmf.onmf_objective(p, *b))
+assert len(res.trace) == 3
+q = matcomp.McProblem(datakit.gen_synthetic_ratings(20, 15, 3, 0.5, seed=1),
+                      r=3, lam=0.1, theta=5.0)
+obj = matcomp.mc_objective_packed(q)
+res = solver.run([matcomp.mc_block_problem(q)],
+                 [matcomp.pack_state(matcomp.mc_random_init(q, seed=2))],
+                 solver.SolverConfig(max_iters=2, tol_rel_change=0.0),
+                 lambda b: obj(b[0]))
+assert len(res.trace) == 2
+print([m for m in sys.modules
+       if m.startswith(("scipy.linalg", "scipy.optimize"))])
+"""
     src = str(Path(bmme.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,

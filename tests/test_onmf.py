@@ -260,6 +260,68 @@ class TestConstantsU:
         assert consts.L == 1e-12
 
 
+def kernel_weight_oracle(U, lam):
+    return max(float(np.linalg.norm(U.T @ U, 2)), 2.0 * lam)
+
+
+def rank_one(seed, m, r):
+    """An m x r rank-one U >= 0, whose ||U^T U||_2 is ||U||_F^2."""
+    rng = np.random.default_rng(seed)
+    return np.outer(rng.uniform(size=m), rng.uniform(size=r))
+
+
+@st.composite
+def gram_factors(draw):
+    """An m x r U >= 0, rank one or generic."""
+    m = draw(st.integers(1, 40))
+    r = draw(st.integers(1, min(m, 8)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return rank_one(seed, m, r)
+    return np.random.default_rng(seed).uniform(size=(m, r))
+
+
+class TestKernelWeight:
+    # ||U^T U||_2 <= ||U||_F^2 screens the SVD out when 2 lam is the max;
+    # the result must be the SVD's either way
+
+    @settings(max_examples=500, deadline=None)
+    @given(U=gram_factors(), lam=st.floats(1e-3, 1e3),
+           offset=st.one_of(st.floats(-1e-6, 1e-6),
+                            st.integers(-16, 16).map(lambda k: k * EPS)))
+    # fl(||U||_F^2) < 2 lam < the computed ||U^T U||_2: the margin decides
+    @example(U=rank_one(88, 6, 3), lam=1.0, offset=0.0)
+    def test_bit_for_bit_near_the_threshold(self, U, lam, offset):
+        # ||U||_F^2 within 1 +- 1e-6 of 2 lam, and within a few ulps of it,
+        # where the computed ||U^T U||_2 may exceed fl(||U||_F^2)
+        U = U * np.sqrt(2.0 * lam * (1.0 + offset) / np.vdot(U, U))
+        assert v_kernel_weight(U, lam) == kernel_weight_oracle(U, lam)
+
+    @settings(max_examples=300, deadline=None)
+    @given(U=gram_factors(), k=st.integers(-200, 200),
+           ratio=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]))
+    def test_bit_for_bit_at_power_of_two_scales(self, U, k, ratio):
+        U = U * 2.0**k
+        lam = ratio * float(np.vdot(U, U))
+        assert v_kernel_weight(U, lam) == kernel_weight_oracle(U, lam)
+
+    def test_paper_setting_takes_one_svd_per_sweep(self, monkeypatch):
+        # ||U||_F^2 stays far below 2 lam = 2000, so of the two r x r
+        # norms per sweep only the U block's L = ||V V^T||_2 is computed
+        calls = []
+        real = onmf.spectral_norm
+        monkeypatch.setattr(onmf, "spectral_norm",
+                            lambda M: calls.append(1) or real(M))
+        syn = datakit.gen_synthetic_onmf(100, 100, 5, noise=0.05, seed=1)
+        p = OnmfProblem(X=syn.X, r=5, lam=1000.0)
+        cfg = SolverConfig(max_iters=500, tol_rel_change=0.0,
+                           verify_descent=True)
+        res = run(onmf_block_problems(p), list(spa_init(syn.X, 5)), cfg,
+                  lambda blocks: onmf_objective(p, blocks[0], blocks[1]))
+        assert len(res.trace.records) == 500
+        assert len(calls) == 500
+
+
 class TestUpdateU:
     def test_identity_instance(self):
         # grad at Ubar = (Ubar - I) = -0.5 I, so the prox step from 0.5 I
