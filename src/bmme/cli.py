@@ -319,6 +319,11 @@ def _prepare_matcomp(cfg, seed):
     frac = float(cfg["train_fraction"])
     if frac < 1.0:
         train, test = datakit.train_test_split(observed, frac, seed=seed)
+        if not (train.n_obs and test.n_obs):
+            raise UsageError(
+                f"--train-fraction {frac} leaves {train.n_obs} training and "
+                f"{test.n_obs} test entries of {observed.n_obs}; each side "
+                "needs at least one")
     else:
         train, test = observed, None
 
@@ -429,12 +434,12 @@ def _mean_curve(runs):
 def cmd_compare(cfg, algorithms, solver_cfg):
     seeds = [cfg["seed"] + i for i in range(cfg["seeds"])]
     out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
 
     jobs = []
     for algorithm in algorithms:
         for seed in seeds:
             job = _run_single(cfg, solver_cfg, algorithm, seed)
+            os.makedirs(out, exist_ok=True)
             _atomic_write_text(
                 os.path.join(out, f"trace_{algorithm}_{seed}.csv"),
                 _trace_csv_text(job.result.trace, job.scale))

@@ -21,15 +21,12 @@ matrix.
 
 Every smooth evaluation and gradient rests on one residual pass over the
 observed entries: one gather of V^T's rows, one sparse mat-vec over U's
-entries, and a subtraction of A. The gathered rows, their columns in
-even-k-then-odd-k order, are the data of a (2 n_obs) x (m r) CSR matrix
-whose fixed pattern indexes ``U.ravel()``: row 2e holds entry e's even-k
-products and row 2e + 1 its odd-k ones, so the mat-vec returns both partial
-sums, each summed left to right, and the prediction is their sum. That is
-the order numpy 2.4's ``einsum("ij,ij->i")`` uses at r <= 7 on x86_64; at
-larger r the two differ by rounding. Each :class:`McProblem` lazily builds
-a helper, used by the packed evaluations (``f_eval``, ``grad``,
-``partial_grad``, :func:`mc_objective_packed`), that holds three things:
+entries, and a subtraction of A. The gathered rows are the data of an
+n_obs x (m r) CSR matrix whose fixed pattern indexes ``U.ravel()``: row e
+holds entry e's r products, so the mat-vec sums them left to right from 0,
+at every r. Each :class:`McProblem` lazily builds a helper, used by the
+packed evaluations (``f_eval``, ``grad``, ``partial_grad``,
+:func:`mc_objective_packed`), that holds three things:
 
 - the residual pass's CSR pattern, built once;
 - the CSR pattern of the observed entries, built once. A gradient fills it
@@ -121,29 +118,23 @@ def unpack_state(Z, m):
 
 
 def _pass_pattern(observed, r):
-    """Column order, CSR indices and indptr of the residual pass at rank r."""
+    """CSR indices and indptr of the residual pass at rank r."""
     n = observed.n_obs
-    order = np.r_[0:r:2, 1:r:2]
-    ends = np.arange(n + 1) * r
-    indptr = np.empty(2 * n + 1, dtype=np.int64)
-    indptr[0::2] = ends
-    indptr[1::2] = ends[:-1] + (r + 1) // 2
-    indices = (observed.row_idx[:, None] * r + order).ravel()
+    indices = (observed.row_idx[:, None] * r + np.arange(r)).ravel()
     # scipy picks the index dtype here, once, so no pass re-checks it
-    A = csr_matrix((np.empty(indices.size), indices, indptr),
-                   shape=(2 * n, observed.rows * r))
-    return order, A.indices, A.indptr
+    A = csr_matrix((np.empty(indices.size), indices, np.arange(n + 1) * r),
+                   shape=(n, observed.rows * r))
+    return A.indices, A.indptr
 
 
 def _residuals(observed, U, Vt, pattern=None):
     # predicted minus observed, on observed positions only; U is m x r and
-    # Vt is n x r. Rows 2e and 2e + 1 of the mat-vec are entry e's even-k
-    # and odd-k sums (module docstring).
-    order, indices, indptr = pattern or _pass_pattern(observed, U.shape[1])
-    data = np.take(Vt[:, order], observed.col_idx, axis=0)
-    y = csr_matrix((data.ravel(), indices, indptr),
-                   shape=(indptr.size - 1, U.size)) @ U.ravel()
-    res = y[0::2] + y[1::2]
+    # Vt is n x r. Row e of the mat-vec is entry e's prediction, its r
+    # products summed left to right (module docstring).
+    indices, indptr = pattern or _pass_pattern(observed, U.shape[1])
+    data = np.take(Vt, observed.col_idx, axis=0)
+    res = csr_matrix((data.ravel(), indices, indptr),
+                     shape=(indptr.size - 1, U.size)) @ U.ravel()
     res -= observed.values
     return res
 

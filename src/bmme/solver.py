@@ -587,6 +587,11 @@ class RunResult:
 def run(problems, init_blocks, config, objective, algorithm="bmme"):
     """Drive repeated sweeps until an iteration/time/tolerance limit.
 
+    The run stops by tolerance after the first sweep with
+    ``|F(x^{k+1}) - F(x^k)| <= config.tol_rel_change * |F(x^k)|``. The rule
+    is relative, so scaling F by a constant leaves the sweep it stops at
+    unchanged; ``tol_rel_change=0`` stops only when F repeats exactly.
+
     With ``algorithm="bmme"`` each sweep extrapolates; ``"bmm"`` forces every
     extrapolation weight to zero. When ``config.verify_descent`` is on, each
     sweep asserts the certified inequality
@@ -624,7 +629,7 @@ def run(problems, init_blocks, config, objective, algorithm="bmme"):
         _step(problems, state, config, objective, algorithm == "bmm", deltas,
               etas)
         if (abs(state.objective - f_prev)
-                <= config.tol_rel_change * (1.0 + abs(f_prev))):
+                <= config.tol_rel_change * abs(f_prev)):
             reason = StopReason.TOL_REACHED
             break
         if (config.time_budget is not None

@@ -278,6 +278,24 @@ class TestBadUsage:
         assert capsys.readouterr().err.startswith(f"error: {flags[-2]} ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("fraction, n_train, n_test",
+                             [("0.99", 30, 0), ("0.01", 0, 30)])
+    def test_one_sided_split_exits_two_before_solving(
+            self, tmp_path, capsys, monkeypatch, command, fraction, n_train,
+            n_test):
+        # 10% of 20 x 15 is 30 entries; the split rounds one side to none
+        monkeypatch.setattr(cli, "run", None)
+        out = tmp_path / "o"
+        rc = cli.main([command, "--problem", "matcomp", "--m", "20",
+                       "--n", "15", "--r", "2", "--obs-fraction", "0.1",
+                       "--train-fraction", fraction, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --train-fraction {fraction} leaves "
+                              f"{n_train} training and {n_test} test entries")
+        assert not out.exists()
+
 
 class TestOptionTable:
     def test_solver_defaults_read_from_solver_config(self):

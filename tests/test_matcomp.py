@@ -405,15 +405,19 @@ class TestEndToEnd:
                    for s in r.per_block_shrinks) == 144
 
 
+def left_to_right_residuals(observed, U, Vt):
+    # reference residual pass: each entry's r products summed left to right
+    ri, ci = observed.row_idx, observed.col_idx
+    pred = sum(U[ri, k] * Vt[ci, k] for k in range(U.shape[1]))
+    return pred - observed.values
+
+
 def per_call_csr_grad(observed, Z):
     # reference gradient that shares nothing with the kept CSR pattern:
-    # strided V[:, col_idx].T gather, COO -> CSR conversion on every call
+    # column-by-column residuals, COO -> CSR conversion on every call
     m = observed.rows
     U, V = Z[:m], Z[m:].T
-    res = np.zeros(0)
-    if observed.n_obs:
-        res = np.einsum("ij,ij->i", U[observed.row_idx],
-                        V[:, observed.col_idx].T) - observed.values
+    res = left_to_right_residuals(observed, U, V.T)
     R = csr_matrix((res, (observed.row_idx, observed.col_idx)),
                    shape=(observed.rows, observed.cols))
     return np.vstack([R @ V.T, R.T @ U])
@@ -529,17 +533,20 @@ class TestResidualPass:
         assert got.shape == (obs.n_obs,)
         assert np.all(np.abs(got - want) <= 4 * U.shape[1] * 2.0**-53 * size)
 
-    @pytest.mark.parametrize("r", range(1, 8))
-    def test_sums_in_the_order_of_einsum(self, r):
-        # even-k and odd-k products, each summed left to right, then added:
-        # numpy's einsum("ij,ij->i") order at r <= 7, which the golden runs
-        # were recorded with
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_sums_each_entry_left_to_right(self, r):
+        # one CSR row per entry: its r products summed left to right from 0,
+        # the order of Python's sum over the columns, whatever the entry order
         obs = datakit.gen_synthetic_ratings(60, 50, 4, 0.3, seed=r)
+        order = np.random.default_rng(r).permutation(obs.n_obs)
+        shuffled = datakit.ObservedMatrix(
+            obs.rows, obs.cols, obs.row_idx[order], obs.col_idx[order],
+            obs.values[order])
         rng = np.random.default_rng(r)
         U, Vt = rng.standard_normal((60, r)), rng.standard_normal((50, r))
-        pred = np.einsum("ij,ij->i", U[obs.row_idx], Vt[obs.col_idx])
-        assert np.array_equal(matcomp._residuals(obs, U, Vt),
-                              pred - obs.values)
+        for observed in (obs, shuffled):
+            assert np.array_equal(matcomp._residuals(observed, U, Vt),
+                                  left_to_right_residuals(observed, U, Vt))
 
 
 class TestCsrPattern:

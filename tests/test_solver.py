@@ -317,6 +317,30 @@ class TestRunBasics:
         assert res.stop_reason is StopReason.TOL_REACHED
         assert len(res.trace.records) == 1
 
+    @pytest.mark.parametrize("k", [-40, -20, 20, 40])
+    def test_tolerance_stop_is_scale_free(self, k):
+        # (2^k X, 4^k lam, 2^k U0, V0) is the same ONMF problem with F scaled
+        # by 4^k: under the default tol it stops at the same sweep, with the
+        # same iterates. A floor of tol * 1 would stop 2^-20 after one sweep
+        syn = datakit.gen_synthetic_onmf(30, 30, 3, noise=0.05, seed=0)
+        U0, V0 = onmf.spa_init(syn.X, 3)
+
+        def solve(s):
+            p = onmf.OnmfProblem(X=s * syn.X, r=3, lam=s * s * 10.0)
+            return run(onmf.onmf_block_problems(p), [s * U0, V0.copy()],
+                       SolverConfig(max_iters=1000),
+                       lambda b: onmf.onmf_objective(p, b[0], b[1]))
+
+        s = 2.0 ** k
+        base, scaled = solve(1.0), solve(s)
+        assert base.stop_reason is StopReason.TOL_REACHED
+        assert scaled.stop_reason is StopReason.TOL_REACHED
+        assert len(scaled.trace) == len(base.trace) < 1000
+        assert np.array_equal(scaled.trace.objectives(),
+                              s * s * base.trace.objectives())
+        assert np.array_equal(scaled.final[0], s * base.final[0])
+        assert np.array_equal(scaled.final[1], base.final[1])
+
     def test_zero_iterations_gives_empty_trace(self):
         a = np.array([1.0])
         res = run([quadratic_block(a)], [np.zeros(1)],
