@@ -241,7 +241,8 @@ def bregman_divergence(kernel, x, y):
         e = math.frexp(max(float(np.max(np.abs(x))),
                            float(np.max(np.abs(y)))))[1]
         ds = np.ldexp(x, -e) - np.ldexp(y, -e)
-        div = float(np.ldexp(0.5 * kernel.c2 * float(np.vdot(ds, ds)), 2 * e))
+        with np.errstate(over="ignore"):  # an inf raises below
+            div = float(np.ldexp(0.5 * kernel.c2 * np.vdot(ds, ds), 2 * e))
     elif kernel.c1 == 0.0 or dd == 0.0:  # the quartic terms vanish
         div = 0.5 * kernel.c2 * dd
     else:

@@ -14,8 +14,9 @@ Three subcommands:
 Options may also come from a JSON file via ``--config``; explicit flags
 override file values. ``SolverConfig`` owns the solver's rules and ``_RULES``
 the rest; ``_resolve_options`` applies both before any data is generated or
-output written. Only the ``--init-u``/``--init-v`` shape check, which needs
-the data, comes later.
+output written. The checks that need the data (``--r`` against a file's
+shape, the ``--init-u``/``--init-v`` shapes and a one-sided
+``--train-fraction``) come after it is built, before any solve or output.
 """
 
 import argparse
@@ -247,6 +248,13 @@ def _load_init(cfg, rows, cols):
     return U0, V0
 
 
+def _check_rank(cfg, rows, cols):
+    """The ``--r`` bound on a rows x cols data matrix, from a file or not."""
+    if cfg["r"] > min(rows, cols):
+        raise UsageError(f"--r {cfg['r']} must be <= min(m, n) = "
+                         f"{min(rows, cols)} for the {rows} x {cols} data")
+
+
 def _init_seed(seed):
     """Seed of a run's random start: a child of ``seed``, so the start draws
     from a stream independent of the one that generated synthetic data."""
@@ -263,6 +271,7 @@ def _prepare_onmf(cfg, seed):
             cfg["m"], cfg["n"], cfg["r"], noise=cfg["noise"], seed=seed)
         X, labels = sample.X, sample.labels
         synthetic = True
+    _check_rank(cfg, *X.shape)
 
     init = cfg["init"] or "spa"
     if init == "spa":
@@ -315,6 +324,7 @@ def _prepare_matcomp(cfg, seed):
     else:
         observed = datakit.gen_synthetic_ratings(
             cfg["m"], cfg["n"], cfg["r"], cfg["obs_fraction"], seed=seed)
+    _check_rank(cfg, observed.rows, observed.cols)
 
     frac = float(cfg["train_fraction"])
     if frac < 1.0:

@@ -26,7 +26,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObservedMatrix:
-    """Sparse set of observed entries of a rows-by-cols matrix."""
+    """Sparse set of observed entries of a rows-by-cols matrix, stored
+    row-major whatever order they come in: results depend on the set only."""
 
     rows: int
     cols: int
@@ -52,9 +53,10 @@ class ObservedMatrix:
             # strictly increasing positions are distinct; sort only others
             lin = ri * self.cols + ci
             if not (lin[1:] > lin[:-1]).all():
-                lin.sort()
-                if (lin[1:] == lin[:-1]).any():
+                order = np.argsort(lin)
+                if (np.diff(lin[order]) == 0).any():
                     raise ValueError("duplicate observed entries")
+                ri, ci, vals = ri[order], ci[order], vals[order]
         if not np.all(np.isfinite(vals)):
             raise ValueError("observed values contain non-finite entries")
         object.__setattr__(self, "row_idx", ri)
@@ -132,7 +134,7 @@ def gen_synthetic_ratings(m, n, r, obs_fraction, seed=0):
     count = int(round(obs_fraction * m * n))
     count = max(count, 1)
     lin = rng.choice(m * n, size=count, replace=False)
-    lin.sort()
+    lin.sort()  # row-major already, so ObservedMatrix need not sort
     ri, ci = np.divmod(lin, n)
     # the product after the draw, so its m x n array and the draw's
     # m * n positions are never alive together
@@ -147,6 +149,7 @@ def train_test_split(observed, fraction, seed=0):
     n = observed.n_obs
     k = int(round(fraction * n))
     perm = np.random.default_rng(seed).permutation(n)
+    # sorted picks keep the entries row-major: ObservedMatrix need not sort
     pick_train = np.sort(perm[:k])
     pick_test = np.sort(perm[k:])
 

@@ -29,10 +29,9 @@ packed evaluations (``f_eval``, ``grad``, ``partial_grad``,
 :func:`mc_objective_packed`), that holds three things:
 
 - the residual pass's CSR pattern, built once;
-- the CSR pattern of the observed entries, built once. A gradient fills it
-  with the residuals instead of converting COO to CSR on each call. They
-  are permuted into CSR order only when the entries do not already come in
-  that order; otherwise the memo's residual array is the matrix's data;
+- the CSR pattern of the observed entries, built once. The entries are
+  row-major, so a gradient's matrix takes the memo's residual array as
+  its data;
 - a one-entry residual memo keyed by value: a snapshot copy of the last Z,
   a hit only on the same dtype, the same shape and equal entries. A caller
   may update Z in place, so the memo never trusts array identity.
@@ -143,17 +142,16 @@ class _ResidualPasses:
     """CSR patterns of the observed entries and the last packed residuals."""
 
     def __init__(self, observed, r):
-        # convert the entry numbers 1..n_obs once: the data then say which
-        # entry lands in each CSR slot, whatever order the entries come in
-        pattern = csr_matrix((np.arange(1, observed.n_obs + 1),
-                              (observed.row_idx, observed.col_idx)),
-                             shape=(observed.rows, observed.cols))
-        # None when the entries already come in CSR order: no gather then
-        perm = pattern.data - 1
-        self.perm = None if (perm == np.arange(perm.size)).all() else perm
+        # the entries are row-major, so entry e fills slot e of the
+        # gradient's CSR matrix; scipy picks the index dtype here, once
+        m = observed.rows
+        pattern = csr_matrix(
+            (np.empty(observed.n_obs), observed.col_idx,
+             np.searchsorted(observed.row_idx, np.arange(m + 1))),
+            shape=(m, observed.cols))
         self.indices, self.indptr = pattern.indices, pattern.indptr
         # residuals at packed Z: one fresh pass unless Z equals the last Z
-        m, pass_pattern = observed.rows, _pass_pattern(observed, r)
+        pass_pattern = _pass_pattern(observed, r)
         self.residuals = ValueMemo(
             lambda Z: _residuals(observed, Z[:m], Z[m:], pass_pattern))
 
@@ -169,10 +167,8 @@ def _smooth_eval_packed(p, Z):
 
 def _smooth_grad_packed(p, Z):
     m, passes = p.observed.rows, p._passes
-    res = passes.residuals(Z)
-    if passes.perm is not None:
-        res = res[passes.perm]
-    R = csr_matrix((res, passes.indices, passes.indptr), shape=p.shape)
+    R = csr_matrix((passes.residuals(Z), passes.indices, passes.indptr),
+                   shape=p.shape)
     return np.vstack([R @ Z[m:], R.T @ Z[:m]])
 
 

@@ -231,15 +231,31 @@ class TestDataFiles:
         assert set(idmap) == {"users", "items"}
         assert idmap["users"][0] == "user0"
 
-    def test_rank_above_data_size_exits_one(self, tmp_path, capsys):
-        # the rank bound on --m/--n holds for synthetic data only; for a
-        # file the problem's own check reports it
-        data = tmp_path / "X.csv"
-        datakit.save_dense_csv(data, np.ones((3, 4)))
-        rc = cli.main(["run", "--data", str(data), "--r", "4",
-                       "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "r must lie in [1, min(m, n)]" in capsys.readouterr().err
+    def test_shuffled_ratings_give_the_same_run(self, tmp_path):
+        # 60 x 50 ratings; the first 60 lines fix the users' and items'
+        # first appearances, so only the order of the entries differs
+        rng = np.random.default_rng(5)
+        head = [(u, u % 50) for u in range(60)]
+        rest = [(u, i) for u in range(60) for i in range(50)
+                if i != u % 50 and rng.uniform() < 0.3]
+        rating = {pair: rng.uniform(1, 5) for pair in head + rest}
+        reports, objectives = [], []
+        for name, order in (("in_order", np.arange(len(rest))),
+                            ("shuffled", rng.permutation(len(rest)))):
+            data, out = tmp_path / f"{name}.dat", tmp_path / name
+            data.write_text("".join(
+                f"u{u}::i{i}::{rating[u, i]:.1f}\n"
+                for u, i in head + [rest[k] for k in order]))
+            assert cli.main(["run", "--problem", "matcomp", "--data",
+                             str(data), "--data-format", "ratings", "--r", "2",
+                             "--max-iters", "50", "--out", str(out)]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+            objectives.append([row["objective"]
+                               for row in read_trace(out / "trace.csv")])
+        assert objectives[0] == objectives[1]
+        for key in ("rmse_train", "rmse_test", "rmse_train_init",
+                    "rmse_test_init"):
+            assert reports[0][key] == reports[1][key]
 
     def test_missing_data_file_exits_one(self, tmp_path):
         rc = cli.main(["run", "--problem", "onmf", "--data",
@@ -294,6 +310,29 @@ class TestBadUsage:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --train-fraction {fraction} leaves "
                               f"{n_train} training and {n_test} test entries")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("problem, fmt", [
+        ("onmf", "csv"), ("matcomp", "csv"), ("matcomp", "ratings")])
+    def test_rank_above_data_size_exits_two_before_solving(
+            self, tmp_path, capsys, monkeypatch, command, problem, fmt):
+        # the rule on --m/--n covers synthetic data; a 6 x 5 file is
+        # checked once it is read, before SPA, any solve or any output
+        monkeypatch.setattr(cli, "run", None)
+        monkeypatch.setattr(onmf, "spa_init", None)
+        data = tmp_path / "data"
+        if fmt == "csv":
+            datakit.save_dense_csv(data, np.ones((6, 5)))
+        else:
+            data.write_text("".join(f"u{u}::i{i}::3.0\n" for u in range(6)
+                                    for i in range(5)))
+        out = tmp_path / "o"
+        rc = cli.main([command, "--problem", problem, "--data", str(data),
+                       "--data-format", fmt, "--r", "7", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --r 7 must be <= min(m, n) = 5 for the 6 x 5 data")
         assert not out.exists()
 
 

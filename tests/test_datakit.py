@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bmme.datakit import (
@@ -206,9 +208,10 @@ class TestRatings:
         assert (obs.rows, obs.cols) == (2, 2)
         # dense ids follow first appearance
         assert idmaps == {"users": ["u9", "u2"], "items": ["i7", "i1"]}
-        assert obs.row_idx.tolist() == [0, 1, 0]
-        assert obs.col_idx.tolist() == [0, 0, 1]
-        assert obs.values.tolist() == [3.5, 4.0, 1.0]
+        # entries are stored row-major, not in file order
+        assert obs.row_idx.tolist() == [0, 0, 1]
+        assert obs.col_idx.tolist() == [0, 1, 0]
+        assert obs.values.tolist() == [3.5, 1.0, 4.0]
 
     def test_tab_separator_three_columns(self, tmp_path):
         path = tmp_path / "r.tsv"
@@ -262,4 +265,24 @@ class TestObservedMatrix:
                              np.array([1, 3, 0, 1]),
                              np.array([1.0, 2.0, 3.0, 4.0]))
         assert obs.n_obs == 4
-        assert list(obs.row_idx) == [2, 0, 1, 0]
+        # stored row-major, each value still at its own position
+        assert list(obs.row_idx) == [0, 0, 1, 2]
+        assert list(obs.col_idx) == [1, 3, 0, 1]
+        assert list(obs.values) == [4.0, 2.0, 3.0, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6))
+    def test_any_order_of_entries_stores_the_sorted_one(self, data, rows,
+                                                        cols):
+        lin = sorted(data.draw(st.sets(st.integers(0, rows * cols - 1))))
+        vals = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(lin),
+                                  max_size=len(lin)))
+        order = data.draw(st.permutations(range(len(lin))))
+        ri, ci = np.divmod(np.array(lin, dtype=np.int64), cols)
+        sorted_ = ObservedMatrix(rows, cols, ri, ci, np.array(vals))
+        shuffled = ObservedMatrix(rows, cols, ri[order], ci[order],
+                                  np.array(vals)[order])
+        for name in ("row_idx", "col_idx", "values"):
+            got, want = getattr(shuffled, name), getattr(sorted_, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)

@@ -568,18 +568,29 @@ class TestCsrPattern:
         got = self.check(shuffled, r=4, seed=9)
         assert np.array_equal(got, self.check(obs, r=4, seed=9))
 
-    def test_entries_in_csr_order_need_no_gather(self):
+    def test_entries_in_csr_order_need_no_gather(self, monkeypatch):
+        # entries are stored row-major, so in any given order the memo's
+        # residual array is the gradient matrix's data, read in place
         obs = datakit.gen_synthetic_ratings(305, 203, 4, 0.1, seed=7)
         train, _ = datakit.train_test_split(obs, 0.8, seed=3)
-        for observed in (obs, train):
+        order = np.random.default_rng(8).permutation(obs.n_obs)
+        shuffled = datakit.ObservedMatrix(
+            obs.rows, obs.cols, obs.row_idx[order], obs.col_idx[order],
+            obs.values[order])
+        for observed in (obs, train, shuffled):
             p = McProblem(observed=observed, r=4, lam=0.1, theta=5.0)
-            assert p._passes.perm is None
+            assert p._passes.indices.dtype == np.int32
             Z = np.random.default_rng(9).standard_normal(
                 (observed.rows + observed.cols, 4))
             res = p._passes.residuals(Z)
             before = res.copy()
-            assert np.array_equal(matcomp._smooth_grad_packed(p, Z),
-                                  per_call_csr_grad(observed, Z))
+            data = []
+            with monkeypatch.context() as mp:
+                mp.setattr(matcomp, "csr_matrix", lambda arg, **kw: (
+                    data.append(arg[0]) or csr_matrix(arg, **kw)))
+                got = matcomp._smooth_grad_packed(p, Z)
+            assert len(data) == 1 and data[0] is res
+            assert np.array_equal(got, per_call_csr_grad(observed, Z))
             assert p._passes.residuals.value is res
             assert np.array_equal(res, before)
 
