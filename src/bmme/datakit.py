@@ -267,16 +267,15 @@ def load_ratings(path):
     """Read 'user<TAB or ::>item<sep>rating[<sep>timestamp]' lines.
 
     User/item ids may be arbitrary tokens; they are remapped to dense 0-based
-    indices in first-appearance order.
+    indices in the sorted order of the tokens, so the order of the lines
+    changes neither the indices nor the run.
 
     Returns
     -------
     (ObservedMatrix, id_maps) where ``id_maps = {"users": [...], "items":
     [...]}`` records the remapping (position = dense index).
     """
-    users, items = {}, {}
-    ri, ci, vals = [], [], []
-    seen = set()
+    ratings = {}
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -294,21 +293,20 @@ def load_ratings(path):
                 rating = float(parts[2])
             except ValueError:
                 raise ValueError(f"{path}:{ln}: non-numeric rating") from None
-            iu = users.setdefault(u, len(users))
-            ii = items.setdefault(it, len(items))
-            if (iu, ii) in seen:
+            if (u, it) in ratings:
                 raise ValueError(f"{path}:{ln}: duplicate rating for "
                                  f"({u!r}, {it!r})")
-            seen.add((iu, ii))
-            ri.append(iu)
-            ci.append(ii)
-            vals.append(rating)
-    if not vals:
+            ratings[u, it] = rating
+    if not ratings:
         raise ValueError(f"{path}: no ratings found")
+    users = sorted({u for u, _ in ratings})
+    items = sorted({it for _, it in ratings})
+    row = {u: k for k, u in enumerate(users)}
+    col = {it: k for k, it in enumerate(items)}
     observed = ObservedMatrix(
         rows=len(users), cols=len(items),
-        row_idx=np.array(ri, dtype=np.int64),
-        col_idx=np.array(ci, dtype=np.int64),
-        values=np.array(vals, dtype=np.float64))
-    id_maps = {"users": list(users), "items": list(items)}
+        row_idx=np.array([row[u] for u, _ in ratings], dtype=np.int64),
+        col_idx=np.array([col[it] for _, it in ratings], dtype=np.int64),
+        values=np.array(list(ratings.values()), dtype=np.float64))
+    id_maps = {"users": users, "items": items}
     return observed, id_maps

@@ -29,6 +29,12 @@ errs by a few eps ||X||^2, so a fit below 1e-5 (||X||^2 + <U^T U, V V^T>) is
 recomputed from the residual. ``smooth_eval`` always forms the residual: the
 line search's gap must shrink with ||x - xbar||, and the Gram error does not.
 
+From ``_SPLIT_SIZE`` entries of X on, the sweep still reads X twice, but
+each read runs in two fixed halves on the two threads of a module-level
+pool: U^T X by column halves of X, X V^T by row halves. Each output entry
+is still one BLAS dot product over the full inner dimension, and the halves
+do not depend on the number of workers, so neither do the results.
+
 The starting point comes from successive projection (SPA), in the recursive
 form of Gillis & Vavasis (2014): each pick reads X once, as one product
 X d, and no deflated copy of X is made. A pick is rejected as rank deficient
@@ -37,6 +43,7 @@ to the floor (1e-12 ||X||_F)^2.
 """
 
 import numbers
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -73,6 +80,12 @@ __all__ = [
 
 _L1_FLOOR = 1e-12
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
+# X.size from which each X product runs in two halves on two threads. On
+# the n-doubling sweep at m = 200 (2 CPUs) the split lost at every n up to
+# 3200 (0.64M entries); from 6400 on it won at r = 10 and broke about even
+# at r = 5. At 1000x2000, r = 10, it won.
+_SPLIT_SIZE = 2**20
+_pool = None  # (pid, two-worker executor) for the halves, built on first use
 
 
 @dataclass(frozen=True)
@@ -90,11 +103,53 @@ class OnmfProblem:
     @cached_property
     def _products(self):
         X = self.X
-        # X V^T as (V X^T)^T: BLAS reads X in place instead of packing it
-        # (1.7 against 2.8 ms at 1000x2000, r = 10), with the same values
         return SimpleNamespace(xx=float(np.vdot(X, X)),
-                               UtX=ValueMemo(lambda U: U.T @ X),
-                               XVt=ValueMemo(lambda V: (V @ X.T).T))
+                               UtX=ValueMemo(lambda U: _utx(U, X)),
+                               XVt=ValueMemo(lambda V: _xvt(V, X)))
+
+
+def _executor():
+    # a forked child inherits the pool but not its threads, so a submit
+    # there would wait forever: each process builds its own. The import
+    # waits for the first split too (it adds 0.4 MB to a process's RSS).
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = (os.getpid(), ThreadPoolExecutor(2))
+    return _pool[1]
+
+
+def _in_halves(half, n):
+    """Run ``half(s)`` on two workers for the two slices s splitting range(n).
+
+    The split falls on a multiple of 16. OpenBLAS takes the split dimension
+    in tiles and sums a remainder tile in another order; off a multiple of
+    8, entries next to the split changed in their last bits. With a split
+    side of up to about 300 lines the halves can still differ from the
+    single call in the last bits (seen at r <= 3 and r >= 12).
+    """
+    h = n // 2 // 16 * 16
+    pool = _executor()
+    for f in [pool.submit(half, s) for s in (slice(0, h), slice(h, n))]:
+        f.result()
+
+
+def _utx(U, X):
+    if X.size < _SPLIT_SIZE:
+        return U.T @ X
+    out = np.empty((U.shape[1], X.shape[1]))
+    _in_halves(lambda s: np.matmul(U.T, X[:, s], out=out[:, s]), X.shape[1])
+    return out
+
+
+def _xvt(V, X):
+    # X V^T as (V X^T)^T: BLAS reads X in place instead of packing it
+    # (1.7 against 2.8 ms at 1000x2000, r = 10), with the same values
+    if X.size < _SPLIT_SIZE:
+        return (V @ X.T).T
+    out = np.empty((V.shape[0], X.shape[0]))
+    _in_halves(lambda s: np.matmul(V, X[s].T, out=out[:, s]), X.shape[0])
+    return out.T
 
 
 def _objective(p, U, V, fit=None, VVt=None):

@@ -1,10 +1,13 @@
-"""The test session's BLAS runs on one thread (see conftest.py)."""
+"""The test session's BLAS runs on one thread (see conftest.py), also after
+onmf has run a product in halves on its own worker threads."""
 
 import ctypes
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from bmme import onmf
 
 # numpy's and scipy's wheels prefix and suffix OpenBLAS's symbols
 GETTERS = [f"{pre}openblas_get_num_threads{suf}"
@@ -21,7 +24,8 @@ def loaded_openblas():
             if "openblas" in line.rsplit("/", 1)[-1]}
 
 
-def test_openblas_runs_one_thread():
+def openblas_threads():
+    """OpenBLAS's reported thread count, per library mapped in."""
     threads = {}
     for path in loaded_openblas():
         lib = ctypes.CDLL(path)
@@ -33,4 +37,19 @@ def test_openblas_runs_one_thread():
                 break
     if not threads:
         pytest.skip("no OpenBLAS with a thread-count getter is loaded")
+    return threads
+
+
+def test_openblas_runs_one_thread():
+    threads = openblas_threads()
+    assert set(threads.values()) == {1}, threads
+
+
+def test_split_product_leaves_blas_on_one_thread():
+    # the halves run on onmf's own workers, each a one-thread BLAS call
+    rng = np.random.default_rng(0)
+    X, U = rng.random((1024, 1024)), rng.random((1024, 3))
+    assert X.size >= onmf._SPLIT_SIZE
+    assert np.array_equal(onmf._utx(U, X), U.T @ X)
+    threads = openblas_threads()
     assert set(threads.values()) == {1}, threads

@@ -232,8 +232,8 @@ class TestDataFiles:
         assert idmap["users"][0] == "user0"
 
     def test_shuffled_ratings_give_the_same_run(self, tmp_path):
-        # 60 x 50 ratings; the first 60 lines fix the users' and items'
-        # first appearances, so only the order of the entries differs
+        # 60 x 50 ratings; the first 60 lines name every user and item in
+        # the same order, so only the order of the other entries differs
         rng = np.random.default_rng(5)
         head = [(u, u % 50) for u in range(60)]
         rest = [(u, i) for u in range(60) for i in range(50)
@@ -256,6 +256,30 @@ class TestDataFiles:
         for key in ("rmse_train", "rmse_test", "rmse_train_init",
                     "rmse_test_init"):
             assert reports[0][key] == reports[1][key]
+
+    def test_fully_shuffled_ratings_give_the_same_run(self, tmp_path):
+        # ids are numbered by their sorted tokens, so a shuffle that changes
+        # which user and item come first changes nothing
+        rng = np.random.default_rng(8)
+        lines = [f"u{u}::i{i}::{rng.uniform(1, 5):.1f}\n"
+                 for u in range(60) for i in range(50) if rng.uniform() < 0.3]
+        runs = []
+        for name, order in (("in_order", np.arange(len(lines))),
+                            ("shuffled", rng.permutation(len(lines)))):
+            data, out = tmp_path / f"{name}.dat", tmp_path / name
+            data.write_text("".join(lines[k] for k in order))
+            assert cli.main(["run", "--problem", "matcomp", "--data",
+                             str(data), "--data-format", "ratings", "--r", "2",
+                             "--max-iters", "50", "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            runs.append((
+                [ln.split(b",")[2] for ln in
+                 (out / "trace.csv").read_bytes().splitlines()[1:]],
+                {k: v for k, v in report.items() if k.startswith("rmse_")},
+                (out / "idmap.json").read_bytes()))
+        assert order[0] != 0  # another user and item come first
+        assert len(runs[0][0]) == 50 and len(runs[0][1]) == 4
+        assert runs[0] == runs[1]
 
     def test_missing_data_file_exits_one(self, tmp_path):
         rc = cli.main(["run", "--problem", "onmf", "--data",

@@ -206,12 +206,12 @@ class TestRatings:
                         "u9::i1::1.0::978302109\n")
         obs, idmaps = load_ratings(path)
         assert (obs.rows, obs.cols) == (2, 2)
-        # dense ids follow first appearance
-        assert idmaps == {"users": ["u9", "u2"], "items": ["i7", "i1"]}
+        # dense ids follow the sorted tokens, not first appearance
+        assert idmaps == {"users": ["u2", "u9"], "items": ["i1", "i7"]}
         # entries are stored row-major, not in file order
-        assert obs.row_idx.tolist() == [0, 0, 1]
-        assert obs.col_idx.tolist() == [0, 1, 0]
-        assert obs.values.tolist() == [3.5, 1.0, 4.0]
+        assert obs.row_idx.tolist() == [0, 1, 1]
+        assert obs.col_idx.tolist() == [1, 0, 1]
+        assert obs.values.tolist() == [4.0, 1.0, 3.5]
 
     def test_tab_separator_three_columns(self, tmp_path):
         path = tmp_path / "r.tsv"

@@ -8,6 +8,13 @@ structural properties sampled with a seeded generator.
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bmme import datakit, onmf, verify
+from bmme import cli, datakit, onmf, verify
 from bmme.bregman import RelSmoothConstants, bregman_divergence
 from bmme.onmf import (
     OnmfProblem,
@@ -67,6 +74,51 @@ def warm(p, which, U, V):
         p._products.UtX(U)
     else:
         p._products.XVt(V)
+
+
+def sweeps_read_X_twice(monkeypatch, m, n):
+    """50 verified sweeps on an m x n instance form each X product 50 times."""
+    syn = datakit.gen_synthetic_onmf(m, n, 3, noise=0.05, seed=1)
+    p = OnmfProblem(X=syn.X, r=3, lam=100.0)
+    prod = p._products
+    fresh = {"UtX": 0, "XVt": 0, "residual": 0}
+    real_objective = onmf._objective
+
+    def objective_part(p, U, V, fit=None, VVt=None):
+        fresh["residual"] += fit is None
+        return real_objective(p, U, V, fit, VVt)
+
+    monkeypatch.setattr(onmf, "_objective", objective_part)
+
+    def counted(name, fn):
+        def product(A):
+            fresh[name] += 1
+            return fn(A)
+        return product
+
+    for name in ("UtX", "XVt"):
+        memo = getattr(prod, name)
+        memo.fn = counted(name, memo.fn)
+    hits = []
+
+    def objective(blocks):
+        U, V = blocks
+        hits.append(prod.UtX.hit(U) or prod.XVt.hit(V))
+        return onmf_objective(p, U, V)
+
+    cfg = SolverConfig(max_iters=50, tol_rel_change=0.0,
+                       verify_descent=True)
+    res = run(onmf_block_problems(p), list(spa_init(syn.X, 3)), cfg,
+              objective)
+    # only the starting point, before any gradient, misses the memo and
+    # forms a residual
+    assert fresh == {"UtX": 50, "XVt": 50, "residual": 1}
+    assert hits == [False] + [True] * 50
+    # the line search's f stays the residual form with the memo warm
+    U, V = res.final
+    assert prod.UtX.hit(U)
+    for block in onmf_block_problems(p):
+        assert block.smooth_eval([U, V]) == direct_objective(p, U, V)
 
 
 class TestObjective:
@@ -163,47 +215,106 @@ class TestProductMemo:
         assert float(np.vdot(R, R)) < 1e-5 * p._products.xx
 
     def test_fixed_constant_sweep_reads_X_twice(self, monkeypatch):
-        syn = datakit.gen_synthetic_onmf(30, 40, 3, noise=0.05, seed=1)
-        p = OnmfProblem(X=syn.X, r=3, lam=100.0)
-        prod = p._products
-        fresh = {"UtX": 0, "XVt": 0, "residual": 0}
-        real_objective = onmf._objective
+        sweeps_read_X_twice(monkeypatch, 30, 40)
 
-        def objective_part(p, U, V, fit=None, VVt=None):
-            fresh["residual"] += fit is None
-            return real_objective(p, U, V, fit, VVt)
 
-        monkeypatch.setattr(onmf, "_objective", objective_part)
+class CountingExecutor(ThreadPoolExecutor):
+    """A thread pool that counts the halves submitted to it."""
 
-        def counted(name, fn):
-            def product(A):
-                fresh[name] += 1
-                return fn(A)
-            return product
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
 
-        for name in ("UtX", "XVt"):
-            memo = getattr(prod, name)
-            memo.fn = counted(name, memo.fn)
-        hits = []
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
 
-        def objective(blocks):
-            U, V = blocks
-            hits.append(prod.UtX.hit(U) or prod.XVt.hit(V))
-            return onmf_objective(p, U, V)
 
-        cfg = SolverConfig(max_iters=50, tol_rel_change=0.0,
-                           verify_descent=True)
-        res = run(onmf_block_problems(p), list(spa_init(syn.X, 3)), cfg,
-                  objective)
-        # only the starting point, before any gradient, misses the memo and
-        # forms a residual
-        assert fresh == {"UtX": 50, "XVt": 50, "residual": 1}
-        assert hits == [False] + [True] * 50
-        # the line search's f stays the residual form with the memo warm
-        U, V = res.final
-        assert prod.UtX.hit(U)
-        for block in onmf_block_problems(p):
-            assert block.smooth_eval([U, V]) == direct_objective(p, U, V)
+@pytest.fixture
+def counting_pool(monkeypatch):
+    """Two workers in place of the module's pool, counting the halves."""
+    pool = CountingExecutor(2)
+    monkeypatch.setattr(onmf, "_pool", (os.getpid(), pool))
+    yield pool
+    pool.shutdown()
+
+
+class TestSplitProducts:
+    """From ``onmf._SPLIT_SIZE`` entries on, each X product runs in halves."""
+
+    @pytest.mark.parametrize("r", [1, 10])
+    def test_halves_equal_the_single_call(self, r, counting_pool):
+        # odd sizes: neither split falls in the middle
+        rng = np.random.default_rng(r)
+        X = rng.random((1001, 2003)) - 0.25
+        U, V = rng.random((1001, r)), rng.random((r, 2003))
+        p = OnmfProblem(X=X, r=r, lam=1.0)
+        assert X.size >= onmf._SPLIT_SIZE
+        assert np.array_equal(p._products.UtX(U), U.T @ X)
+        assert np.array_equal(p._products.XVt(V), (V @ X.T).T)
+        assert counting_pool.submitted == 4
+
+    def test_below_the_threshold_no_thread_starts(self, monkeypatch):
+        monkeypatch.setattr(onmf, "_pool", None)
+        threads = threading.enumerate()
+        rng = np.random.default_rng(0)
+        m, n = 1024, onmf._SPLIT_SIZE // 1024 - 1
+        X, U, V = rng.random((m, n)), rng.random((m, 5)), rng.random((5, n))
+        p = OnmfProblem(X=X, r=5, lam=1.0)
+        assert np.array_equal(p._products.UtX(U), U.T @ X)
+        assert np.array_equal(p._products.XVt(V), (V @ X.T).T)
+        assert onmf._pool is None
+        assert set(threading.enumerate()) <= set(threads)
+
+    def test_split_sweep_reads_X_twice(self, monkeypatch, counting_pool):
+        assert 1024 * 1024 >= onmf._SPLIT_SIZE
+        sweeps_read_X_twice(monkeypatch, 1024, 1024)
+        assert counting_pool.submitted == 2 * (50 + 50)
+
+    def test_one_worker_writes_the_same_trace(self, tmp_path, monkeypatch):
+        # the halves are fixed, so the worker count cannot move a bit
+        argv = ["run", "--problem", "onmf", "--m", "1024", "--n", "1024",
+                "--r", "5", "--lambda", "1000", "--seed", "1",
+                "--max-iters", "20", "--verify-descent"]
+        columns = []
+        for workers in (2, 1):
+            pool = CountingExecutor(workers)
+            monkeypatch.setattr(onmf, "_pool", (os.getpid(), pool))
+            out = tmp_path / str(workers)
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            pool.shutdown()
+            assert pool.submitted == 2 * (20 + 20)
+            columns.append([line.split(b",")[2] for line in
+                            (out / "trace.csv").read_bytes().splitlines()[1:]])
+        assert len(columns[0]) == 20
+        assert columns[0] == columns[1]
+
+    def test_forked_child_builds_its_own_pool(self):
+        # the child inherits the parent's pool without its threads; were it
+        # used, the child's product would wait forever (the alarm ends it)
+        code = textwrap.dedent("""
+            import os, signal, sys
+            import numpy as np
+            from bmme import onmf
+
+            rng = np.random.default_rng(0)
+            X = rng.random((1024, 1024))
+            U, V = rng.random((1024, 3)), rng.random((3, 1024))
+            want = U.T @ X
+            assert np.array_equal(onmf._utx(U, X), want)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)
+                sys.exit(0 if np.array_equal(onmf._utx(U, X), want) else 1)
+            _, status = os.waitpid(pid, 0)
+            sys.exit(os.waitstatus_to_exitcode(status))
+        """)
+        src = str(Path(onmf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSpectralNorm:
