@@ -4,11 +4,12 @@ All randomness flows through ``numpy.random.default_rng`` (PCG64) seeded
 explicitly, so every dataset is reproducible from its seed.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import _check_problem, as_matrix
+from .bregman import _check_problem, _number, as_matrix
 
 __all__ = [
     "ObservedMatrix",
@@ -23,6 +24,12 @@ __all__ = [
     "load_ratings",
 ]
 
+# Rows of L @ R that gen_synthetic_ratings forms at once, a multiple of 16.
+# A tail shorter than 16 rows joins the block before it: a 1-row tail went
+# through gemv, which changed bits at m = 65 and 257.
+_GEN_BLOCK = 64
+_GEN_MIN_TAIL = 16
+
 
 @dataclass(frozen=True)
 class ObservedMatrix:
@@ -36,15 +43,17 @@ class ObservedMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        ri = np.asarray(self.row_idx, dtype=np.int64)
-        ci = np.asarray(self.col_idx, dtype=np.int64)
+        for name in ("rows", "cols"):
+            v = getattr(self, name)
+            if not (_number(v, numbers.Integral) and v >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        ri = _indices(self.row_idx, "row_idx")
+        ci = _indices(self.col_idx, "col_idx")
         vals = np.asarray(self.values, dtype=np.float64)
         if not (ri.ndim == ci.ndim == vals.ndim == 1):
             raise ValueError("index/value arrays must be 1-D")
         if not (ri.shape == ci.shape == vals.shape):
             raise ValueError("index/value arrays must have equal length")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
         if ri.size:
             if ri.min() < 0 or ri.max() >= self.rows:
                 raise ValueError("row index out of range")
@@ -70,6 +79,22 @@ class ObservedMatrix:
     def frobenius(self):
         """Frobenius norm of the observed part."""
         return float(np.linalg.norm(self.values))
+
+
+def _indices(a, name):
+    """``a`` as int64, copied only if not already; ValueError naming ``name``
+    unless every entry is an integer (integral floats pass, bools do not)."""
+    a = np.asarray(a)
+    if a.dtype.kind in "iu":
+        return a.astype(np.int64, copy=False)
+    if a.dtype.kind != "f":
+        raise ValueError(f"{name} must hold integers, got dtype {a.dtype}")
+    with np.errstate(invalid="ignore"):  # NaN, inf and |a| >= 2^63 differ
+        out = a.astype(np.int64)
+    bad = out != a
+    if bad.any():
+        raise ValueError(f"{name} must hold integers, got {float(a[bad][0])!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,10 +150,21 @@ def gen_synthetic_ratings(m, n, r, obs_fraction, seed=0):
 
     The full matrix is ``L @ R`` with standard normal factors; round(fraction
     * m * n) distinct positions are drawn without replacement.
+
+    The sampled values are taken from ``L[a:b] @ R`` one block of about
+    ``_GEN_BLOCK`` rows at a time, so no m x n float array is formed. On
+    some shapes a block's product differs from the whole product's rows in
+    the last bits, because OpenBLAS picks another kernel for the block: with
+    OpenBLAS 0.3.31 (Haswell kernels, one thread) that happened for m > 64
+    at n in {255, 257, 500, 511, 513, 517, 999, 1001}, and at no multiple
+    of 8 checked. The position draw still shuffles ``arange(m * n)``, an
+    O(m * n) term (32 MB at 2000 x 2000, the set-up's peak); another draw
+    would change every instance.
     """
     _check_problem((m, n), r)
-    if not 0 < obs_fraction <= 1:
-        raise ValueError("obs_fraction must lie in (0, 1]")
+    if not (_number(obs_fraction) and 0 < obs_fraction <= 1):
+        raise ValueError(
+            f"obs_fraction must lie in (0, 1], got {obs_fraction!r}")
     rng = np.random.default_rng(seed)
     L, R = rng.standard_normal((m, r)), rng.standard_normal((r, n))
     count = int(round(obs_fraction * m * n))
@@ -136,22 +172,32 @@ def gen_synthetic_ratings(m, n, r, obs_fraction, seed=0):
     lin = rng.choice(m * n, size=count, replace=False)
     lin.sort()  # row-major already, so ObservedMatrix need not sort
     ri, ci = np.divmod(lin, n)
-    # the product after the draw, so its m x n array and the draw's
-    # m * n positions are never alive together
+    # block k is rows edges[k]:edges[k+1]; none starts in the last
+    # _GEN_MIN_TAIL - 1 rows. Its entries are cuts[k]:cuts[k+1].
+    edges = [*range(0, max(m - _GEN_MIN_TAIL + 1, 1), _GEN_BLOCK), m]
+    cuts = np.searchsorted(ri, edges)
+    values = np.empty(count)
+    block = np.empty((max(np.diff(edges)), n))
+    for a, b, lo, hi in zip(edges, edges[1:], cuts, cuts[1:]):
+        prod = np.matmul(L[a:b], R, out=block[:b - a])
+        np.take(prod, lin[lo:hi] - a * n, out=values[lo:hi])
     return ObservedMatrix(rows=m, cols=n, row_idx=ri, col_idx=ci,
-                          values=np.take(L @ R, lin))
+                          values=values)
 
 
 def train_test_split(observed, fraction, seed=0):
     """Random disjoint split; round(fraction * n_obs) entries go to train."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
+    if not (_number(fraction) and 0.0 <= fraction <= 1.0):
+        raise ValueError(f"fraction must lie in [0, 1], got {fraction!r}")
     n = observed.n_obs
     k = int(round(fraction * n))
     perm = np.random.default_rng(seed).permutation(n)
-    # sorted picks keep the entries row-major: ObservedMatrix need not sort
-    pick_train = np.sort(perm[:k])
-    pick_test = np.sort(perm[k:])
+    # a mask reads both halves in increasing order, as np.sort(perm[:k])
+    # and np.sort(perm[k:]) would: the entries stay row-major
+    in_train = np.zeros(n, dtype=bool)
+    in_train[perm[:k]] = True
+    pick_train = np.flatnonzero(in_train)
+    pick_test = np.flatnonzero(~in_train)
 
     def take(ix):
         return ObservedMatrix(

@@ -83,7 +83,10 @@ _TINY = float(np.finfo(np.float64).smallest_subnormal)
 # X.size from which each X product runs in two halves on two threads. On
 # the n-doubling sweep at m = 200 (2 CPUs) the split lost at every n up to
 # 3200 (0.64M entries); from 6400 on it won at r = 10 and broke about even
-# at r = 5. At 1000x2000, r = 10, it won.
+# at r = 5. At 1000x2000, r = 10, it won, by an amount that depends on how
+# busy the host keeps the second CPU: in-process onmf-large solves took
+# 0.70 s split against 0.90 s single (medians of 7 interleaved solves) in a
+# fast phase, but 1.08-1.09 s against 0.97-0.99 s (3 pairs) in a slow one.
 _SPLIT_SIZE = 2**20
 _pool = None  # (pid, two-worker executor) for the halves, built on first use
 

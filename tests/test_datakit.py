@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -75,7 +75,37 @@ class TestSyntheticOnmf:
             gen_synthetic_ratings(4, 3, r, 0.5)
 
 
+def _planted_values(m, n, r, obs_fraction, seed):
+    """np.take(L @ R, lin) from gen_synthetic_ratings' own seed stream."""
+    rng = np.random.default_rng(seed)
+    L, R = rng.standard_normal((m, r)), rng.standard_normal((r, n))
+    count = max(int(round(obs_fraction * m * n)), 1)
+    lin = np.sort(rng.choice(m * n, size=count, replace=False))
+    return lin, np.take(L @ R, lin)
+
+
 class TestSyntheticRatings:
+    # mc-large-bt's instance, the CLI default, every shape the tests
+    # generate, and 1-row tails past a 64-row block (65, 257 rows)
+    @pytest.mark.parametrize("m, n, r, frac, seed", [
+        (2000, 2000, 5, 0.05, 1), (100, 100, 5, 0.3, 1),
+        (200, 200, 3, 0.3, 1), (300, 300, 3, 0.05, 4),
+        (305, 203, 4, 0.1, 7), (65, 40, 3, 0.3, 1), (257, 100, 3, 0.2, 1),
+        (60, 50, 4, 0.3, 1), (40, 30, 2, 0.5, 3), (30, 25, 2, 0.4, 5),
+        (20, 15, 2, 0.4, 11), (20, 15, 3, 0.5, 1), (10, 8, 2, 0.25, 0),
+        (6, 5, 2, 0.6, 3), (6, 5, 2, 0.5, 3), (5, 6, 2, 0.4, 2),
+        (5, 4, 2, 0.5, 1)])
+    def test_values_equal_the_whole_product(self, m, n, r, frac, seed):
+        obs = gen_synthetic_ratings(m, n, r, frac, seed=seed)
+        lin, values = _planted_values(m, n, r, frac, seed)
+        assert np.array_equal(obs.row_idx * n + obs.col_idx, lin)
+        assert np.array_equal(obs.values, values)
+
+    @pytest.mark.parametrize("frac", [True, "0.5", float("nan"), 0.0, 1.5])
+    def test_bad_obs_fraction_rejected(self, frac):
+        with pytest.raises(ValueError, match="obs_fraction"):
+            gen_synthetic_ratings(4, 3, 2, frac)
+
     def test_observation_count_and_distinct_positions(self):
         obs = gen_synthetic_ratings(10, 8, 2, 0.25, seed=0)
         assert obs.values.size == 20
@@ -123,6 +153,28 @@ class TestTrainTestSplit:
         obs = gen_synthetic_ratings(5, 4, 2, 0.5, seed=1)
         with pytest.raises(ValueError):
             train_test_split(obs, 1.5)
+
+    @pytest.mark.parametrize("frac", [True, False, "0.5", float("nan")])
+    def test_non_real_fraction_rejected(self, frac):
+        obs = gen_synthetic_ratings(5, 4, 2, 0.5, seed=1)
+        with pytest.raises(ValueError, match="fraction"):
+            train_test_split(obs, frac)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 500), fraction=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=0, fraction=0.5, seed=0)
+    @example(n=7, fraction=0.0, seed=1)  # k = 0
+    @example(n=7, fraction=1.0, seed=1)  # k = n
+    def test_split_picks_the_sorted_halves_of_a_permutation(self, n, fraction,
+                                                            seed):
+        obs = ObservedMatrix(1, max(n, 1), np.zeros(n, dtype=np.int64),
+                             np.arange(n), np.arange(n, dtype=np.float64))
+        tr, te = train_test_split(obs, fraction, seed=seed)
+        k = int(round(fraction * n))
+        perm = np.random.default_rng(seed).permutation(n)
+        assert np.array_equal(tr.values, np.sort(perm[:k]))
+        assert np.array_equal(te.values, np.sort(perm[k:]))
 
 
 class TestDenseCsv:
@@ -247,6 +299,32 @@ class TestObservedMatrix:
     def test_n_obs(self):
         obs = gen_synthetic_ratings(6, 5, 2, 0.5, seed=3)
         assert obs.n_obs == obs.values.size
+
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, float("nan"), "4", 0, -1])
+    def test_non_integer_dimension_rejected(self, field, bad):
+        dims = {"rows": 3, "cols": 4, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ObservedMatrix(**dims, row_idx=[0], col_idx=[0], values=[1.0])
+
+    @pytest.mark.parametrize("field", ["row_idx", "col_idx"])
+    @pytest.mark.parametrize("bad", [[0.5], [np.nan], [np.inf], [2.0**63],
+                                     [True], ["0"]])
+    def test_non_integer_index_rejected(self, field, bad):
+        arrays = {"row_idx": [0], "col_idx": [0], field: bad}
+        with pytest.raises(ValueError, match=f"{field} must hold integers"):
+            ObservedMatrix(3, 4, **arrays, values=[1.0])
+
+    def test_integral_float_indices_accepted(self):
+        obs = ObservedMatrix(3, 4, [2.0, 0.0], [1.0, 3.0], [1.0, 2.0])
+        assert obs.row_idx.dtype == obs.col_idx.dtype == np.int64
+        assert list(obs.row_idx) == [0, 2]
+        assert list(obs.col_idx) == [3, 1]
+
+    def test_sorted_int64_indices_are_not_copied(self):
+        ri, ci = np.array([0, 1, 2]), np.array([3, 0, 1])
+        obs = ObservedMatrix(3, 4, ri, ci, np.array([1.0, 2.0, 3.0]))
+        assert obs.row_idx is ri and obs.col_idx is ci
 
     def test_duplicate_in_unsorted_entries_rejected(self):
         # (2, 1) comes first and last, with other entries between
