@@ -302,7 +302,7 @@ def _prepare_onmf(cfg, seed):
 
     return SimpleNamespace(problems=onmf.onmf_block_problems(p),
                            init_blocks=[U0, V0], objective=objective,
-                           quality=quality, scale=float(np.sum(X * X)) or 1.0,
+                           quality=quality, scale=float(np.vdot(X, X)) or 1.0,
                            lam=lam, idmaps=None)
 
 

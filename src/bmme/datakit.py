@@ -111,7 +111,9 @@ def gen_synthetic_onmf(m, n, r, noise=0.05, seed=0):
     U is uniform [0,1]; V has a single uniform-[0,1] nonzero per column (the
     column's cluster) and unit-norm rows, so V V^T = I exactly; R is uniform
     [0,1] dense noise. Redraws V up to 100 times until every cluster is
-    nonempty.
+    nonempty. Each [0, 1) draw is ``rng.random``, the same stream and
+    doubles as ``rng.uniform(0, 1)`` (which returns 0.0 + 1.0 u) without its
+    per-element affine step.
 
     Returns
     -------
@@ -122,10 +124,10 @@ def gen_synthetic_onmf(m, n, r, noise=0.05, seed=0):
     if not 0.0 <= noise < np.inf:
         raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")
     rng = np.random.default_rng(seed)
-    U = rng.uniform(size=(m, r))
+    U = rng.random((m, r))
     for _ in range(100):
         ks = rng.integers(0, r, size=n)
-        vals = rng.uniform(size=n)
+        vals = rng.random(n)
         V = np.zeros((r, n))
         V[ks, np.arange(n)] = vals
         row_norms = np.linalg.norm(V, axis=1)
@@ -137,7 +139,7 @@ def gen_synthetic_onmf(m, n, r, noise=0.05, seed=0):
     V /= row_norms[:, None]
     X = U @ V
     if noise > 0:
-        R = rng.uniform(size=(m, n))
+        R = rng.random((m, n))
         nr = float(np.linalg.norm(R))
         if nr > 0:
             R *= noise * (float(np.linalg.norm(X)) / nr)

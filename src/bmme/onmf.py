@@ -24,10 +24,13 @@ The gradients read X only as X V^T and U^T X. Each :class:`OnmfProblem`
 lazily builds ``_products``: ||X||_F^2 and a one-entry memo of each product,
 keyed by a snapshot copy of its factor compared by value. The objective at
 the end of a sweep finds U^T X there and takes the Gram form ||X - U V||^2 =
-||X||^2 - 2 <U^T X, V> + <U^T U, V V^T>, so a sweep reads X twice. The form
-errs by a few eps ||X||^2, so a fit below 1e-5 (||X||^2 + <U^T U, V V^T>) is
-recomputed from the residual. ``smooth_eval`` always forms the residual: the
-line search's gap must shrink with ||x - xbar||, and the Gram error does not.
+||X||^2 - 2 <U^T X, V> + <U^T U, V V^T>, so a sweep reads X twice. At the
+start neither product is there: the objective computes X (V^0)^T through the
+memo, and sweep 1's U gradient reuses it, so no run forms X - U^0 V^0. The
+form errs by a few eps ||X||^2, so a fit below 1e-5 (||X||^2 + <U^T U,
+V V^T>) is recomputed from the residual. ``smooth_eval`` always forms the
+residual: the line search's gap must shrink with ||x - xbar||, and the Gram
+error does not.
 
 From ``_SPLIT_SIZE`` entries of X on, the sweep still reads X twice, but
 each read runs in two fixed halves on the two threads of a module-level
@@ -169,17 +172,17 @@ def _objective(p, U, V, fit=None, VVt=None):
 def onmf_objective(p, U, V):
     """0.5 ||X - U V||_F^2 + 0.5 lam ||I_r - V V^T||_F^2.
 
-    The fit takes the Gram form when U or V hits the product memo. V V^T is
-    formed once, for both the Gram fit and the orthogonality term.
+    The fit takes the Gram form: through U^T X when U hits the product
+    memo, else through X V^T, which the memo computes if V misses too (at a
+    solver's start, where the first U gradient reuses it). V V^T is formed
+    once, for both the Gram fit and the orthogonality term.
     """
     prod = p._products
     VVt = V @ V.T
     if prod.UtX.hit(U):
         cross = float(np.vdot(prod.UtX.value, V))
-    elif prod.XVt.hit(V):
-        cross = float(np.vdot(U, prod.XVt.value))
     else:
-        return _objective(p, U, V, VVt=VVt)
+        cross = float(np.vdot(U, prod.XVt(V)))
     gram = float(np.vdot(U.T @ U, VVt))
     fit = prod.xx - 2.0 * cross + gram
     return _objective(p, U, V, None if fit < 1e-5 * (prod.xx + gram) else fit,
@@ -266,7 +269,11 @@ def spa_select_rows(X, r):
     norms carry about eps ||x_i||^2 of error, far above the floor, and serve
     only to choose the pick.
     """
-    X = as_matrix(X, "X")
+    return _spa_rows(as_matrix(X, "X"), r)
+
+
+def _spa_rows(X, r):
+    # spa_select_rows on an X that as_matrix has already validated
     m, n = X.shape
     _check_problem((m, n), r)
     total = float(np.linalg.norm(X))
@@ -297,7 +304,7 @@ def spa_select_rows(X, r):
 def spa_init(X, r):
     """Initial factors: V0 = unit-normalized selected rows, U0 = max(X V0^T, 0)."""
     X = as_matrix(X, "X")
-    rows = spa_select_rows(X, r)
+    rows = _spa_rows(X, r)
     V0 = X[rows].copy()
     V0 /= np.linalg.norm(V0, axis=1, keepdims=True)
     U0 = np.maximum(X @ V0.T, 0.0)

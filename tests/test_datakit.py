@@ -19,7 +19,38 @@ from bmme.datakit import (
 )
 
 
+def _uniform_onmf(m, n, r, noise, seed):
+    """gen_synthetic_onmf's X, U, V written with rng.uniform draws."""
+    rng = np.random.default_rng(seed)
+    U = rng.uniform(size=(m, r))
+    while True:
+        ks = rng.integers(0, r, size=n)
+        V = np.zeros((r, n))
+        V[ks, np.arange(n)] = rng.uniform(size=n)
+        norms = np.linalg.norm(V, axis=1)
+        if np.unique(ks).size == r and np.all(norms > 0):
+            break
+    V /= norms[:, None]
+    X = U @ V
+    if noise > 0:
+        R = rng.uniform(size=(m, n))
+        R *= noise * (float(np.linalg.norm(X)) / float(np.linalg.norm(R)))
+        X += R
+    return X, U, V
+
+
 class TestSyntheticOnmf:
+    # onmf-large's instance, onmf-small's (also the CLI default), a shape
+    # the ONMF tests solve, and two odd shapes without and with heavy noise
+    @pytest.mark.parametrize("m, n, r, noise, seed", [
+        (1000, 2000, 10, 0.05, 1), (100, 100, 5, 0.05, 1),
+        (60, 60, 3, 0.05, 7), (40, 120, 4, 0.0, 2), (31, 17, 2, 0.3, 5)])
+    def test_draws_equal_the_uniform_formula(self, m, n, r, noise, seed):
+        syn = gen_synthetic_onmf(m, n, r, noise=noise, seed=seed)
+        for got, want in zip((syn.X, syn.U, syn.V),
+                             _uniform_onmf(m, n, r, noise, seed)):
+            assert np.array_equal(got, want)
+
     def test_noise_free_product_is_exact(self):
         syn = gen_synthetic_onmf(12, 8, 3, noise=0.0, seed=7)
         assert np.array_equal(syn.X, syn.U @ syn.V)

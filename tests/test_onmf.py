@@ -110,9 +110,10 @@ def sweeps_read_X_twice(monkeypatch, m, n):
                        verify_descent=True)
     res = run(onmf_block_problems(p), list(spa_init(syn.X, 3)), cfg,
               objective)
-    # only the starting point, before any gradient, misses the memo and
-    # forms a residual
-    assert fresh == {"UtX": 50, "XVt": 50, "residual": 1}
+    # only the starting point, before any gradient, misses the memo: its
+    # objective forms X V^T there, which sweep 1's U gradient reuses, and
+    # no residual is formed
+    assert fresh == {"UtX": 50, "XVt": 50, "residual": 0}
     assert hits == [False] + [True] * 50
     # the line search's f stays the residual form with the memo warm
     U, V = res.final
@@ -213,6 +214,16 @@ class TestProductMemo:
         U, V = res.final
         R = p.X - U @ V
         assert float(np.vdot(R, R)) < 1e-5 * p._products.xx
+
+    def test_cold_memo_takes_the_gram_form_and_keeps_X_Vt(self):
+        syn = datakit.gen_synthetic_onmf(60, 60, 3, noise=0.05, seed=7)
+        p = OnmfProblem(X=syn.X, r=3, lam=10.0)
+        U0, V0 = spa_init(p.X, 3)
+        got, want = onmf_objective(p, U0, V0), onmf._objective(p, U0, V0)
+        gram = float(np.vdot(U0.T @ U0, V0 @ V0.T))
+        assert abs(got - want) <= 64 * EPS * (p._products.xx + gram + want)
+        assert p._products.XVt.hit(V0)
+        assert not p._products.UtX.hit(U0)
 
     def test_fixed_constant_sweep_reads_X_twice(self, monkeypatch):
         sweeps_read_X_twice(monkeypatch, 30, 40)
@@ -651,6 +662,28 @@ class TestSpa:
                                                  seed=seed)
                 picked = spa_select_rows(syn.X.T, 4)
                 assert sorted(syn.labels[picked]) == [1, 2, 3, 4]
+
+    def test_spa_init_validates_X_once(self, monkeypatch):
+        syn = datakit.gen_synthetic_onmf(20, 15, 3, noise=0.05, seed=9)
+        want_rows = spa_select_rows(syn.X, 3)
+        calls = []
+        real = onmf.as_matrix
+
+        def counted(a, name="matrix"):
+            calls.append(name)
+            return real(a, name)
+
+        monkeypatch.setattr(onmf, "as_matrix", counted)
+        U0, V0 = spa_init(syn.X, 3)
+        assert calls == ["X"]
+        V = syn.X[want_rows] / np.linalg.norm(syn.X[want_rows], axis=1,
+                                              keepdims=True)
+        assert np.array_equal(V0, V)
+        assert np.array_equal(U0, np.maximum(syn.X @ V.T, 0.0))
+        X = syn.X.copy()
+        X[4, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            spa_init(X, 3)
 
     def test_spa_init_shapes_and_feasibility(self):
         syn = datakit.gen_synthetic_onmf(20, 15, 3, noise=0.05, seed=9)
