@@ -22,11 +22,18 @@ The solver needs the smooth part f to be relatively smooth against phi:
 
 The sampling-based checkers below serve the test suite and ``verify``.
 ``ValueMemo`` is the value-keyed memo that the problems keep data passes in.
+Above a size threshold each problem splits its data passes over a lazily
+built two-worker thread pool (``_executor``): ONMF's X products run in two
+fixed halves, one per worker (``_in_halves``); completion's residual passes
+and gradients run as fixed parts that the calling thread and one worker
+take in turn (``_shared``).
 """
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
+from threading import Lock
 
 import numpy as np
 
@@ -102,6 +109,64 @@ class ValueMemo:
         if not self.hit(A):
             self.value, self.key = self.fn(A), A.copy()
         return self.value
+
+
+# (pid, two-worker executor) for the split passes, built on first use
+_pool = None
+
+
+def _executor():
+    # a forked child inherits the pool but not its threads, so a submit
+    # there would wait forever: each process builds its own. The import
+    # waits for the first split too (it adds 0.4 MB to a process's RSS).
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = (os.getpid(), ThreadPoolExecutor(2))
+    return _pool[1]
+
+
+def _in_halves(half, n):
+    """Run ``half(s)`` on two workers for the two slices s splitting range(n).
+
+    The split falls on a multiple of 16. OpenBLAS takes the split dimension
+    in tiles and sums a remainder tile in another order; off a multiple of
+    8, entries next to the split changed in their last bits. With a split
+    side of up to about 300 lines the halves can still differ from the
+    single call in the last bits (seen at r <= 3 and r >= 12).
+    """
+    h = n // 2 // 16 * 16
+    pool = _executor()
+    for f in [pool.submit(half, s) for s in (slice(0, h), slice(h, n))]:
+        f.result()
+
+
+def _shared(*calls):
+    """Run the zero-argument calls on this thread and one pool worker, each
+    taking the next call not yet started; return their results in order.
+
+    A worker that starts late, its CPU busy, leaves the rest to this
+    thread, so a busy second CPU holds up at most the calls it started; one
+    that has not started by the time this thread runs out is cancelled, not
+    waited for.
+    """
+    results, todo, lock = [None] * len(calls), iter(range(len(calls))), Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            results[i] = calls[i]()
+
+    helper = _executor().submit(drain)
+    try:
+        drain()
+    finally:  # even after a raise here, the helper's calls end first
+        if not helper.cancel():
+            helper.result()
+    return results
 
 
 def cubic_norm_scale(a, c):

@@ -34,23 +34,34 @@ packed evaluations (``f_eval``, ``grad``, ``partial_grad``,
   its data;
 - a one-entry residual memo keyed by value: a snapshot copy of the last Z,
   a hit only on the same dtype, the same shape and equal entries. A caller
-  may update Z in place, so the memo never trusts array identity.
+  may update Z in place, so the memo never trusts array identity. Beside
+  the residuals it keeps 1/2 ||r||^2 once an evaluation has asked for it.
 
 The backtracked solver asks for f and grad f at x̄, then for f at x_new in
 the upper check, in the trace objective and at the start of the next step.
-With the memo, each of those points costs one pass. The memo sits in the
-problem rather than in the solver because the solver sees the trace
-objective only as an opaque callable.
+With the memo, each of those points costs one pass and one dot product. The
+memo sits in the problem rather than in the solver because the solver sees
+the trace objective only as an opaque callable.
+
+From ``_SPLIT_SIZE`` entries of the pass matrix (n_obs r) on, the passes
+use the second CPU through :func:`bmme.bregman._shared`: the calling thread
+and one pool worker each take the next part not yet started. A residual
+pass has ``_PARTS`` fixed parts of the entries, each a gather, a mat-vec on
+its rows of the pass matrix and the subtraction of its values; a gradient
+has two, its products R V^T and R^T U, each run whole (split by rows of R,
+R^T U would reorder its sums). Every output entry keeps its operands and
+its summation order, so the results equal the single-thread path's bit for
+bit, whichever thread runs which part. Below the threshold no thread starts.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .bregman import (BlockKernel, RelSmoothConstants, ValueMemo,
-                      _check_problem, cubic_norm_scale)
+                      _check_problem, _shared, cubic_norm_scale)
 from .solver import BacktrackingProblem, BlockProblem
 
 __all__ = [
@@ -69,6 +80,22 @@ __all__ = [
     "pack_state",
     "unpack_state",
 ]
+
+# n_obs * r, the residual pass's stored entries, from which passes and
+# gradients are shared with a worker thread. Per backtracked step (f and
+# grad f at x_bar, f at x_new), shared against single in one process
+# (medians of 6 interleaved timings, 2 CPUs, r = 2, 5, 10), in phases when
+# the second CPU was free: below 0.11M entries sharing lost (1.02-3.9x), at
+# 0.13M-0.35M it broke about even (0.79-1.21x), at 0.69M-0.70M it won
+# (0.67-0.92x) and at 1.4M by 0.65-0.77x. While the host kept the second
+# CPU busy it lost at every size, by 1.06-1.21x from 0.28M on, so the
+# threshold sits above the even range.
+_SPLIT_SIZE = 2**19
+# fixed parts of a shared pass's entries: a worker that starts late holds up
+# at most the part it took. Each part also costs Python work under the GIL:
+# in one-process timings of a form that built each part's matrix per pass,
+# 8 parts made a step 2-18% slower than 4.
+_PARTS = 4
 
 
 @dataclass(frozen=True)
@@ -116,13 +143,22 @@ def unpack_state(Z, m):
     return McState(U=Z[:m], V=Z[m:].T)
 
 
+def _pass_matrix(row_idx, m, r):
+    """The residual pass's CSR matrix over the entries in rows ``row_idx``
+    of an m-row matrix, at rank r, without data: a pass sets its gather as
+    the data for that pass only."""
+    k = row_idx.size
+    indices = (row_idx[:, None] * r + np.arange(r)).ravel()
+    # scipy picks the index dtype here, once, so no pass re-checks it
+    A = csr_matrix((np.empty(indices.size), indices, np.arange(k + 1) * r),
+                   shape=(k, m * r))
+    A.data = None
+    return A
+
+
 def _pass_pattern(observed, r):
     """CSR indices and indptr of the residual pass at rank r."""
-    n = observed.n_obs
-    indices = (observed.row_idx[:, None] * r + np.arange(r)).ravel()
-    # scipy picks the index dtype here, once, so no pass re-checks it
-    A = csr_matrix((np.empty(indices.size), indices, np.arange(n + 1) * r),
-                   shape=(n, observed.rows * r))
+    A = _pass_matrix(observed.row_idx, observed.rows, r)
     return A.indices, A.indptr
 
 
@@ -138,6 +174,31 @@ def _residuals(observed, U, Vt, pattern=None):
     return res
 
 
+def _residuals_in_parts(observed, U, Vt, parts):
+    # _residuals over (slice, pass matrix) parts of the entries, shared by
+    # two threads: each entry keeps its operands and its summation order
+    u, res = U.ravel(), np.empty(observed.n_obs)
+
+    def part(s, A):
+        A.data = np.take(Vt, observed.col_idx[s], axis=0).ravel()
+        np.subtract(A @ u, observed.values[s], out=res[s])
+        A.data = None  # a kept problem holds no gather between passes
+
+    _shared(*(partial(part, s, A) for s, A in parts))
+    return res
+
+
+class _Pass:
+    """One pass's residuals, and 1/2 ||r||^2 computed on first use."""
+
+    def __init__(self, res):
+        self.res = res
+
+    @cached_property
+    def half_sq(self):
+        return 0.5 * float(self.res @ self.res)
+
+
 class _ResidualPasses:
     """CSR patterns of the observed entries and the last packed residuals."""
 
@@ -150,10 +211,18 @@ class _ResidualPasses:
              np.searchsorted(observed.row_idx, np.arange(m + 1))),
             shape=(m, observed.cols))
         self.indices, self.indptr = pattern.indices, pattern.indptr
+        self.split = observed.n_obs * r >= _SPLIT_SIZE
+        if self.split:
+            bounds = [observed.n_obs * i // _PARTS for i in range(_PARTS + 1)]
+            parts = [(s, _pass_matrix(observed.row_idx[s], m, r)) for s in
+                     map(slice, bounds[:-1], bounds[1:])]
+            fresh = lambda Z: _residuals_in_parts(observed, Z[:m], Z[m:],
+                                                  parts)
+        else:
+            pattern = _pass_pattern(observed, r)
+            fresh = lambda Z: _residuals(observed, Z[:m], Z[m:], pattern)
         # residuals at packed Z: one fresh pass unless Z equals the last Z
-        pass_pattern = _pass_pattern(observed, r)
-        self.residuals = ValueMemo(
-            lambda Z: _residuals(observed, Z[:m], Z[m:], pass_pattern))
+        self.residuals = ValueMemo(lambda Z: _Pass(fresh(Z)))
 
 
 def _penalty(lam, theta, M):
@@ -161,15 +230,17 @@ def _penalty(lam, theta, M):
 
 
 def _smooth_eval_packed(p, Z):
-    res = p._passes.residuals(Z)
-    return 0.5 * float(res @ res)
+    return p._passes.residuals(Z).half_sq
 
 
 def _smooth_grad_packed(p, Z):
     m, passes = p.observed.rows, p._passes
-    R = csr_matrix((passes.residuals(Z), passes.indices, passes.indptr),
+    R = csr_matrix((passes.residuals(Z).res, passes.indices, passes.indptr),
                    shape=p.shape)
-    return np.vstack([R @ Z[m:], R.T @ Z[:m]])
+    # R^T U stays one product: split by rows of R, its sums would reorder
+    products = (lambda: R @ Z[m:], lambda: R.T @ Z[:m])
+    return np.vstack(_shared(*products) if passes.split
+                     else [f() for f in products])
 
 
 def mc_kernel(p):

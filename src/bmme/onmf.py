@@ -33,10 +33,11 @@ residual: the line search's gap must shrink with ||x - xbar||, and the Gram
 error does not.
 
 From ``_SPLIT_SIZE`` entries of X on, the sweep still reads X twice, but
-each read runs in two fixed halves on the two threads of a module-level
-pool: U^T X by column halves of X, X V^T by row halves. Each output entry
-is still one BLAS dot product over the full inner dimension, and the halves
-do not depend on the number of workers, so neither do the results.
+each read runs in two fixed halves on the two threads of the pool in
+:mod:`bmme.bregman`: U^T X by column halves of X, X V^T by row halves. Each
+output entry is still one BLAS dot product over the full inner dimension,
+and the halves do not depend on the number of workers, so neither do the
+results.
 
 The starting point comes from successive projection (SPA), in the recursive
 form of Gillis & Vavasis (2014): each pick reads X once, as one product
@@ -46,7 +47,6 @@ to the floor (1e-12 ||X||_F)^2.
 """
 
 import numbers
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -58,6 +58,7 @@ from .bregman import (
     RelSmoothConstants,
     ValueMemo,
     _check_problem,
+    _in_halves,
     _number,
     as_matrix,
     cubic_norm_scale,
@@ -91,7 +92,6 @@ _TINY = float(np.finfo(np.float64).smallest_subnormal)
 # 0.70 s split against 0.90 s single (medians of 7 interleaved solves) in a
 # fast phase, but 1.08-1.09 s against 0.97-0.99 s (3 pairs) in a slow one.
 _SPLIT_SIZE = 2**20
-_pool = None  # (pid, two-worker executor) for the halves, built on first use
 
 
 @dataclass(frozen=True)
@@ -112,32 +112,6 @@ class OnmfProblem:
         return SimpleNamespace(xx=float(np.vdot(X, X)),
                                UtX=ValueMemo(lambda U: _utx(U, X)),
                                XVt=ValueMemo(lambda V: _xvt(V, X)))
-
-
-def _executor():
-    # a forked child inherits the pool but not its threads, so a submit
-    # there would wait forever: each process builds its own. The import
-    # waits for the first split too (it adds 0.4 MB to a process's RSS).
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = (os.getpid(), ThreadPoolExecutor(2))
-    return _pool[1]
-
-
-def _in_halves(half, n):
-    """Run ``half(s)`` on two workers for the two slices s splitting range(n).
-
-    The split falls on a multiple of 16. OpenBLAS takes the split dimension
-    in tiles and sums a remainder tile in another order; off a multiple of
-    8, entries next to the split changed in their last bits. With a split
-    side of up to about 300 lines the halves can still differ from the
-    single call in the last bits (seen at r <= 3 and r >= 12).
-    """
-    h = n // 2 // 16 * 16
-    pool = _executor()
-    for f in [pool.submit(half, s) for s in (slice(0, h), slice(h, n))]:
-        f.result()
 
 
 def _utx(U, X):

@@ -11,3 +11,30 @@ import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+from concurrent.futures import ThreadPoolExecutor  # noqa: E402
+
+import pytest  # noqa: E402
+
+from bmme import bregman  # noqa: E402
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """A thread pool that counts the tasks submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    """Two workers in place of the split passes' pool, counting the tasks."""
+    pool = CountingExecutor(2)
+    monkeypatch.setattr(bregman, "_pool", (os.getpid(), pool))
+    yield pool
+    pool.shutdown()

@@ -1,14 +1,23 @@
 """Tests for the Bregman kernel/divergence layer and its validators."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import CountingExecutor
 from numpy.testing import assert_allclose
 
+from bmme import bregman
 from bmme.bregman import (
     BlockKernel,
     RelSmoothConstants,
@@ -354,6 +363,90 @@ class TestValueMemo:
         assert not memo.hit(A)
         memo(A)
         assert len(calls) == 2
+
+
+class TestSplitPool:
+    """The two-worker pool that ONMF's and completion's passes split on."""
+
+    def test_shared_calls_return_in_call_order(self, counting_pool):
+        calls = [lambda i=i: i * i for i in range(5)]
+        assert bregman._shared(*calls) == [0, 1, 4, 9, 16]
+        assert counting_pool.submitted == 1
+
+    def test_every_call_runs_once_under_rapid_switching(self,
+                                                        counting_pool):
+        # a call taken twice or never would show in the counts
+        runs = [0] * 2000
+        calls = [lambda i=i: runs.__setitem__(i, runs[i] + 1) or i
+                 for i in range(len(runs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert bregman._shared(*calls) == list(range(len(runs)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [5] * len(runs)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_a_raising_call_raises_in_the_caller(self, bad, counting_pool):
+        def call(i):
+            if i == bad:
+                raise ZeroDivisionError(i)
+            return i
+
+        with pytest.raises(ZeroDivisionError):
+            bregman._shared(*(lambda i=i: call(i) for i in range(3)))
+        assert counting_pool.submitted == 1
+
+    def test_caller_runs_what_a_late_worker_has_not_taken(self, monkeypatch):
+        # the only worker is busy, so every call runs on the calling thread,
+        # which then cancels the helper it submitted instead of waiting
+        pool = CountingExecutor(1)
+        monkeypatch.setattr(bregman, "_pool", (os.getpid(), pool))
+        release = threading.Event()
+        busy = pool.submit(release.wait, 20)
+        ran_on = []
+        calls = [lambda: ran_on.append(threading.get_ident())] * 3
+        t0 = time.monotonic()
+        try:
+            bregman._shared(*calls)
+            assert time.monotonic() - t0 < 10
+        finally:
+            release.set()
+            pool.shutdown()
+        assert busy.result() is True
+        assert ran_on == [threading.get_ident()] * 3
+        assert pool.submitted == 2
+
+    def test_forked_child_builds_its_own_pool(self):
+        # the child inherits the parent's pool without its threads; were it
+        # used, the child's calls would wait forever (the alarm ends it)
+        code = textwrap.dedent("""
+            import os, signal, sys, time
+            import numpy as np
+            from bmme import bregman
+
+            def work(s):
+                time.sleep(0.1)  # both workers start, so the child has none
+                out[s] = os.getpid()
+
+            out = np.zeros(40, dtype=np.int64)
+            bregman._in_halves(work, out.size)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)
+                bregman._in_halves(work, out.size)
+                sys.exit(0 if (out == os.getpid()).all() else 1)
+            _, status = os.waitpid(pid, 0)
+            sys.exit(os.waitstatus_to_exitcode(status))
+        """)
+        src = str(Path(bregman.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestValidators:

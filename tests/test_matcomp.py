@@ -6,15 +6,18 @@ re-derived from the scalar cubic it induces.
 """
 
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import CountingExecutor
 from numpy.testing import assert_allclose
 from scipy.sparse import csr_matrix
 
-from bmme import datakit, matcomp, verify
+from bmme import bregman, cli, datakit, matcomp, verify
 from bmme.bregman import (
     RelSmoothConstants,
     bregman_divergence,
@@ -524,7 +527,7 @@ class TestResidualPass:
         obs, U, V = case
         got = matcomp._residuals(obs, U, V.T)
         kept = matcomp._ResidualPasses(obs, U.shape[1]).residuals(
-            np.vstack([U, V.T]))
+            np.vstack([U, V.T])).res
         assert np.array_equal(kept, got)
         ri, ci = obs.row_idx, obs.col_idx
         want = (U @ V)[ri, ci] - obs.values
@@ -547,6 +550,87 @@ class TestResidualPass:
         for observed in (obs, shuffled):
             assert np.array_equal(matcomp._residuals(observed, U, Vt),
                                   left_to_right_residuals(observed, U, Vt))
+
+
+@st.composite
+def split_cases(draw):
+    """Instances with r in 1..6, an odd number of entries and empty rows."""
+    m, n = draw(st.integers(7, 60)), draw(st.integers(6, 60))
+    r = draw(st.integers(1, 6))
+    live = np.array(draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                  max_size=m - 1, unique=True)))
+    k = 2 * draw(st.integers(0, (live.size * n - 1) // 2)) + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ri, ci = np.divmod(rng.choice(live.size * n, k, replace=False), n)
+    obs = datakit.ObservedMatrix(m, n, live[ri], ci, rng.standard_normal(k))
+    return obs, r, rng.standard_normal((m + n, r))
+
+
+def split_run(workers, tmp_path, monkeypatch):
+    """A backtracked CLI completion run above the split threshold on a
+    counting pool of ``workers`` threads: its tasks and trace rows, less
+    the elapsed time."""
+    pool = CountingExecutor(workers)
+    monkeypatch.setattr(bregman, "_pool", (os.getpid(), pool))
+    out = tmp_path / str(workers)
+    try:
+        assert cli.main(["run", "--problem", "matcomp", "--m", "1000",
+                         "--n", "1000", "--obs-fraction", "0.2", "--tol", "0",
+                         "--max-iters", "10", "--algorithm", "bmme_bt",
+                         "--out", str(out)]) == 0
+    finally:
+        pool.shutdown()
+    rows = [line.split(b",") for line in
+            (out / "trace.csv").read_bytes().splitlines()]
+    return pool.submitted, [row[:1] + row[2:] for row in rows]
+
+
+class TestSplitPasses:
+    """From ``matcomp._SPLIT_SIZE`` entries of the pass matrix on, the
+    caller and one worker share each residual pass's fixed parts and each
+    gradient's two products."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=split_cases())
+    def test_split_equals_the_single_thread_path(self, case):
+        obs, r, Z = case
+        got = []
+        for threshold in (0, obs.n_obs * r + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(matcomp, "_SPLIT_SIZE", threshold)
+                p = McProblem(observed=obs, r=r, lam=0.1, theta=5.0)
+                assert p._passes.split == (threshold == 0)
+                got.append((p._passes.residuals(Z).res,
+                            matcomp._smooth_eval_packed(p, Z),
+                            matcomp._smooth_grad_packed(p, Z)))
+        (res, f, g), (res1, f1, g1) = got
+        assert np.array_equal(res, res1)
+        assert np.array_equal(res1, matcomp._residuals(obs, Z[:obs.rows],
+                                                       Z[obs.rows:]))
+        assert f == f1 == 0.5 * float(res1 @ res1)
+        assert np.array_equal(g, g1)
+
+    def test_worker_count_leaves_the_trace_unchanged(self, tmp_path,
+                                                     monkeypatch):
+        obs = datakit.gen_synthetic_ratings(1000, 1000, 5, 0.2, seed=1)
+        train, _ = datakit.train_test_split(obs, 0.7, seed=1)
+        assert train.n_obs * 5 >= matcomp._SPLIT_SIZE
+        two, one = (split_run(w, tmp_path, monkeypatch) for w in (2, 1))
+        assert len(two[1]) == 1 + 10
+        assert two[1] == one[1]
+        # one task each per step: f and grad f at x_bar, f at x_new (the
+        # trace objective and the next step's f(x) hit the memo); step 1's
+        # x_bar is the start, whose pass the start's objective made
+        assert two[0] == one[0] == 3 * 10
+
+    def test_cli_sized_run_starts_no_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bregman, "_pool", None)
+        threads = set(threading.enumerate())
+        assert cli.main(["run", "--problem", "matcomp", "--tol", "0",
+                         "--max-iters", "20", "--algorithm", "bmme_bt",
+                         "--out", str(tmp_path / "o")]) == 0
+        assert bregman._pool is None
+        assert set(threading.enumerate()) <= threads
 
 
 class TestCsrPattern:
@@ -582,7 +666,7 @@ class TestCsrPattern:
             assert p._passes.indices.dtype == np.int32
             Z = np.random.default_rng(9).standard_normal(
                 (observed.rows + observed.cols, 4))
-            res = p._passes.residuals(Z)
+            res = p._passes.residuals(Z).res
             before = res.copy()
             data = []
             with monkeypatch.context() as mp:
@@ -591,7 +675,7 @@ class TestCsrPattern:
                 got = matcomp._smooth_grad_packed(p, Z)
             assert len(data) == 1 and data[0] is res
             assert np.array_equal(got, per_call_csr_grad(observed, Z))
-            assert p._passes.residuals.value is res
+            assert p._passes.residuals.value.res is res
             assert np.array_equal(res, before)
 
     def test_empty_rows_and_columns(self):

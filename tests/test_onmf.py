@@ -9,20 +9,16 @@ structural properties sampled with a seeded generator.
 import dataclasses
 import itertools
 import os
-import subprocess
-import sys
-import textwrap
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import CountingExecutor
 from numpy.testing import assert_allclose
 
-from bmme import cli, datakit, onmf, verify
+from bmme import bregman, cli, datakit, onmf, verify
 from bmme.bregman import RelSmoothConstants, bregman_divergence
 from bmme.onmf import (
     OnmfProblem,
@@ -229,27 +225,6 @@ class TestProductMemo:
         sweeps_read_X_twice(monkeypatch, 30, 40)
 
 
-class CountingExecutor(ThreadPoolExecutor):
-    """A thread pool that counts the halves submitted to it."""
-
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.submitted = 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
-
-
-@pytest.fixture
-def counting_pool(monkeypatch):
-    """Two workers in place of the module's pool, counting the halves."""
-    pool = CountingExecutor(2)
-    monkeypatch.setattr(onmf, "_pool", (os.getpid(), pool))
-    yield pool
-    pool.shutdown()
-
-
 class TestSplitProducts:
     """From ``onmf._SPLIT_SIZE`` entries on, each X product runs in halves."""
 
@@ -266,7 +241,7 @@ class TestSplitProducts:
         assert counting_pool.submitted == 4
 
     def test_below_the_threshold_no_thread_starts(self, monkeypatch):
-        monkeypatch.setattr(onmf, "_pool", None)
+        monkeypatch.setattr(bregman, "_pool", None)
         threads = threading.enumerate()
         rng = np.random.default_rng(0)
         m, n = 1024, onmf._SPLIT_SIZE // 1024 - 1
@@ -274,7 +249,7 @@ class TestSplitProducts:
         p = OnmfProblem(X=X, r=5, lam=1.0)
         assert np.array_equal(p._products.UtX(U), U.T @ X)
         assert np.array_equal(p._products.XVt(V), (V @ X.T).T)
-        assert onmf._pool is None
+        assert bregman._pool is None
         assert set(threading.enumerate()) <= set(threads)
 
     def test_split_sweep_reads_X_twice(self, monkeypatch, counting_pool):
@@ -290,7 +265,7 @@ class TestSplitProducts:
         columns = []
         for workers in (2, 1):
             pool = CountingExecutor(workers)
-            monkeypatch.setattr(onmf, "_pool", (os.getpid(), pool))
+            monkeypatch.setattr(bregman, "_pool", (os.getpid(), pool))
             out = tmp_path / str(workers)
             assert cli.main([*argv, "--out", str(out)]) == 0
             pool.shutdown()
@@ -299,33 +274,6 @@ class TestSplitProducts:
                             (out / "trace.csv").read_bytes().splitlines()[1:]])
         assert len(columns[0]) == 20
         assert columns[0] == columns[1]
-
-    def test_forked_child_builds_its_own_pool(self):
-        # the child inherits the parent's pool without its threads; were it
-        # used, the child's product would wait forever (the alarm ends it)
-        code = textwrap.dedent("""
-            import os, signal, sys
-            import numpy as np
-            from bmme import onmf
-
-            rng = np.random.default_rng(0)
-            X = rng.random((1024, 1024))
-            U, V = rng.random((1024, 3)), rng.random((3, 1024))
-            want = U.T @ X
-            assert np.array_equal(onmf._utx(U, X), want)
-            pid = os.fork()
-            if pid == 0:
-                signal.alarm(30)
-                sys.exit(0 if np.array_equal(onmf._utx(U, X), want) else 1)
-            _, status = os.waitpid(pid, 0)
-            sys.exit(os.waitstatus_to_exitcode(status))
-        """)
-        src = str(Path(onmf.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
 
 
 class TestSpectralNorm:
