@@ -90,10 +90,23 @@ def as_matrix(a, name="matrix"):
     return out
 
 
+def _all_finite(a):
+    """``np.isfinite(a).all()``, from one dot product unless it overflows.
+
+    A sum of squares is finite exactly when every entry is finite and the
+    sum does not overflow; only an overflowing sum looks at each entry.
+    """
+    return math.isfinite(float(np.vdot(a, a))) or bool(np.isfinite(a).all())
+
+
 class ValueMemo:
     """fn(A) for the last A, keyed by a snapshot copy compared by value.
 
     A caller may update A in place, so the memo never trusts identity.
+    A key of another dtype or shape misses at once, and so does one whose
+    first entry differs from A's (a NaN there differs from itself), which
+    is how the solvers' iterates usually miss; any other key is compared
+    with A entry by entry, and hits only if every entry is equal.
     """
 
     def __init__(self, fn):
@@ -103,6 +116,7 @@ class ValueMemo:
         # shape before values, so that no broadcast compare can hit
         k = self.key
         return (k is not None and k.dtype == A.dtype and k.shape == A.shape
+                and (k.size == 0 or k.item(0) == A.item(0))
                 and (k == A).all())
 
     def __call__(self, A):

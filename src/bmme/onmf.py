@@ -10,8 +10,11 @@ norm-polynomial family ``phi = c1/4 ||.||_F^4 + c2/2 ||.||_F^2`` of
 ``||V V^T||_2`` against the Euclidean kernel (c1, c2) = (0, 1). The V block
 is (1, 1)-relatively smooth against (c1, c2) = (6 lam, eps(U)) with
 ``eps(U) = max(||U^T U||_2, 2 lam)``. The r x r spectral norms are exact:
-numpy's SVD (LAPACK ``dgesdd``). eps(U) skips its SVD when ||U||_F^2, an
-upper bound on ||U^T U||_2, already clears 2 lam by a rounding margin.
+LAPACK ``dgesdd``, called through the gufunc that ``np.linalg.svd`` wraps,
+so they equal numpy's to the last bit without the wrapper's overhead. eps(U)
+skips its SVD when ||U||_F^2, an upper bound on ||U^T U||_2, already clears
+2 lam by a rounding margin, and the V block builds a new kernel only when
+eps(U) changes (in the paper's setting it stays 2 lam).
 Both block updates have closed forms: a projected gradient step for U, and
 for V the kernel-gradient inverse of the positive part of
 
@@ -57,6 +60,7 @@ from .bregman import (
     BlockKernel,
     RelSmoothConstants,
     ValueMemo,
+    _all_finite,
     _check_problem,
     _in_halves,
     _number,
@@ -92,6 +96,12 @@ _TINY = float(np.finfo(np.float64).smallest_subnormal)
 # 0.70 s split against 0.90 s single (medians of 7 interleaved solves) in a
 # fast phase, but 1.08-1.09 s against 0.97-0.99 s (3 pairs) in a slow one.
 _SPLIT_SIZE = 2**20
+# The singular values of a real matrix by LAPACK dgesdd: the gufunc that
+# np.linalg.svd calls without singular vectors (numpy >= 2); None elsewhere
+try:
+    from numpy.linalg._umath_linalg import svd as _dgesdd_values
+except ImportError:
+    _dgesdd_values = None
 
 
 @dataclass(frozen=True)
@@ -132,6 +142,12 @@ def _xvt(V, X):
     return out.T
 
 
+def _nonnegative(x):
+    # (x >= 0).all() without the boolean array: the least entry, or 0 for
+    # an empty x, is NaN if any entry is
+    return np.minimum.reduce(x, axis=None, initial=0.0) >= 0.0
+
+
 def _objective(p, U, V, fit=None, VVt=None):
     if fit is None:
         R = p.X - U @ V
@@ -167,18 +183,31 @@ def spectral_norm(M):
     """Largest singular value of a 2-D array, exact (an SVD; inputs are r x r).
 
     An iterative estimate falls below it, and each L built on it must be an
-    upper bound. ``np.linalg.svd`` without singular vectors runs LAPACK
-    ``dgesdd``, so the value is the one ``np.linalg.norm(M, 2)`` gives.
-    Raises ``numpy.linalg.LinAlgError`` if the SVD does not converge.
+    upper bound. The value comes from LAPACK ``dgesdd`` without singular
+    vectors, called through the gufunc that ``np.linalg.svd`` wraps
+    (``_dgesdd_values``), so it is the one ``np.linalg.norm(M, 2)`` gives,
+    bit for bit; the wrapper's own checks and casts, which take longer than
+    the SVD of a 5 x 5 matrix itself, are skipped. A failed SVD comes back
+    as NaN with the invalid flag raised; ``np.linalg.svd`` turns that flag
+    into its error, while here every flag is ignored and the NaN raises the
+    same error. Where numpy has no such gufunc (numpy 1.x names it
+    otherwise), ``np.linalg.svd`` itself is called. Raises
+    ``numpy.linalg.LinAlgError`` if the SVD does not converge.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError("spectral_norm expects a 2-D array")
-    if not np.isfinite(M).all():
+    if not _all_finite(M):
         raise ValueError("spectral_norm input has non-finite entries")
     if M.size == 0:
         return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    if _dgesdd_values is None:
+        return float(np.linalg.svd(M, compute_uv=False)[0])
+    with np.errstate(all="ignore"):
+        s = float(_dgesdd_values(M, signature="d->d")[0])
+    if s != s:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return s
 
 
 def onmf_constants_U(V):
@@ -370,6 +399,12 @@ def onmf_block_problems(p):
     Both blocks carry the whole objective as ``smooth_eval`` (it is all
     smooth; nonnegativity is the feasible set), so either may backtrack;
     it always forms the residual X - U V.
+
+    The V block's ``kernel_for`` computes eps(U) on every call but builds a
+    new :class:`BlockKernel` only when eps(U) differs from the last kernel's
+    c2; otherwise it returns that kernel again, equal to the one
+    :func:`v_block_kernel` would build. In the paper's setting eps(U) is
+    2 lam on every sweep, so one kernel serves the whole run.
     """
     lam = p.lam
     euclid = quadratic_kernel()
@@ -389,11 +424,19 @@ def onmf_block_problems(p):
         kernel_for=lambda blocks: euclid,
         constants_for=lambda blocks: onmf_constants_U(blocks[1]),
         solve_subproblem=u_solve,
-        feasible=lambda x: (x >= 0.0).all(),
+        feasible=_nonnegative,
         smooth_eval=smooth_eval,
     )
 
     v_constants = RelSmoothConstants(L=1.0, l=1.0)
+    v_kernel = BlockKernel(c1=6.0 * lam, c2=2.0 * lam)  # the last one built
+
+    def v_kernel_for(blocks):
+        nonlocal v_kernel
+        kernel, eps = v_kernel, v_kernel_weight(blocks[0], lam)
+        if eps != kernel.c2:
+            kernel = v_kernel = BlockKernel(c1=6.0 * lam, c2=eps)
+        return kernel
 
     def v_grad(blocks):
         U, V = blocks
@@ -406,10 +449,10 @@ def onmf_block_problems(p):
 
     v_block = BlockProblem(
         partial_grad=v_grad,
-        kernel_for=lambda blocks: v_block_kernel(blocks[0], lam),
+        kernel_for=v_kernel_for,
         constants_for=lambda blocks: v_constants,
         solve_subproblem=v_solve,
-        feasible=lambda x: (x >= 0.0).all(),
+        feasible=_nonnegative,
         smooth_eval=smooth_eval,
     )
     return [u_block, v_block]

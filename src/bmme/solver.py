@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bregman import (BlockKernel, RelSmoothConstants, _number,
+from .bregman import (BlockKernel, RelSmoothConstants, _all_finite, _number,
                       bregman_divergence)
 
 __all__ = [
@@ -66,6 +66,7 @@ MAX_SHRINKS = 50
 DESCENT_SLACK = 1e-8
 # Unit roundoff of float64, for the extrapolation screen's margin.
 _EPS = float(np.finfo(np.float64).eps) / 2.0
+_MARGIN = 32.0 * _EPS
 # Doublings allowed to each line search for a backtracked (L, l).
 MAX_DOUBLINGS = 60
 # The (L, l) a backtracked block's first line searches start from.
@@ -112,21 +113,23 @@ class ExtrapolationResult(NamedTuple):
 def _screen(kernel, beta, terms, rhs):
     """Decide ``D_kernel(x, x + beta d) <= rhs`` from scalars, or return None.
 
-    ``terms`` is (||d||^2, <x, d>, ||x||^2, x.size); <x, d> may be None when
-    c1 = 0. True and False are the answers the array formula gives; None
-    means the quartic lies within the rounding margin of ``rhs`` (or is not
-    finite, or ||beta d|| is zero) and the caller must use that formula.
+    ``terms`` holds the search's constants: (||d||^2, 2 <x, d>, ||x||^2,
+    ||x||, c2/2, x.size as a float); 2 <x, d> is None when c1 = 0. True and
+    False are the answers the array formula gives; None means the quartic
+    lies within the rounding margin of ``rhs`` (or is not finite, or
+    ||beta d|| is zero) and the caller must use that formula.
     """
-    s, p, q, n = terms
+    s, p2, q, sqrt_q, half_c2, n = terms
     dd = beta * (beta * s)
     if not dd > 0.0:
         return None
-    value = mag = 0.5 * kernel.c2 * dd
-    if kernel.c1 != 0.0:
-        t = beta * (2.0 * p + beta * s)
-        value += kernel.c1 * (0.25 * t * t + 0.5 * (q + t) * dd)
-        mag += 0.5 * kernel.c1 * dd * (math.sqrt(q) + math.sqrt(dd)) ** 2
-    margin = 32.0 * _EPS * (n + math.sqrt(q / dd) + 4.0) * mag
+    value = mag = half_c2 * dd
+    c1 = kernel.c1
+    if c1 != 0.0:
+        t = beta * (p2 + beta * s)
+        value += c1 * (0.25 * t * t + 0.5 * (q + t) * dd)
+        mag += 0.5 * c1 * dd * (sqrt_q + math.sqrt(dd)) ** 2
+    margin = _MARGIN * (n + math.sqrt(q / dd) + 4.0) * mag
     if value + margin < rhs:
         return True
     if value - margin > rhs:
@@ -137,7 +140,7 @@ def _screen(kernel, beta, terms, rhs):
 def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
                          d_prev, beta_init, delta, eta,
                          max_shrinks=MAX_SHRINKS):
-    """Find the largest admissible extrapolation weight by geometric shrinking.
+    """Find the first admissible extrapolation weight on a geometric grid.
 
     Tries ``beta = beta_init * eta**j`` for j = 0, 1, ... and accepts the first
     beta whose extrapolated point ``xbar = x + beta (x - x_prev)`` satisfies
@@ -145,14 +148,17 @@ def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
         D_kernel(x, xbar) <= delta * prev_L / (L + l) * d_prev,
 
     where ``d_prev`` is the previous step's D(x_prev, x), carried by the
-    caller. Falls back to beta = 0 (condition trivially true) after
+    caller. That beta need not be the largest admissible weight: a weight
+    between it and the last rejected candidate, a factor 1/eta above it,
+    may pass too. Falls back to beta = 0 (condition trivially true) after
     ``max_shrinks`` rejections; a budget of zero or less tries no candidate,
     and neither that nor beta_init = 0 reads ``d_prev``.
 
     Each candidate is first screened from scalars. With d = x - x_prev,
     D(x, x + beta d) is the quartic in beta of :mod:`bmme.bregman`, built
-    from ||d||^2, <x, d> and ||x||^2 (only ||d||^2 when c1 = 0), which are
-    computed once per search. The screen decides when the quartic clears
+    from ||d||^2, <x, d> and ||x||^2 (only ||d||^2 when c1 = 0). These, with
+    ||x|| and c2/2, are computed once per search and passed to ``_screen``
+    with each candidate. The screen decides when the quartic clears
     the right-hand side by more than a rounding margin. Only a candidate
     inside the margin falls back to the array formula (xbar and
     :func:`bregman.bregman_divergence`), so every decision, and with it
@@ -185,9 +191,10 @@ def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
     if beta != 0.0 and max_shrinks > 0:
         rhs = delta * prev_constants.L / (constants.L + constants.l) * d_prev
         diff = x_curr - x_prev
+        q = float(np.vdot(x_curr, x_curr))
         terms = (float(np.vdot(diff, diff)),
-                 float(np.vdot(x_curr, diff)) if kernel.c1 else None,
-                 float(np.vdot(x_curr, x_curr)), x_curr.size)
+                 2.0 * float(np.vdot(x_curr, diff)) if kernel.c1 else None,
+                 q, math.sqrt(q), 0.5 * kernel.c2, float(x_curr.size))
     while beta != 0.0 and shrinks < max_shrinks:
         ok = _screen(kernel, beta, terms, rhs)
         if ok is not False:
@@ -429,7 +436,7 @@ def _at(blocks, i, x):
 
 
 def _finite(i, x):
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise SubproblemError(f"block {i} update produced non-finite values")
     return x
 

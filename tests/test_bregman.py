@@ -364,6 +364,47 @@ class TestValueMemo:
         memo(A)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
+    def test_miss_when_one_end_entry_differs(self, index):
+        # the first entry is compared before the others, the last only in
+        # the full compare
+        memo, calls = self.counted()
+        A = np.arange(12.0).reshape(3, 4)
+        memo(A)
+        B = A.copy()
+        B.flat[index] += 0.5
+        assert not memo.hit(B)
+        assert memo(B) == A.sum() + 0.5
+        assert len(calls) == 2
+
+    def test_nan_first_entry_misses(self):
+        memo, calls = self.counted()
+        A = np.array([np.nan, 1.0, 2.0])
+        memo(A)
+        assert not memo.hit(A.copy())
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("A", [np.zeros((0, 3)), np.zeros(0),
+                                   np.array(2.5)],
+                             ids=["empty-2d", "empty-1d", "0-d"])
+    def test_equal_empty_and_0d_arrays_hit(self, A):
+        memo, calls = self.counted()
+        memo(A)
+        assert memo.hit(A.copy())
+        memo(A.copy())
+        assert len(calls) == 1
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("fill", [0.0, 1.0, 1e200, -1e308, np.inf,
+                                      -np.inf, np.nan])
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7, 3)])
+    def test_equals_isfinite_all(self, fill, shape):
+        # 1e200 and -1e308 overflow the sum of squares but are finite
+        a = np.ones(shape)
+        a.flat[-1:] = fill
+        assert bregman._all_finite(a) == np.isfinite(a).all()
+
 
 class TestSplitPool:
     """The two-worker pool that ONMF's and completion's passes split on."""

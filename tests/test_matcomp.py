@@ -428,15 +428,19 @@ def per_call_csr_grad(observed, Z):
 
 @pytest.fixture
 def fresh_passes(monkeypatch):
-    """Count the residual passes that are computed, not served by the memo."""
+    """Count the residual passes that are computed, not served by the memo.
+
+    Each memo miss wraps its fresh residuals in one ``matcomp._Pass``, on
+    the single-thread path and on the shared one above ``_SPLIT_SIZE``.
+    """
     count = [0]
-    inner = matcomp._residuals
 
-    def counted(*args):
-        count[0] += 1
-        return inner(*args)
+    class Counted(matcomp._Pass):
+        def __init__(self, res):
+            count[0] += 1
+            super().__init__(res)
 
-    monkeypatch.setattr(matcomp, "_residuals", counted)
+    monkeypatch.setattr(matcomp, "_Pass", Counted)
     return count
 
 
@@ -466,9 +470,14 @@ class TestResidualMemo:
             p.lam, p.theta, Z)
         assert fresh_passes[0] == count
 
-    def test_backtracked_run_makes_one_fresh_pass_per_point(self, fresh_passes):
+    @pytest.mark.parametrize("split_size", [matcomp._SPLIT_SIZE, 0],
+                             ids=["single-thread", "shared"])
+    def test_backtracked_run_makes_one_fresh_pass_per_point(
+            self, fresh_passes, monkeypatch, split_size):
+        monkeypatch.setattr(matcomp, "_SPLIT_SIZE", split_size)
         obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=5)
         p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
+        assert p._passes.split == (split_size == 0)
         calls = {"f_eval": 0, "grad": 0, "subproblem": 0, "objective": 0}
 
         def counted(name, fn):

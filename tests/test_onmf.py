@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,46 @@ class TestSpectralNorm:
             for M in (A, A @ A.T):
                 assert spectral_norm(M) == np.linalg.norm(M, 2)
 
+    @pytest.mark.parametrize("r", range(1, 21))
+    def test_equals_two_norm_bit_for_bit_at_every_rank(self, r):
+        rng = np.random.default_rng(r)
+        square = rng.standard_normal((r, r))
+        wide = rng.uniform(size=(r, 100))
+        tall = rng.uniform(size=(100, r))
+        for M in (square, wide, wide.T, wide @ wide.T, tall.T @ tall):
+            assert spectral_norm(M) == np.linalg.norm(M, 2)
+
+    def test_numpy_2_takes_the_gufunc(self):
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+            assert onmf._dgesdd_values is not None
+
+    def test_failed_svd_raises_without_a_warning(self, monkeypatch):
+        # the gufunc marks a failed SVD by NaN and the invalid flag
+        def failing(M, signature):
+            return np.sqrt(-np.ones(M.shape[-1]))
+
+        with pytest.warns(RuntimeWarning):
+            failing(np.eye(3), "d->d")
+        monkeypatch.setattr(onmf, "_dgesdd_values", failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                spectral_norm(np.eye(3))
+
+    def test_falls_back_to_numpy_svd_without_the_gufunc(self, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(onmf, "_dgesdd_values", None)
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        M = np.random.default_rng(2).standard_normal((4, 6))
+        assert spectral_norm(M) == np.linalg.norm(M, 2)
+        assert len(calls) == 1
+        assert spectral_norm(np.zeros((0, 3))) == 0.0
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norm(np.full((2, 2), np.nan))
+        assert len(calls) == 1
+
 
 class TestConstantsU:
     def test_orthonormal_rows_give_unit_L(self):
@@ -390,6 +431,30 @@ class TestKernelWeight:
                   lambda blocks: onmf_objective(p, blocks[0], blocks[1]))
         assert len(res.trace.records) == 500
         assert len(calls) == 500
+
+    def test_v_kernel_is_rebuilt_only_when_eps_changes(self):
+        syn = datakit.gen_synthetic_onmf(20, 30, 3, noise=0.0, seed=1)
+        kernel_for = onmf_block_problems(
+            OnmfProblem(X=syn.X, r=3, lam=1.0))[1].kernel_for
+        small = np.full((20, 3), 0.01)  # ||U||_F^2 < 2 lam: eps = 2 lam
+        big = np.full((20, 3), 1.0)     # ||U^T U||_2 = 60 > 2 lam
+        first = kernel_for([small, syn.V])
+        assert first == v_block_kernel(small, 1.0)
+        assert kernel_for([2.0 * small, syn.V]) is first
+        grown = kernel_for([big, syn.V])
+        assert grown == v_block_kernel(big, 1.0) != first
+        assert kernel_for([big.copy(), syn.V]) is grown
+        assert kernel_for([small, syn.V]) == first
+
+
+@pytest.mark.parametrize("x", [
+    np.zeros((0, 3)), np.array([[0.0, 2.0]]), np.array([[-0.0, 1.0]]),
+    np.array([[1.0, -1e-300]]), np.array([[np.nan, 1.0]]),
+    np.array([[1.0, np.inf]]), np.array([[-np.inf, 1.0]])])
+def test_feasible_equals_nonnegative_entries(x):
+    # both blocks' feasible set: every entry >= 0, so a NaN is infeasible
+    for block in onmf_block_problems(OnmfProblem(np.eye(2), 1, 1.0)):
+        assert block.feasible(x) == (x >= 0.0).all()
 
 
 class TestUpdateU:
