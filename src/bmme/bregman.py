@@ -22,11 +22,11 @@ The solver needs the smooth part f to be relatively smooth against phi:
 
 The sampling-based checkers below serve the test suite and ``verify``.
 ``ValueMemo`` is the value-keyed memo that the problems keep data passes in.
-Above a size threshold each problem splits its data passes over a lazily
-built two-worker thread pool (``_executor``): ONMF's X products run in two
-fixed halves, one per worker (``_in_halves``); completion's residual passes
-and gradients run as fixed parts that the calling thread and one worker
-take in turn (``_shared``).
+Above a size threshold each problem splits its data passes into fixed
+parts that the calling thread and one worker of a lazily built thread pool
+(``_executor``) take in turn (``_shared``): ONMF's X products in two halves,
+completion's residual passes in fixed parts of the entries and its gradients
+in their two products.
 """
 
 import math
@@ -140,21 +140,6 @@ def _executor():
     return _pool[1]
 
 
-def _in_halves(half, n):
-    """Run ``half(s)`` on two workers for the two slices s splitting range(n).
-
-    The split falls on a multiple of 16. OpenBLAS takes the split dimension
-    in tiles and sums a remainder tile in another order; off a multiple of
-    8, entries next to the split changed in their last bits. With a split
-    side of up to about 300 lines the halves can still differ from the
-    single call in the last bits (seen at r <= 3 and r >= 12).
-    """
-    h = n // 2 // 16 * 16
-    pool = _executor()
-    for f in [pool.submit(half, s) for s in (slice(0, h), slice(h, n))]:
-        f.result()
-
-
 def _shared(*calls):
     """Run the zero-argument calls on this thread and one pool worker, each
     taking the next call not yet started; return their results in order.
@@ -162,8 +147,10 @@ def _shared(*calls):
     A worker that starts late, its CPU busy, leaves the rest to this
     thread, so a busy second CPU holds up at most the calls it started; one
     that has not started by the time this thread runs out is cancelled, not
-    waited for.
+    waited for. A single call runs here and submits nothing.
     """
+    if len(calls) < 2:
+        return [f() for f in calls]
     results, todo, lock = [None] * len(calls), iter(range(len(calls))), Lock()
 
     def drain():

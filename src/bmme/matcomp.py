@@ -28,7 +28,8 @@ at every r. Each :class:`McProblem` lazily builds a helper, used by the
 packed evaluations (``f_eval``, ``grad``, ``partial_grad``,
 :func:`mc_objective_packed`), that holds three things:
 
-- the residual pass's CSR pattern, built once;
+- the residual pass's CSR matrices without data, one per part of the
+  entries (below), built once;
 - the CSR pattern of the observed entries, built once. The entries are
   row-major, so a gradient's matrix takes the memo's residual array as
   its data;
@@ -43,15 +44,16 @@ With the memo, each of those points costs one pass and one dot product. The
 memo sits in the problem rather than in the solver because the solver sees
 the trace objective only as an opaque callable.
 
-From ``_SPLIT_SIZE`` entries of the pass matrix (n_obs r) on, the passes
-use the second CPU through :func:`bmme.bregman._shared`: the calling thread
-and one pool worker each take the next part not yet started. A residual
-pass has ``_PARTS`` fixed parts of the entries, each a gather, a mat-vec on
-its rows of the pass matrix and the subtraction of its values; a gradient
-has two, its products R V^T and R^T U, each run whole (split by rows of R,
-R^T U would reorder its sums). Every output entry keeps its operands and
-its summation order, so the results equal the single-thread path's bit for
-bit, whichever thread runs which part. Below the threshold no thread starts.
+A residual pass runs its parts through :func:`bmme.bregman._shared`, each
+part a gather, a mat-vec on its rows of the pass matrix and the subtraction
+of its values. Below ``_SPLIT_SIZE`` entries of the pass matrix (n_obs r)
+there is one part, which runs on the calling thread, so no thread starts.
+From there on a pass has ``_PARTS`` fixed parts and a gradient two, its
+products R V^T and R^T U, each run whole (split by rows of R, R^T U would
+reorder its sums); the calling thread and one pool worker each take the
+next part not yet started. Every output entry keeps its operands and its
+summation order, so the results are the same bits whichever thread runs
+which part.
 """
 
 from dataclasses import dataclass
@@ -156,27 +158,11 @@ def _pass_matrix(row_idx, m, r):
     return A
 
 
-def _pass_pattern(observed, r):
-    """CSR indices and indptr of the residual pass at rank r."""
-    A = _pass_matrix(observed.row_idx, observed.rows, r)
-    return A.indices, A.indptr
-
-
-def _residuals(observed, U, Vt, pattern=None):
+def _residuals(observed, U, Vt, parts):
     # predicted minus observed, on observed positions only; U is m x r and
-    # Vt is n x r. Row e of the mat-vec is entry e's prediction, its r
-    # products summed left to right (module docstring).
-    indices, indptr = pattern or _pass_pattern(observed, U.shape[1])
-    data = np.take(Vt, observed.col_idx, axis=0)
-    res = csr_matrix((data.ravel(), indices, indptr),
-                     shape=(indptr.size - 1, U.size)) @ U.ravel()
-    res -= observed.values
-    return res
-
-
-def _residuals_in_parts(observed, U, Vt, parts):
-    # _residuals over (slice, pass matrix) parts of the entries, shared by
-    # two threads: each entry keeps its operands and its summation order
+    # Vt is n x r. ``parts`` are (slice, pass matrix) parts of the entries,
+    # which _shared runs; row e of a part's mat-vec is entry e's
+    # prediction, its r products summed left to right (module docstring).
     u, res = U.ravel(), np.empty(observed.n_obs)
 
     def part(s, A):
@@ -212,17 +198,13 @@ class _ResidualPasses:
             shape=(m, observed.cols))
         self.indices, self.indptr = pattern.indices, pattern.indptr
         self.split = observed.n_obs * r >= _SPLIT_SIZE
-        if self.split:
-            bounds = [observed.n_obs * i // _PARTS for i in range(_PARTS + 1)]
-            parts = [(s, _pass_matrix(observed.row_idx[s], m, r)) for s in
-                     map(slice, bounds[:-1], bounds[1:])]
-            fresh = lambda Z: _residuals_in_parts(observed, Z[:m], Z[m:],
-                                                  parts)
-        else:
-            pattern = _pass_pattern(observed, r)
-            fresh = lambda Z: _residuals(observed, Z[:m], Z[m:], pattern)
+        k = _PARTS if self.split else 1
+        bounds = [observed.n_obs * i // k for i in range(k + 1)]
+        parts = [(s, _pass_matrix(observed.row_idx[s], m, r))
+                 for s in map(slice, bounds[:-1], bounds[1:])]
         # residuals at packed Z: one fresh pass unless Z equals the last Z
-        self.residuals = ValueMemo(lambda Z: _Pass(fresh(Z)))
+        self.residuals = ValueMemo(lambda Z: _Pass(
+            _residuals(observed, Z[:m], Z[m:], parts)))
 
 
 def _penalty(lam, theta, M):
@@ -310,7 +292,8 @@ def rmse(observed, state):
     """Root mean squared error of state.U state.V on the observed entries."""
     if observed.n_obs == 0:
         raise ValueError("no observed entries to evaluate")
-    res = _residuals(observed, state.U, state.V.T)
+    A = _pass_matrix(observed.row_idx, observed.rows, state.U.shape[1])
+    res = _residuals(observed, state.U, state.V.T, [(slice(None), A)])
     return float(np.sqrt(res @ res / res.size))
 
 

@@ -36,11 +36,11 @@ residual: the line search's gap must shrink with ||x - xbar||, and the Gram
 error does not.
 
 From ``_SPLIT_SIZE`` entries of X on, the sweep still reads X twice, but
-each read runs in two fixed halves on the two threads of the pool in
-:mod:`bmme.bregman`: U^T X by column halves of X, X V^T by row halves. Each
-output entry is still one BLAS dot product over the full inner dimension,
-and the halves do not depend on the number of workers, so neither do the
-results.
+each read runs in two fixed halves that the calling thread and one pool
+worker take in turn (:func:`bmme.bregman._shared`): U^T X by column halves
+of X, X V^T by row halves. Each output entry is still one BLAS dot product
+over the full inner dimension, and the halves do not depend on which thread
+runs them, so neither do the results.
 
 The starting point comes from successive projection (SPA), in the recursive
 form of Gillis & Vavasis (2014): each pick reads X once, as one product
@@ -51,7 +51,7 @@ to the floor (1e-12 ||X||_F)^2.
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,8 +62,8 @@ from .bregman import (
     ValueMemo,
     _all_finite,
     _check_problem,
-    _in_halves,
     _number,
+    _shared,
     as_matrix,
     cubic_norm_scale,
     quadratic_kernel,
@@ -88,7 +88,8 @@ __all__ = [
 
 _L1_FLOOR = 1e-12
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
-# X.size from which each X product runs in two halves on two threads. On
+# X.size from which each X product runs in two halves shared with a pool
+# worker. Measured when each half ran on its own worker thread: on
 # the n-doubling sweep at m = 200 (2 CPUs) the split lost at every n up to
 # 3200 (0.64M entries); from 6400 on it won at r = 10 and broke about even
 # at r = 5. At 1000x2000, r = 10, it won, by an amount that depends on how
@@ -124,11 +125,25 @@ class OnmfProblem:
                                XVt=ValueMemo(lambda V: _xvt(V, X)))
 
 
+def _halves(n):
+    """The two slices splitting range(n) on a multiple of 16.
+
+    OpenBLAS takes the split dimension in tiles and sums a remainder tile in
+    another order; off a multiple of 8, entries next to the split changed in
+    their last bits. With a split side of up to about 300 lines the halves
+    can still differ from the single call in the last bits (seen at r <= 3
+    and r >= 12).
+    """
+    h = n // 2 // 16 * 16
+    return slice(0, h), slice(h, n)
+
+
 def _utx(U, X):
     if X.size < _SPLIT_SIZE:
         return U.T @ X
     out = np.empty((U.shape[1], X.shape[1]))
-    _in_halves(lambda s: np.matmul(U.T, X[:, s], out=out[:, s]), X.shape[1])
+    _shared(*(partial(np.matmul, U.T, X[:, s], out=out[:, s])
+              for s in _halves(X.shape[1])))
     return out
 
 
@@ -138,7 +153,8 @@ def _xvt(V, X):
     if X.size < _SPLIT_SIZE:
         return (V @ X.T).T
     out = np.empty((V.shape[0], X.shape[0]))
-    _in_halves(lambda s: np.matmul(V, X[s].T, out=out[:, s]), X.shape[0])
+    _shared(*(partial(np.matmul, V, X[s].T, out=out[:, s])
+              for s in _halves(X.shape[0])))
     return out.T
 
 

@@ -1,5 +1,5 @@
 """The test session's BLAS runs on one thread (see conftest.py), also after
-onmf has run a product in halves on the split pool's worker threads."""
+onmf has run a product in halves shared by the caller and a pool worker."""
 
 import ctypes
 from pathlib import Path
@@ -46,7 +46,7 @@ def test_openblas_runs_one_thread():
 
 
 def test_split_product_leaves_blas_on_one_thread():
-    # the halves run on the split pool's workers, each a one-thread BLAS call
+    # the caller and a pool worker run the halves, each a one-thread BLAS call
     rng = np.random.default_rng(0)
     X, U = rng.random((1024, 1024)), rng.random((1024, 3))
     assert X.size >= onmf._SPLIT_SIZE

@@ -414,6 +414,11 @@ class TestSplitPool:
         assert bregman._shared(*calls) == [0, 1, 4, 9, 16]
         assert counting_pool.submitted == 1
 
+    def test_a_single_call_runs_here_and_submits_nothing(self,
+                                                          counting_pool):
+        assert bregman._shared(threading.get_ident) == [threading.get_ident()]
+        assert counting_pool.submitted == 0
+
     def test_every_call_runs_once_under_rapid_switching(self,
                                                         counting_pool):
         # a call taken twice or never would show in the counts
@@ -462,23 +467,22 @@ class TestSplitPool:
 
     def test_forked_child_builds_its_own_pool(self):
         # the child inherits the parent's pool without its threads; were it
-        # used, the child's calls would wait forever (the alarm ends it)
+        # used, the caller would run every call and cancel the helper, so
+        # the child checks the pool's pid (the alarm ends a hang)
         code = textwrap.dedent("""
             import os, signal, sys, time
-            import numpy as np
             from bmme import bregman
 
-            def work(s):
-                time.sleep(0.1)  # both workers start, so the child has none
-                out[s] = os.getpid()
+            def work():
+                time.sleep(0.1)  # the worker starts, so the child has none
+                return os.getpid()
 
-            out = np.zeros(40, dtype=np.int64)
-            bregman._in_halves(work, out.size)
+            assert bregman._shared(work, work) == [os.getpid()] * 2
             pid = os.fork()
             if pid == 0:
                 signal.alarm(30)
-                bregman._in_halves(work, out.size)
-                sys.exit(0 if (out == os.getpid()).all() else 1)
+                ok = bregman._shared(work, work) == [os.getpid()] * 2
+                sys.exit(0 if ok and bregman._pool[0] == os.getpid() else 1)
             _, status = os.waitpid(pid, 0)
             sys.exit(os.waitstatus_to_exitcode(status))
         """)

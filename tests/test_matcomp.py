@@ -415,6 +415,12 @@ def left_to_right_residuals(observed, U, Vt):
     return pred - observed.values
 
 
+def one_part_residuals(observed, U, Vt):
+    # the residual pass below the split threshold: one part, all entries
+    A = matcomp._pass_matrix(observed.row_idx, observed.rows, U.shape[1])
+    return matcomp._residuals(observed, U, Vt, [(slice(None), A)])
+
+
 def per_call_csr_grad(observed, Z):
     # reference gradient that shares nothing with the kept CSR pattern:
     # column-by-column residuals, COO -> CSR conversion on every call
@@ -430,8 +436,8 @@ def per_call_csr_grad(observed, Z):
 def fresh_passes(monkeypatch):
     """Count the residual passes that are computed, not served by the memo.
 
-    Each memo miss wraps its fresh residuals in one ``matcomp._Pass``, on
-    the single-thread path and on the shared one above ``_SPLIT_SIZE``.
+    Each memo miss wraps its fresh residuals in one ``matcomp._Pass``,
+    below ``_SPLIT_SIZE`` and above it.
     """
     count = [0]
 
@@ -534,7 +540,7 @@ class TestResidualPass:
     def test_matches_dense_product_within_rounding(self, case):
         # the standard bound for a sum of r products and one value, doubled
         obs, U, V = case
-        got = matcomp._residuals(obs, U, V.T)
+        got = one_part_residuals(obs, U, V.T)
         kept = matcomp._ResidualPasses(obs, U.shape[1]).residuals(
             np.vstack([U, V.T])).res
         assert np.array_equal(kept, got)
@@ -557,7 +563,7 @@ class TestResidualPass:
         rng = np.random.default_rng(r)
         U, Vt = rng.standard_normal((60, r)), rng.standard_normal((50, r))
         for observed in (obs, shuffled):
-            assert np.array_equal(matcomp._residuals(observed, U, Vt),
+            assert np.array_equal(one_part_residuals(observed, U, Vt),
                                   left_to_right_residuals(observed, U, Vt))
 
 
@@ -614,7 +620,7 @@ class TestSplitPasses:
                             matcomp._smooth_grad_packed(p, Z)))
         (res, f, g), (res1, f1, g1) = got
         assert np.array_equal(res, res1)
-        assert np.array_equal(res1, matcomp._residuals(obs, Z[:obs.rows],
+        assert np.array_equal(res1, one_part_residuals(obs, Z[:obs.rows],
                                                        Z[obs.rows:]))
         assert f == f1 == 0.5 * float(res1 @ res1)
         assert np.array_equal(g, g1)

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import os
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -227,7 +228,8 @@ class TestProductMemo:
 
 
 class TestSplitProducts:
-    """From ``onmf._SPLIT_SIZE`` entries on, each X product runs in halves."""
+    """From ``onmf._SPLIT_SIZE`` entries on, each X product runs in halves
+    that the caller and one pool worker share."""
 
     @pytest.mark.parametrize("r", [1, 10])
     def test_halves_equal_the_single_call(self, r, counting_pool):
@@ -239,7 +241,31 @@ class TestSplitProducts:
         assert X.size >= onmf._SPLIT_SIZE
         assert np.array_equal(p._products.UtX(U), U.T @ X)
         assert np.array_equal(p._products.XVt(V), (V @ X.T).T)
-        assert counting_pool.submitted == 4
+        assert counting_pool.submitted == 2
+
+    @pytest.mark.parametrize("product", [onmf._utx, onmf._xvt])
+    def test_caller_runs_both_halves_past_a_busy_worker(self, product,
+                                                        monkeypatch):
+        # the only worker is busy until released, so a product that returns
+        # before that ran both halves on the calling thread
+        pool = CountingExecutor(1)
+        monkeypatch.setattr(bregman, "_pool", (os.getpid(), pool))
+        release = threading.Event()
+        busy = pool.submit(release.wait, 20)
+        rng = np.random.default_rng(10)
+        X = rng.random((1001, 2003)) - 0.25
+        U, V = rng.random((1001, 10)), rng.random((10, 2003))
+        F, want = (U, U.T @ X) if product is onmf._utx else (V, (V @ X.T).T)
+        t0 = time.monotonic()
+        try:
+            got = product(F, X)
+            assert time.monotonic() - t0 < 10
+            assert not busy.done()
+        finally:
+            release.set()
+            pool.shutdown()
+        assert np.array_equal(got, want)
+        assert pool.submitted == 2
 
     def test_below_the_threshold_no_thread_starts(self, monkeypatch):
         monkeypatch.setattr(bregman, "_pool", None)
@@ -256,7 +282,7 @@ class TestSplitProducts:
     def test_split_sweep_reads_X_twice(self, monkeypatch, counting_pool):
         assert 1024 * 1024 >= onmf._SPLIT_SIZE
         sweeps_read_X_twice(monkeypatch, 1024, 1024)
-        assert counting_pool.submitted == 2 * (50 + 50)
+        assert counting_pool.submitted == 50 + 50
 
     def test_one_worker_writes_the_same_trace(self, tmp_path, monkeypatch):
         # the halves are fixed, so the worker count cannot move a bit
@@ -270,7 +296,7 @@ class TestSplitProducts:
             out = tmp_path / str(workers)
             assert cli.main([*argv, "--out", str(out)]) == 0
             pool.shutdown()
-            assert pool.submitted == 2 * (20 + 20)
+            assert pool.submitted == 20 + 20
             columns.append([line.split(b",")[2] for line in
                             (out / "trace.csv").read_bytes().splitlines()[1:]])
         assert len(columns[0]) == 20
