@@ -229,10 +229,6 @@ class BlockKernel:
         if not (math.isfinite(self.c2) and self.c2 > 0):
             raise ValueError(f"c2 must be positive and finite, got {self.c2}")
 
-    @property
-    def strong_convexity_modulus(self):
-        return self.c2
-
     def eval(self, x):
         """The kernel value phi(x)."""
         s = float(np.vdot(x, x))

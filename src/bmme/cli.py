@@ -38,7 +38,6 @@ from .verify import SUITES
 __all__ = ["main", "entry"]
 
 _ALGORITHMS = ("bmm", "bmme", "bmme_bt")
-_BLOCKS = {"onmf": 2, "matcomp": 1}  # blocks per problem, for delta/eta lists
 
 _SOLVER = SolverConfig()  # the library's defaults
 
@@ -49,7 +48,8 @@ OPTIONS = {
     "problem": ("onmf", ("onmf", "matcomp"), None),
     "algorithm": ("bmme", str,
                   "bmm | bmme | bmme_bt, where bmme_bt backtracks (L, l) on "
-                  "every block (compare accepts a comma-separated list)"),
+                  "every block (compare accepts a comma-separated list, "
+                  "each name once)"),
     "m": (100, int, "rows of the synthetic data matrix"),
     "n": (100, int, "columns of the synthetic data matrix"),
     "r": (5, int, "factorization rank"),
@@ -176,30 +176,29 @@ def _resolve_options(args):
             delta=cfg["delta"], eta=cfg["eta"], max_iters=cfg["max_iters"],
             time_budget=cfg["time_budget"], tol_rel_change=cfg["tol"],
             verify_descent=cfg["verify_descent"])
-        for key in ("delta", "eta"):
-            solver.per_block(key, _BLOCKS[cfg["problem"]])
     except ValueError as exc:  # its message starts with the field's name
         field, _, rest = str(exc).partition(" ")
         flag = _flag("tol" if field == "tol_rel_change" else field)
         raise UsageError(f"{flag} {rest}") from None
     algorithms = [a.strip() for a in cfg["algorithm"].split(",") if a.strip()]
     if (not algorithms or not set(algorithms) <= set(_ALGORITHMS)
+            or len(set(algorithms)) < len(algorithms)
             or args.command == "run" and len(algorithms) > 1):
         raise UsageError(
             f"--algorithm {cfg['algorithm']!r}: choose from "
-            f"{', '.join(_ALGORITHMS)} (compare takes a comma-separated list)")
+            f"{', '.join(_ALGORITHMS)} (compare takes a comma-separated list, "
+            "each name once)")
     return cfg, algorithms, solver
 
 
 def _config_value_ok(key, value):
-    """Whether ``key`` takes JSON ``value``: type, choices, null or list."""
+    """Whether ``key`` takes JSON ``value``: type, choices or null."""
     default, kind, _ = OPTIONS[key]
     if value is None:
         return default is None
-    many = key in ("delta", "eta") and isinstance(value, list)
-    return all(v in kind if isinstance(kind, tuple)
-               else type(v) is kind or kind is float and type(v) is int
-               for v in (value if many else [value]))
+    if isinstance(kind, tuple):
+        return value in kind
+    return type(value) is kind or kind is float and type(value) is int
 
 
 # ---------------------------------------------------------------------------

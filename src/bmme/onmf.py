@@ -49,7 +49,6 @@ when its explicitly formed residual, not the updated norm estimate, falls
 to the floor (1e-12 ||X||_F)^2.
 """
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 from types import SimpleNamespace
@@ -62,7 +61,6 @@ from .bregman import (
     ValueMemo,
     _all_finite,
     _check_problem,
-    _number,
     _shared,
     as_matrix,
     cubic_norm_scale,
@@ -376,14 +374,13 @@ def _max_assignment(W):
     return int(W[p[1:] - 1, np.arange(k)].sum())
 
 
-def clustering_accuracy(labels_true, labels_pred, r=None):
+def clustering_accuracy(labels_true, labels_pred):
     """Best label-matching agreement rate between two clusterings.
 
     Maximizes ``(1/n) * #{j : pred[j] == pi(true[j])}`` over permutations
     ``pi`` of the 1-based cluster ids, solved exactly by the Hungarian method
     (:func:`_max_assignment`) on the confusion matrix of the ids present: ids
-    neither labeling uses cannot change the optimum. ``r``, if given, must be
-    an integer at least every id.
+    neither labeling uses cannot change the optimum.
     """
     t = _labels("labels_true", labels_true)
     q = _labels("labels_pred", labels_pred)
@@ -393,9 +390,6 @@ def clustering_accuracy(labels_true, labels_pred, r=None):
         raise ValueError("label arrays are empty")
     if t.min() < 1 or q.min() < 1:
         raise ValueError("cluster ids must be >= 1")
-    if r is not None and not (_number(r, numbers.Integral)
-                              and r >= max(t.max(), q.max())):
-        raise ValueError(f"r must be an integer >= every cluster id, got {r!r}")
     ids, both = np.unique(np.concatenate([t, q]), return_inverse=True)
     conf = np.bincount(both[:t.size] * ids.size + both[t.size:],
                        minlength=ids.size ** 2).reshape(ids.size, ids.size)

@@ -3,11 +3,13 @@
 Each outer iteration sweeps the blocks in order. For block i it
 
 1. picks a tentative extrapolation weight ``beta`` from the Nesterov sequence
-   (one per run, advanced once per sweep) and shrinks it geometrically
+   (one per run, advanced once per sweep) and shrinks it by the factor eta
    until the Bregman distance of the extrapolated point satisfies
 
-       D_k(x_i, xbar_i) <= delta_i * L_i^{k-1} / (L_i^k + l_i^k)
+       D_k(x_i, xbar_i) <= delta * L_i^{k-1} / (L_i^k + l_i^k)
                            * D_{k-1}(x_i^{k-1}, x_i^k),
+
+   where delta and eta are two reals in (0, 1), the same for every block,
 
 2. minimizes the majorizer built from the linearized smooth part, the block
    kernel scaled by L_i^k, and the surrogate of the nonsmooth part.
@@ -34,7 +36,7 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -248,25 +250,17 @@ class BlockProblem:
     smooth_eval: Optional[Callable] = None
 
 
-def _unit_setting(v):
-    """A float, or a 1-D sequence as a tuple of floats, if all in (0, 1)."""
-    seq = type(v) in (list, tuple) or getattr(v, "ndim", 0) == 1
-    vals = tuple(v) if seq else (v,)
-    if all(isinstance(x, numbers.Real) and 0.0 < x < 1.0 for x in vals):
-        return tuple(map(float, vals)) if seq else float(v)
-    return None
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by all solver variants, checked when built.
 
-    delta/eta are stored as a float or a tuple of per-block floats in (0, 1).
-    ``keep_certificates`` only matters for blocks with backtracked constants.
+    delta and eta are each one real in (0, 1) for every block, stored as a
+    Python float. ``keep_certificates`` only matters for blocks with
+    backtracked constants.
     """
 
-    delta: float | Sequence[float] = 0.99
-    eta: float | Sequence[float] = 0.9
+    delta: float = 0.99
+    eta: float = 0.9
     max_iters: int = 500
     time_budget: Optional[float] = None
     tol_rel_change: float = 1e-9
@@ -274,12 +268,10 @@ class SolverConfig:
     keep_certificates: bool = False
 
     def __post_init__(self):
-        unit = [_unit_setting(self.delta), _unit_setting(self.eta)]
-        unit_want = "a real in (0, 1) or a 1-D sequence of them"
         n, tol, budget = self.max_iters, self.tol_rel_change, self.time_budget
         for name, ok, want in (
-                ("delta", unit[0] is not None, unit_want),
-                ("eta", unit[1] is not None, unit_want),
+                *((f, _number(v) and 0.0 < v < 1.0, "a real in (0, 1)")
+                  for f, v in (("delta", self.delta), ("eta", self.eta))),
                 ("max_iters", _number(n, numbers.Integral) and n >= 0,
                  "an integer >= 0"),
                 ("tol_rel_change", _number(tol) and tol >= 0.0, "a real >= 0"),
@@ -290,15 +282,8 @@ class SolverConfig:
             if not ok:
                 raise ValueError(
                     f"{name} must be {want}, got {getattr(self, name)!r}")
-        for name, value in zip(("delta", "eta"), unit):  # stored normalized
-            object.__setattr__(self, name, value)
-
-    def per_block(self, which, m):
-        v = getattr(self, which)
-        out = (v,) * m if isinstance(v, float) else v
-        if len(out) != m:
-            raise ValueError(f"{which} has {len(out)} entries for {m} blocks")
-        return out
+        for name in ("delta", "eta"):  # np.float32(0.5) is stored as 0.5
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 class LineSearchSides(NamedTuple):
@@ -441,7 +426,7 @@ def _finite(i, x):
     return x
 
 
-def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
+def _block_update(p, i, blocks, kernel, state, beta, config):
     """Block i's extrapolation, gradient and majorizer solve.
 
     Every block accepts its extrapolation weight with
@@ -466,7 +451,8 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
     while True:
         beta, x_bar, s = search_extrapolation(
             kernel, cons, state.prev_constants[i], x, x_prev,
-            state.prev_divergences[i], beta, delta, eta, MAX_SHRINKS - shrinks)
+            state.prev_divergences[i], beta, config.delta, config.eta,
+            MAX_SHRINKS - shrinks)
         shrinks += s
         if beta == solved_beta:  # the last solve already used this x_bar
             break
@@ -484,7 +470,7 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
             # x_bar indistinguishable from x up to roundoff: no finite l can
             # absorb the residue, so retire this beta candidate instead.
             shrinks += 1
-            beta *= eta  # a spent budget makes the search return 0
+            beta *= config.eta  # a spent budget makes the search return 0
             continue
         L, l = cons.L, cons.l
         doublings = 0
@@ -518,7 +504,7 @@ def _block_update(p, i, blocks, kernel, state, beta, delta, eta):
     return beta, shrinks, cons, x_new, sides
 
 
-def _step(problems, state, config, objective, force_beta_zero, deltas, etas):
+def _step(problems, state, config, objective, force_beta_zero):
     t0 = time.perf_counter()
     blocks = list(state.current)
     betas, shrinks, constants_k, divs, sides = [], [], [], [], []
@@ -530,7 +516,7 @@ def _step(problems, state, config, objective, force_beta_zero, deltas, etas):
     for i, p in enumerate(problems):
         kern = p.kernel_for(blocks)
         beta, shrink, cons, x_new, side = _block_update(
-            p, i, blocks, kern, state, beta_init, deltas[i], etas[i])
+            p, i, blocks, kern, state, beta_init, config)
         if p.constants_for is None and config.keep_certificates:
             state.certificates.append(BacktrackCertificate(
                 x_prev=state.previous[i], x_curr=state.current[i],
@@ -554,7 +540,7 @@ def _step(problems, state, config, objective, force_beta_zero, deltas, etas):
         sum_div = relaxation = 0.0
         for i, (cons, d) in enumerate(zip(constants_k, divs)):
             sum_div += cons.L * d
-            relaxation += (deltas[i] * state.prev_constants[i].L
+            relaxation += (config.delta * state.prev_constants[i].L
                            * state.prev_divergences[i])
         bound = f_old - sum_div + relaxation
         slack = f_new - bound
@@ -604,7 +590,7 @@ def run(problems, init_blocks, config, objective, algorithm="bmme"):
     sweep asserts the certified inequality
 
         F(x^{k+1}) <= F(x^k) - sum_i L_i^k D_k(x_i^k, x_i^{k+1})
-                      + sum_i delta_i L_i^{k-1} D_{k-1}(x_i^{k-1}, x_i^k)
+                      + delta sum_i L_i^{k-1} D_{k-1}(x_i^{k-1}, x_i^k)
 
     up to slack ``DESCENT_SLACK * (1 + |F(x^k)|)`` and raises
     :class:`DescentViolation` otherwise.
@@ -628,13 +614,10 @@ def run(problems, init_blocks, config, objective, algorithm="bmme"):
     if algorithm not in ("bmme", "bmm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     state = initial_state(problems, init_blocks)
-    deltas = config.per_block("delta", len(problems))
-    etas = config.per_block("eta", len(problems))
     state.objective = float(objective(state.current))
     for _ in range(config.max_iters):
         f_prev = state.objective
-        _step(problems, state, config, objective, algorithm == "bmm", deltas,
-              etas)
+        _step(problems, state, config, objective, algorithm == "bmm")
         if (abs(state.objective - f_prev)
                 <= config.tol_rel_change * abs(f_prev)):
             reason = StopReason.TOL_REACHED

@@ -65,7 +65,13 @@ class TestQuadraticKernel:
             assert bregman_divergence(kern, x, y) >= 0.0
 
     def test_modulus(self):
-        assert quadratic_kernel().strong_convexity_modulus == 1.0
+        # c2 is the strong-convexity modulus: D(x, y) >= c2/2 ||x - y||^2
+        kern = BlockKernel(c1=0.5, c2=1.0)
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            x, y = rng.standard_normal((2, 6))
+            assert (bregman_divergence(kern, x, y)
+                    >= 0.5 * kern.c2 * float(np.vdot(x - y, x - y)))
 
 
 def exact_divergence(kernel, x, y):

@@ -48,6 +48,8 @@ BAD_SETTINGS = [
     ["--problem", "matcomp", "--theta", "0"], ["--noise", "-1"],
     ["--noise", "inf"],
     ["--problem", "matcomp", "--obs-fraction", "2"], ["--r", "200"],
+    # compare ran a repeated name twice, writing its trace over itself
+    ["--algorithm", "bmm,bmm"],
 ]
 
 
@@ -383,8 +385,12 @@ class TestConfigFile:
         {"tol": "x"}, {"m": "a"}, {"m": 2.5}, {"max_iters": True},
         {"lam": "big"}, {"delta": ["x", 0.9]}, {"eta": "0.9"},
         {"verify_descent": 1}, {"problem": 5}, {"problem": "svd"},
-        {"init": "zeros"}, {"out": 3}, {"seed": None}], ids=json.dumps)
-    def test_wrongly_typed_value_exits_two(self, tmp_path, capsys, entry):
+        {"init": "zeros"}, {"out": 3}, {"seed": None}, {"delta": []},
+        {"eta": [0.8, 0.8, 0.8]}, {"delta": [0.9, 0.9]}, {"eta": [0.8]}],
+        ids=json.dumps)
+    def test_wrongly_typed_value_exits_two(self, tmp_path, capsys, no_data,
+                                           entry):
+        # delta and eta take one number each, so any list is a usage error
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({"m": 20, "n": 15, "r": 2, **entry}))
         out = tmp_path / "o"
@@ -393,27 +399,13 @@ class TestConfigFile:
         assert f"invalid {next(iter(entry))}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("problem, key, value", [
-        ("onmf", "delta", []), ("onmf", "eta", [0.8, 0.8, 0.8]),
-        ("matcomp", "delta", [0.9, 0.9])])
-    def test_per_block_list_of_wrong_length_exits_two_before_running(
-            self, tmp_path, capsys, no_data, problem, key, value):
-        cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps({"problem": problem, "m": 20, "n": 15,
-                                       "r": 2, key: value}))
-        out = tmp_path / "o"
-        rc = cli.main(["run", "--config", str(cfgfile), "--out", str(out)])
-        assert rc == 2
-        assert f"{key} has {len(value)} entries" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_config_values_of_flag_types_run(self, tmp_path):
-        # every default, an int where a float is expected, per-block delta
-        # and eta lists, and null where the default is None are all valid
+        # every default, an int where a float is expected and null where the
+        # default is None are all valid
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({
             **cli.DEFAULTS, "m": 20, "n": 15, "r": 2, "lam": 100,
-            "max_iters": 3, "tol": 0, "delta": [0.9, 0.95], "eta": [0.8, 0.9],
+            "max_iters": 3, "tol": 0, "delta": 0.95, "eta": 0.8,
             "verify_descent": True, "out": str(tmp_path / "o")}))
         assert cli.main(["run", "--config", str(cfgfile)]) == 0
         assert (tmp_path / "o" / "report.json").exists()

@@ -774,12 +774,6 @@ class TestClusteringAccuracy:
             want = verify.brute_force_accuracy(labels_true, labels_pred)
             assert got == want
 
-    def test_explicit_r_pads_missing_clusters(self):
-        # r=4 with only clusters 1..2 present still scores correctly
-        labels_true = np.array([1, 1, 2, 2])
-        labels_pred = np.array([2, 2, 1, 1])
-        assert clustering_accuracy(labels_true, labels_pred, r=4) == 1.0
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             clustering_accuracy(np.array([1, 2]), np.array([1, 2, 3]))
@@ -800,13 +794,7 @@ class TestClusteringAccuracy:
     def test_far_apart_ids_need_no_dense_matrix(self):
         # the r x r matrix over ids 1..10**6 needed 7.28 TiB
         assert clustering_accuracy([1, 10**6], [1, 2]) == 1.0
-        assert clustering_accuracy([1, 10**6], [1, 2], r=10**6) == 1.0
         assert clustering_accuracy([1, 10**6, 10**6], [2, 2, 1]) == 2 / 3
-
-    @pytest.mark.parametrize("r", [2.5, True, 1, "3", 2.0])
-    def test_r_must_be_an_integer_at_least_every_id(self, r):
-        with pytest.raises(ValueError, match="r must be an integer"):
-            clustering_accuracy([1, 2], [2, 1], r=r)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), r=st.integers(1, 7))

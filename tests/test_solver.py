@@ -425,11 +425,13 @@ class TestSolverConfig:
         ("delta", np.array(0.5)), ("delta", [[0.5, 0.6]]),
         ("tol_rel_change", None), ("tol_rel_change", "x"),
         ("time_budget", "x"), ("max_iters", True),
-        ("verify_descent", "no"), ("keep_certificates", 1)])
+        ("verify_descent", "no"), ("keep_certificates", 1),
+        ("delta", [0.5, 0.9]), ("eta", (0.9,)), ("eta", np.array([0.8])),
+        ("delta", np.array([0.5, 0.9])), ("eta", np.array(0.9))])
     def test_bad_value_rejected_when_built(self, field, value):
-        # delta=np.array(0.5) and [[0.5, 0.6]] passed a check on np.ravel and
-        # then made run raise a bare TypeError in per_block; the non-numbers
-        # raised a bare TypeError, max_iters=True ran one sweep and
+        # delta and eta are one real each: a list, a tuple or an array of any
+        # shape, even of valid values, is rejected; the non-numbers raised a
+        # bare TypeError, max_iters=True ran one sweep and
         # verify_descent="no" turned verification on
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
@@ -437,33 +439,11 @@ class TestSolverConfig:
     def test_boundary_values_accepted(self):
         SolverConfig(max_iters=0, tol_rel_change=0.0, time_budget=1e-9)
         SolverConfig(max_iters=np.int64(3), tol_rel_change=np.inf,
-                     delta=[0.5, 0.9], eta=(0.1, 0.99))
-        # stored normalized, as per_block reads them
-        cfg = SolverConfig(delta=np.float32(0.5), eta=np.array([0.8, 0.9]))
-        assert (cfg.delta, cfg.eta) == (0.5, (0.8, 0.9))
-        assert type(cfg.delta) is float
-        assert cfg.per_block("delta", 2) == (0.5, 0.5)
-
-    def test_per_block_length_must_match(self):
-        a = np.array([1.0])
-        with pytest.raises(ValueError, match="delta has 2 entries"):
-            run([quadratic_block(a)], [np.zeros(1)],
-                SolverConfig(delta=[0.5, 0.9]), quadratic_objective(a))
-
-    def test_per_block_values_resolved_once_per_run(self, monkeypatch):
-        calls = []
-        real = SolverConfig.per_block
-
-        def counted(self, which, m):
-            calls.append((which, m))
-            return real(self, which, m)
-
-        monkeypatch.setattr(SolverConfig, "per_block", counted)
-        problems, init, objective = onmf_instance()
-        res = run(problems, init, SolverConfig(max_iters=10,
-                                               tol_rel_change=0.0), objective)
-        assert len(res.trace) == 10
-        assert calls == [("delta", 2), ("eta", 2)]
+                     delta=1e-300, eta=np.nextafter(1.0, 0.0))
+        # numpy scalars are stored as Python floats
+        cfg = SolverConfig(delta=np.float32(0.5), eta=np.float64(0.8))
+        assert (cfg.delta, cfg.eta) == (0.5, 0.8)
+        assert type(cfg.delta) is float and type(cfg.eta) is float
 
 
 class TestDescentVerification:
@@ -592,6 +572,41 @@ class TestBacktracking:
                                lambda x: 0.5 * float(np.vdot(x, x)))
         assert len(res.trace.records) == 0
         assert_allclose(res.final[0], [1.0])
+
+    def test_beta_retired_when_divergence_underflows(self, monkeypatch):
+        # f(x) = c x with c = 3e280 at x, x - x_prev ~ 1e-170: D(x, xbar)
+        # underflows to 0 while the rounding residue of f's lower gap is
+        # negative, which no finite l absorbs. The step retires beta = 0.5,
+        # searches again from 0.5 * eta and keeps the floors; without the
+        # retire rule the lower search exhausts MAX_DOUBLINGS. One element
+        # keeps every product exactly rounded, so the residue is the same
+        # on every machine.
+        c, x = np.array([3e280]), np.array([3e-170])
+        block = BlockProblem(
+            partial_grad=lambda blocks: c,
+            kernel_for=lambda blocks: quadratic_kernel(),
+            constants_for=None,
+            solve_subproblem=lambda blocks, x_bar, g, L, kernel: x_bar,
+            smooth_eval=lambda blocks: float(np.vdot(c, blocks[0])))
+        state = solver.SolverState(
+            current=[x], previous=[x - 2e-170],
+            prev_constants=[solver.BT_FLOORS], nesterov_nu=1.0,
+            prev_divergences=[0.0])
+        starts = []
+        real = solver.search_extrapolation
+
+        def search(*args):
+            starts.append(args[6])  # beta_init
+            return real(*args)
+
+        monkeypatch.setattr(solver, "search_extrapolation", search)
+        cfg = SolverConfig()
+        beta, shrinks, cons, _, sides = solver._block_update(
+            block, 0, [x], quadratic_kernel(), state, 0.5, cfg)
+        assert starts == [0.5, 0.5 * cfg.eta]
+        assert (beta, shrinks) == (0.5 * cfg.eta, 1)
+        assert cons == solver.BT_FLOORS
+        assert sides.lower_div == 0.0 and sides.lower_gap >= 0.0
 
 
 def onmf_instance(m=40, n=30, r=3, seed=2, backtracked=False):
