@@ -21,7 +21,9 @@ The solver needs the smooth part f to be relatively smooth against phi:
     -l * D(x, y) <= f(x) - f(y) - <grad f(y), x - y> <= L * D(x, y).
 
 The sampling-based checkers below serve the test suite and ``verify``.
-``ValueMemo`` is the value-keyed memo that the problems keep data passes in.
+``ValueMemo`` is the one-entry memo that the problems keep data passes and
+Grams in: it trusts a read-only key that owns its data, as the solver's
+iterates are, to hit only itself, and compares any other key by value.
 Above a size threshold each problem splits its data passes into fixed
 parts that the calling thread and one worker of a lazily built thread pool
 (``_executor``) take in turn (``_shared``): ONMF's X products in two halves,
@@ -99,29 +101,53 @@ def _all_finite(a):
     return math.isfinite(float(np.vdot(a, a))) or bool(np.isfinite(a).all())
 
 
-class ValueMemo:
-    """fn(A) for the last A, keyed by a snapshot copy compared by value.
+def _trusted(A):
+    """A is read-only and owns its data, so nothing writes to it unless it
+    is made writeable again."""
+    return not A.flags.writeable and A.flags.owndata
 
-    A caller may update A in place, so the memo never trusts identity.
-    A key of another dtype or shape misses at once, and so does one whose
-    first entry differs from A's (a NaN there differs from itself), which
-    is how the solvers' iterates usually miss; any other key is compared
-    with A entry by entry, and hits only if every entry is equal.
+
+class ValueMemo:
+    """fn(A) for the last A.
+
+    A trusted key (read-only and owning its data, as every iterate the
+    solver holds is) is kept by reference, and while it stays read-only
+    the same array hits by identity, with no entry compare. A trusted A
+    that is not the kept array misses at once: the solvers' new iterates
+    are such arrays, and comparing each with the kept key would cost every
+    miss a compare. A kept key that has been made writeable since misses,
+    whatever it holds; so would one a caller made writeable, edited and
+    froze again between two calls, which the memo cannot tell.
+
+    Any other key may be updated in place by its caller, so the memo keeps
+    a read-only snapshot copy of it, and any other A is compared by value.
+    One of another dtype or shape misses at once, and so does one whose
+    first entry differs from the kept key's (a NaN there differs from
+    itself); any other is compared entry by entry, and hits only if every
+    entry is equal.
     """
 
     def __init__(self, fn):
         self.fn, self.key, self.value = fn, None, None
 
     def hit(self, A):
-        # shape before values, so that no broadcast compare can hit
         k = self.key
-        return (k is not None and k.dtype == A.dtype and k.shape == A.shape
+        if k is None or k.flags.writeable:
+            return False
+        if A is k or _trusted(A):
+            return A is k
+        # shape before values, so that no broadcast compare can hit
+        return (k.dtype == A.dtype and k.shape == A.shape
                 and (k.size == 0 or k.item(0) == A.item(0))
                 and (k == A).all())
 
     def __call__(self, A):
         if not self.hit(A):
-            self.value, self.key = self.fn(A), A.copy()
+            self.value = self.fn(A)
+            if not _trusted(A):
+                A = A.copy()
+                A.setflags(write=False)
+            self.key = A
         return self.value
 
 
@@ -281,7 +307,7 @@ def quadratic_kernel():
     return BlockKernel(c1=0.0, c2=1.0)
 
 
-def bregman_divergence(kernel, x, y):
+def bregman_divergence(kernel, x, y, y_sq=None):
     """Bregman divergence ``phi(x) - phi(y) - <grad phi(y), x - y>``.
 
     Evaluated in the closed form of the module docstring, a sum of
@@ -289,6 +315,8 @@ def bregman_divergence(kernel, x, y):
     With c1 = 0 or ``||d||^2 == 0`` only ``c2/2 ||d||^2`` is formed, so no
     quartic term can overflow (or make inf * 0 of a huge ``||y||^2``); with
     c1 = 0 an overflowing ``||d||^2`` is re-formed at a power-of-two scale.
+    ``y_sq``, if given, is float(np.vdot(y, y)) as the caller already
+    computed it, and stands in for that product; the result is the same.
     Raises FloatingPointError if the value is not finite.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -309,8 +337,9 @@ def bregman_divergence(kernel, x, y):
         div = 0.5 * kernel.c2 * dd
     else:
         t = float(np.vdot(d, x + y))
+        yy = float(np.vdot(y, y)) if y_sq is None else y_sq
         div = (0.5 * kernel.c2 * dd + 0.25 * kernel.c1 * t * t
-               + 0.5 * kernel.c1 * float(np.vdot(y, y)) * dd)
+               + 0.5 * kernel.c1 * yy * dd)
     if not math.isfinite(div):
         raise FloatingPointError("Bregman divergence is not finite")
     return div

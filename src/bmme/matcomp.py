@@ -33,10 +33,13 @@ packed evaluations (``f_eval``, ``grad``, ``partial_grad``,
 - the CSR pattern of the observed entries, built once. The entries are
   row-major, so a gradient's matrix takes the memo's residual array as
   its data;
-- a one-entry residual memo keyed by value: a snapshot copy of the last Z,
-  a hit only on the same dtype, the same shape and equal entries. A caller
-  may update Z in place, so the memo never trusts array identity. Beside
-  the residuals it keeps 1/2 ||r||^2 once an evaluation has asked for it.
+- a one-entry residual memo (:class:`bmme.bregman.ValueMemo`) keyed by the
+  last Z. The solver's iterates and extrapolated points are read-only, so
+  the memo keeps such a Z by reference and hits it by identity: no copy on
+  a fresh pass and no entry compare on a hit. Any other Z, which its caller
+  may update in place, is kept as a snapshot copy and hits only on the same
+  dtype, the same shape and equal entries. Beside the residuals the memo
+  keeps 1/2 ||r||^2 once an evaluation has asked for it.
 
 The backtracked solver asks for f and grad f at x̄, then for f at x_new in
 the upper check, in the trace objective and at the start of the next step.

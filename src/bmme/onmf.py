@@ -24,9 +24,14 @@ that is ``max(G, 0)`` divided by the root of ``rho^2 (rho - eps(U)) = c``
 with ``c = 6 lam ||max(G, 0)||_F^2``.
 
 The gradients read X only as X V^T and U^T X. Each :class:`OnmfProblem`
-lazily builds ``_products``: ||X||_F^2 and a one-entry memo of each product,
-keyed by a snapshot copy of its factor compared by value. The objective at
-the end of a sweep finds U^T X there and takes the Gram form ||X - U V||^2 =
+lazily builds ``_products``: ||X||_F^2 and a one-entry memo of each product
+and of each Gram, U^T U and V V^T, keyed by its factor. The solver's
+iterates are read-only, so a memo keeps one by reference and hits it by
+identity; any other factor is kept as a snapshot copy and compared by value
+(:class:`bmme.bregman.ValueMemo`). Each Gram of an iterate is thus formed
+once, and read by the U constants, the SVD path of the V kernel weight, both
+gradients and the objective. The objective at the end of a sweep finds U^T X
+in its memo and takes the Gram form ||X - U V||^2 =
 ||X||^2 - 2 <U^T X, V> + <U^T U, V V^T>, so a sweep reads X twice. At the
 start neither product is there: the objective computes X (V^0)^T through the
 memo, and sweep 1's U gradient reuses it, so no run forms X - U^0 V^0. The
@@ -120,7 +125,9 @@ class OnmfProblem:
         X = self.X
         return SimpleNamespace(xx=float(np.vdot(X, X)),
                                UtX=ValueMemo(lambda U: _utx(U, X)),
-                               XVt=ValueMemo(lambda V: _xvt(V, X)))
+                               XVt=ValueMemo(lambda V: _xvt(V, X)),
+                               UtU=ValueMemo(lambda U: U.T @ U),
+                               VVt=ValueMemo(lambda V: V @ V.T))
 
 
 def _halves(n):
@@ -178,16 +185,16 @@ def onmf_objective(p, U, V):
 
     The fit takes the Gram form: through U^T X when U hits the product
     memo, else through X V^T, which the memo computes if V misses too (at a
-    solver's start, where the first U gradient reuses it). V V^T is formed
-    once, for both the Gram fit and the orthogonality term.
+    solver's start, where the first U gradient reuses it). Both Grams come
+    from their memos; V V^T serves the Gram fit and the orthogonality term.
     """
     prod = p._products
-    VVt = V @ V.T
+    VVt = prod.VVt(V)
     if prod.UtX.hit(U):
         cross = float(np.vdot(prod.UtX.value, V))
     else:
         cross = float(np.vdot(U, prod.XVt(V)))
-    gram = float(np.vdot(U.T @ U, VVt))
+    gram = float(np.vdot(prod.UtU(U), VVt))
     fit = prod.xx - 2.0 * cross + gram
     return _objective(p, U, V, None if fit < 1e-5 * (prod.xx + gram) else fit,
                       VVt)
@@ -224,17 +231,22 @@ def spectral_norm(M):
     return s
 
 
-def onmf_constants_U(V):
-    """(L, l) = (||V V^T||_2, 0) for the U block, floored away from zero."""
-    return RelSmoothConstants(L=max(spectral_norm(V @ V.T), _L1_FLOOR), l=0.0)
+def onmf_constants_U(V, VVt=None):
+    """(L, l) = (||V V^T||_2, 0) for the U block, floored away from zero.
+
+    ``VVt``, if given, is ``V @ V.T`` as the caller already formed it."""
+    return RelSmoothConstants(
+        L=max(spectral_norm(V @ V.T if VVt is None else VVt), _L1_FLOOR),
+        l=0.0)
 
 
-def v_kernel_weight(U, lam):
+def v_kernel_weight(U, lam, UtU=None):
     """Quadratic-term weight max(||U^T U||_2, 2 lam) of the V-block kernel.
 
     Also the kernel's strong-convexity modulus. The result is always
-    ``max(spectral_norm(U.T @ U), 2 lam)``, bit for bit. One dot product
-    screens out the Gram and its SVD: ||U^T U||_2 <= trace(U^T U) =
+    ``max(spectral_norm(U.T @ U), 2 lam)``, bit for bit; ``UtU``, if given,
+    is ``U.T @ U`` as the caller already formed it. One dot product screens
+    out the Gram's SVD: ||U^T U||_2 <= trace(U^T U) =
     ||U||_F^2, so 2 lam is the max whenever fl(||U||_F^2) clears it by
     more than every rounding between the two.
 
@@ -263,7 +275,7 @@ def v_kernel_weight(U, lam):
                  + 2.0 * n * _TINY)
         if bound < two_lam:
             return two_lam
-    return max(spectral_norm(U.T @ U), two_lam)
+    return max(spectral_norm(U.T @ U if UtU is None else UtU), two_lam)
 
 
 def v_block_kernel(U, lam):
@@ -420,11 +432,13 @@ def onmf_block_problems(p):
     euclid = quadratic_kernel()
 
     def smooth_eval(blocks):
-        return _objective(p, blocks[0], blocks[1])
+        U, V = blocks
+        return _objective(p, U, V, VVt=p._products.VVt(V))
 
     def u_grad(blocks):
         U, V = blocks
-        return U @ (V @ V.T) - p._products.XVt(V)
+        prod = p._products
+        return U @ prod.VVt(V) - prod.XVt(V)
 
     def u_solve(blocks, x_bar, grad_bar, L, kernel):
         return np.maximum(x_bar - grad_bar / L, 0.0)
@@ -432,7 +446,8 @@ def onmf_block_problems(p):
     u_block = BlockProblem(
         partial_grad=u_grad,
         kernel_for=lambda blocks: euclid,
-        constants_for=lambda blocks: onmf_constants_U(blocks[1]),
+        constants_for=lambda blocks: onmf_constants_U(
+            blocks[1], p._products.VVt(blocks[1])),
         solve_subproblem=u_solve,
         feasible=_nonnegative,
         smooth_eval=smooth_eval,
@@ -443,14 +458,18 @@ def onmf_block_problems(p):
 
     def v_kernel_for(blocks):
         nonlocal v_kernel
-        kernel, eps = v_kernel, v_kernel_weight(blocks[0], lam)
+        U = blocks[0]
+        kernel, eps = v_kernel, v_kernel_weight(U, lam, p._products.UtU(U))
         if eps != kernel.c2:
             kernel = v_kernel = BlockKernel(c1=6.0 * lam, c2=eps)
         return kernel
 
     def v_grad(blocks):
+        # V is Vbar, whose Gram serves only here: through the memo it would
+        # keep Vbar alive until the objective replaced it
         U, V = blocks
-        return (U.T @ U @ V - p._products.UtX(U)
+        prod = p._products
+        return (prod.UtU(U) @ V - prod.UtX(U)
                 + 2.0 * lam * ((V @ V.T) @ V - V))
 
     def v_solve(blocks, x_bar, grad_bar, L, kernel):

@@ -29,6 +29,14 @@ D_k(x_i, xbar_i) is a quartic in beta. Every block decides each candidate
 from three scalars computed once per search, and forms an array divergence
 only for a candidate within rounding of the bound. A backtracked block's
 line search forms D_k(x_i, xbar_i) once, for the xbar it accepted.
+
+Every iterate the solver holds is read-only: the copies of the initial
+blocks, each xbar and each block update, which is copied first if it is a
+view of another array. No callback can write to an iterate, so the
+problems' memos keep iterates by reference and hit them by identity (see
+:class:`bmme.bregman.ValueMemo`). Each update's ||x_i^{k+1}||^2, formed by
+the finiteness check, is carried to the divergence D_k(x_i^k, x_i^{k+1})
+and to the next step's extrapolation search.
 """
 
 import math
@@ -40,7 +48,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bregman import (BlockKernel, RelSmoothConstants, _all_finite, _number,
+from .bregman import (BlockKernel, RelSmoothConstants, _number,
                       bregman_divergence)
 
 __all__ = [
@@ -141,7 +149,7 @@ def _screen(kernel, beta, terms, rhs):
 
 def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
                          d_prev, beta_init, delta, eta,
-                         max_shrinks=MAX_SHRINKS):
+                         max_shrinks=MAX_SHRINKS, x_sq=None):
     """Find the first admissible extrapolation weight on a geometric grid.
 
     Tries ``beta = beta_init * eta**j`` for j = 0, 1, ... and accepts the first
@@ -160,8 +168,10 @@ def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
     D(x, x + beta d) is the quartic in beta of :mod:`bmme.bregman`, built
     from ||d||^2, <x, d> and ||x||^2 (only ||d||^2 when c1 = 0). These, with
     ||x|| and c2/2, are computed once per search and passed to ``_screen``
-    with each candidate. The screen decides when the quartic clears
-    the right-hand side by more than a rounding margin. Only a candidate
+    with each candidate; ``x_sq``, if given, is float(np.vdot(x_curr,
+    x_curr)) as the caller already computed it, and stands in for ||x||^2.
+    The screen decides when the quartic clears the right-hand side by more
+    than a rounding margin. Only a candidate
     inside the margin falls back to the array formula (xbar and
     :func:`bregman.bregman_divergence`), so every decision, and with it
     beta, shrinks and xbar, equals the array formula's.
@@ -182,7 +192,8 @@ def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
     Returns
     -------
     ExtrapolationResult with fields beta, x_bar and shrinks (the number of
-    rejected candidates).
+    rejected candidates). ``x_bar`` is a new read-only array, or ``x_curr``
+    itself when beta = 0.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -193,7 +204,7 @@ def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
     if beta != 0.0 and max_shrinks > 0:
         rhs = delta * prev_constants.L / (constants.L + constants.l) * d_prev
         diff = x_curr - x_prev
-        q = float(np.vdot(x_curr, x_curr))
+        q = float(np.vdot(x_curr, x_curr)) if x_sq is None else x_sq
         terms = (float(np.vdot(diff, diff)),
                  2.0 * float(np.vdot(x_curr, diff)) if kernel.c1 else None,
                  q, math.sqrt(q), 0.5 * kernel.c2, float(x_curr.size))
@@ -201,6 +212,7 @@ def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
         ok = _screen(kernel, beta, terms, rhs)
         if ok is not False:
             x_bar = x_curr + beta * diff
+            x_bar.setflags(write=False)
             if ok or bregman_divergence(kernel, x_curr, x_bar) <= rhs:
                 return ExtrapolationResult(beta, x_bar, shrinks)
         beta *= eta
@@ -214,7 +226,8 @@ class BlockProblem:
 
     Every callable receives ``blocks``, the list of all block values with
     blocks earlier in the sweep already holding their updated iterates and
-    this block holding its current iterate.
+    this block holding its current iterate. Every iterate, and the ``x_bar``
+    that ``solve_subproblem`` receives, is read-only.
 
     The block's relative-smoothness pair (L, l) is either fixed, given by
     ``constants_for``, or backtracked: with ``constants_for`` None, doubling
@@ -368,6 +381,8 @@ class SolverState:
     D(previous[i], current[i]) under the last step's kernel. Each step of a
     run that extrapolates or verifies computes it, for the next step's
     extrapolation test and verifier; an unverified ``bmm`` run leaves None.
+    ``sq_norms[i]`` is ||current[i]||^2 as the finiteness check of block
+    i's last update computed it; None before the first step.
     """
 
     current: list
@@ -376,6 +391,7 @@ class SolverState:
     nesterov_nu: float
     prev_divergences: list
     objective: Optional[float] = None
+    sq_norms: Optional[list] = None
     iter: int = 0
     elapsed_seconds: float = 0.0
     trace: Trace = field(default_factory=Trace)
@@ -385,9 +401,10 @@ class SolverState:
 def initial_state(problems, init_blocks):
     """Build a SolverState at ``init_blocks`` with x^{-1} = x^0.
 
-    x^{-1} and x^0 are the same arrays: the solver never writes to an
-    iterate, so a copy would only add one array per block to what the
-    certificates hold.
+    Each block is copied once, as float64, and the copy made read-only, so
+    neither the caller's later writes to ``init_blocks`` nor any callback
+    can change it. x^{-1} and x^0 are that same copy: a second one would
+    only add one array per block to what the certificates hold.
 
     No kernel or constants are evaluated: every previous pair is
     ``BT_FLOORS``, which only multiplies D(x^0, x^0) = 0 (stored exactly)
@@ -395,6 +412,8 @@ def initial_state(problems, init_blocks):
     through nu_0 = 1.
     """
     blocks = [np.array(b, dtype=np.float64, copy=True) for b in init_blocks]
+    for b in blocks:
+        b.setflags(write=False)
     if len(blocks) != len(problems):
         raise ValueError("one initial value per block problem required")
     for i, (p, b) in enumerate(zip(problems, blocks)):
@@ -421,9 +440,19 @@ def _at(blocks, i, x):
 
 
 def _finite(i, x):
-    if not _all_finite(x):
+    """Block i's update as a read-only array, and its squared norm.
+
+    A view of another array is copied first, so that no later write to its
+    buffer reaches the iterate. ||x||^2 decides finiteness unless it
+    overflows (as :func:`bmme.bregman._all_finite` does).
+    """
+    if not x.flags.owndata:
+        x = x.copy()
+    sq = float(np.vdot(x, x))
+    if not (math.isfinite(sq) or np.isfinite(x).all()):
         raise SubproblemError(f"block {i} update produced non-finite values")
-    return x
+    x.setflags(write=False)
+    return x, sq
 
 
 def _block_update(p, i, blocks, kernel, state, beta, config):
@@ -440,27 +469,29 @@ def _block_update(p, i, blocks, kernel, state, beta, config):
     from the accepted beta against the grown pair. Constants never shrink,
     beta only shrinks and beta = 0 always passes, so the loop ends. The lower
     search is the only reader of D(x, xbar); it forms it once per accepted
-    xbar. Returns (beta, shrinks, (L, l), x_new, sides), with ``sides`` the
-    final pair's :class:`LineSearchSides`, None for a fixed block.
+    xbar. Returns (beta, shrinks, (L, l), (x_new, ||x_new||^2), sides), with
+    ``sides`` the final pair's :class:`LineSearchSides`, None for a fixed
+    block.
     """
     x, x_prev = state.current[i], state.previous[i]
     fixed = p.constants_for is not None
     cons = p.constants_for(blocks) if fixed else state.prev_constants[i]
     fx = None if fixed else float(p.smooth_eval(blocks))
+    x_sq = state.sq_norms[i] if state.sq_norms else None
     shrinks, solved_beta, sides = 0, None, None
     while True:
         beta, x_bar, s = search_extrapolation(
             kernel, cons, state.prev_constants[i], x, x_prev,
             state.prev_divergences[i], beta, config.delta, config.eta,
-            MAX_SHRINKS - shrinks)
+            MAX_SHRINKS - shrinks, x_sq)
         shrinks += s
         if beta == solved_beta:  # the last solve already used this x_bar
             break
         point = _at(blocks, i, x_bar)
         if fixed:
             g_bar = p.partial_grad(point)
-            x_new = _finite(i, p.solve_subproblem(blocks, x_bar, g_bar,
-                                                  cons.L, kernel))
+            x_new, sq = _finite(i, p.solve_subproblem(blocks, x_bar, g_bar,
+                                                      cons.L, kernel))
             break
         d_bar = bregman_divergence(kernel, x, x_bar) if beta else 0.0
         f_bar = float(p.smooth_eval(point))
@@ -483,8 +514,8 @@ def _block_update(p, i, blocks, kernel, state, beta, config):
             doublings += 1
         doublings = 0
         while True:
-            x_new = _finite(i, p.solve_subproblem(blocks, x_bar, g_bar, L,
-                                                  kernel))
+            x_new, sq = _finite(i, p.solve_subproblem(blocks, x_bar, g_bar,
+                                                      L, kernel))
             gap_new = (float(p.smooth_eval(_at(blocks, i, x_new))) - f_bar
                        - float(np.vdot(g_bar, x_new - x_bar)))
             upper_div = L * bregman_divergence(kernel, x_new, x_bar)
@@ -501,13 +532,13 @@ def _block_update(p, i, blocks, kernel, state, beta, config):
         sides = LineSearchSides(gap, l * d_bar, gap_new, upper_div)
         if not grew:
             break
-    return beta, shrinks, cons, x_new, sides
+    return beta, shrinks, cons, (x_new, sq), sides
 
 
 def _step(problems, state, config, objective, force_beta_zero):
     t0 = time.perf_counter()
     blocks = list(state.current)
-    betas, shrinks, constants_k, divs, sides = [], [], [], [], []
+    betas, shrinks, constants_k, divs, sides, sq_norms = [], [], [], [], [], []
     nu, beta_init = nesterov_next(state.nesterov_nu)
     if force_beta_zero:
         beta_init = 0.0
@@ -515,7 +546,7 @@ def _step(problems, state, config, objective, force_beta_zero):
     carry = config.verify_descent or not force_beta_zero
     for i, p in enumerate(problems):
         kern = p.kernel_for(blocks)
-        beta, shrink, cons, x_new, side = _block_update(
+        beta, shrink, cons, (x_new, sq), side = _block_update(
             p, i, blocks, kern, state, beta_init, config)
         if p.constants_for is None and config.keep_certificates:
             state.certificates.append(BacktrackCertificate(
@@ -528,7 +559,8 @@ def _step(problems, state, config, objective, force_beta_zero):
         shrinks.append(shrink)
         constants_k.append(cons)
         sides.append(side)
-        divs.append(bregman_divergence(kern, state.current[i], x_new)
+        sq_norms.append(sq)
+        divs.append(bregman_divergence(kern, state.current[i], x_new, sq)
                     if carry else None)
     state.elapsed_seconds += time.perf_counter() - t0
 
@@ -555,6 +587,7 @@ def _step(problems, state, config, objective, force_beta_zero):
     state.prev_constants = constants_k
     state.nesterov_nu = nu
     state.prev_divergences = divs
+    state.sq_norms = sq_norms
     state.objective = f_new
     state.iter += 1
     state.trace.records.append(TraceRecord(
@@ -608,8 +641,9 @@ def run(problems, init_blocks, config, objective, algorithm="bmme"):
     Returns
     -------
     RunResult
-        ``final`` holds the last iterate, ``trace`` one record per completed
-        iteration, ``stop_reason`` why the loop ended.
+        ``final`` holds the last iterate, as read-only arrays (copy one
+        before editing it), ``trace`` one record per completed iteration,
+        ``stop_reason`` why the loop ended.
     """
     if algorithm not in ("bmme", "bmm"):
         raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -321,6 +321,20 @@ class TestRelSmoothConstants:
             RelSmoothConstants(L=L, l=l)
 
 
+class Watched(np.ndarray):
+    """An array that counts the entry reads a value compare makes."""
+
+    reads = 0
+
+    def __eq__(self, other):
+        Watched.reads += 1
+        return np.ndarray.__eq__(self, other)
+
+    def item(self, *args):
+        Watched.reads += 1
+        return np.ndarray.item(self, *args)
+
+
 class TestValueMemo:
     @staticmethod
     def counted():
@@ -399,6 +413,74 @@ class TestValueMemo:
         assert memo.hit(A.copy())
         memo(A.copy())
         assert len(calls) == 1
+
+
+    @staticmethod
+    def frozen(A):
+        A = np.array(A, dtype=np.float64)  # a new array that owns its data
+        A.flags.writeable = False
+        return A
+
+    def test_read_only_key_hits_by_identity_without_compare(self):
+        memo, calls = self.counted()
+        A = Watched((50, 4))  # owns its data
+        A[...] = np.arange(200.0).reshape(50, 4)
+        A.flags.writeable = False
+        memo(A)
+        assert memo.key is A  # kept by reference, not copied
+        Watched.reads = 0
+        assert memo.hit(A)
+        memo(A)
+        assert Watched.reads == 0 and len(calls) == 1
+        B = A.copy()
+        B.flags.writeable = False  # equal, trusted, and not the kept key
+        assert not memo.hit(B)
+        assert Watched.reads == 0
+        assert memo.hit(A.copy())  # an equal writeable array hits by value
+        assert Watched.reads > 0
+
+    def test_read_only_key_holding_nan_hits_itself_only(self):
+        # a NaN never equals itself, so only the identity rule can hit
+        memo, calls = self.counted()
+        A = self.frozen([[1.0, np.nan], [2.0, 3.0]])
+        memo(A)
+        assert memo.hit(A)
+        assert not memo.hit(self.frozen(A))
+        assert len(calls) == 1
+
+    def test_read_only_key_made_writeable_and_edited_misses(self):
+        memo, calls = self.counted()
+        A = self.frozen(np.ones((3, 3)))
+        assert memo(A) == 9.0
+        A.flags.writeable = True
+        A[1, 2] = 2.0
+        assert not memo.hit(A)
+        assert memo(A) == 10.0
+        assert len(calls) == 2
+        assert memo.key is not A and not memo.key.flags.writeable
+        A[1, 2] = 3.0  # the snapshot, not A, decides the next hit
+        assert not memo.hit(A)
+
+    def test_read_only_view_is_copied_and_compared_by_value(self):
+        memo, calls = self.counted()
+        base = np.arange(6.0)
+        view = base.reshape(2, 3)
+        view.flags.writeable = False
+        assert not view.flags.owndata
+        assert memo(view) == 15.0
+        assert memo.key is not view and memo.key.flags.owndata
+        assert memo.hit(view.copy())  # equal values hit
+        base[0] = 10.0  # the view is read-only, its buffer is not
+        assert not memo.hit(view)
+        assert memo(view) == 25.0
+        assert len(calls) == 2
+
+    def test_snapshot_of_a_writeable_key_is_read_only(self):
+        memo, _ = self.counted()
+        A = np.ones(4)
+        memo(A)
+        assert memo.key is not A and not memo.key.flags.writeable
+        assert A.flags.writeable  # the caller's array is left as it was
 
 
 class TestAllFinite:

@@ -510,9 +510,10 @@ class TestVerifyCommand:
         # halving the certified curvature of the first block must produce a
         # violation — this guards the verifier against vacuous passes
         real = onmf.onmf_constants_U
-        monkeypatch.setattr(onmf, "onmf_constants_U",
-                            lambda V: RelSmoothConstants(L=0.5 * real(V).L,
-                                                         l=real(V).l))
+        monkeypatch.setattr(
+            onmf, "onmf_constants_U",
+            lambda V, VVt=None: RelSmoothConstants(L=0.5 * real(V, VVt).L,
+                                                   l=real(V, VVt).l))
         bad = verify.suite_descent(seed=1, iters=20, size=(30, 30, 2),
                                    lam=50.0)
         assert len(bad) > 0

@@ -226,6 +226,40 @@ class TestProductMemo:
     def test_fixed_constant_sweep_reads_X_twice(self, monkeypatch):
         sweeps_read_X_twice(monkeypatch, 30, 40)
 
+    def test_each_iterate_s_gram_is_formed_once(self, monkeypatch):
+        # lam = 1 keeps eps(U) = ||U^T U||_2 above 2 lam, so the V kernel
+        # weight takes its SVD path; U^T U of U^{k+1} serves it, the V
+        # gradient and the objective, and V V^T of V^{k+1} the objective,
+        # the next U constants and gradient. The V gradient forms Vbar's
+        # own Gram outside the memo, which so never holds Vbar.
+        syn = datakit.gen_synthetic_onmf(40, 30, 3, noise=0.05, seed=2)
+        p = OnmfProblem(X=syn.X, r=3, lam=1.0)
+        prod = p._products
+        formed = {"UtU": [], "VVt": []}
+        for name in formed:
+            memo = getattr(prod, name)
+            memo.fn = (lambda fn, out: lambda A: out.append(A) or fn(A))(
+                memo.fn, formed[name])
+        from_memo = []
+        real = onmf.spectral_norm
+        monkeypatch.setattr(onmf, "spectral_norm", lambda M: from_memo.append(
+            M is prod.UtU.value or M is prod.VVt.value) or real(M))
+        sweeps = 40
+        res = run(onmf_block_problems(p), list(spa_init(syn.X, 3)),
+                  SolverConfig(max_iters=sweeps, tol_rel_change=0.0),
+                  lambda blocks: onmf_objective(p, blocks[0], blocks[1]))
+        monkeypatch.undo()
+        assert from_memo == [True] * (2 * sweeps)  # both SVDs, each sweep
+        assert sum(r.per_block_beta[1] > 0.0 for r in res.trace.records) > 0
+        assert all(v_kernel_weight(U, p.lam) > 2.0 * p.lam
+                   for U in formed["UtU"])
+        assert len(formed["UtU"]) == sweeps + 1
+        assert len(formed["VVt"]) == sweeps + 1
+        U, V = res.final
+        assert prod.UtU.key is U and prod.VVt.key is V
+        assert np.array_equal(prod.UtU.value, U.T @ U)
+        assert np.array_equal(prod.VVt.value, V @ V.T)
+
 
 class TestSplitProducts:
     """From ``onmf._SPLIT_SIZE`` entries on, each X product runs in halves

@@ -852,6 +852,144 @@ class TestCertificates:
         assert 0 < held <= (n + 2) * z0.nbytes + n * 1024
 
 
+class TestCarriedSquaredNorm:
+    """A carried ||.||^2 stands in for the product it saves, bit for bit."""
+
+    @pytest.mark.parametrize("kernel", [BlockKernel(0.0, 2500.0),
+                                        BlockKernel(6000.0, 2500.0)],
+                             ids=["c1=0", "c1>0"])
+    @settings(max_examples=200, deadline=None)
+    @given(case=screen_cases(), k=st.integers(-100, 100))
+    def test_same_bits_with_and_without_it(self, kernel, case, k):
+        _, x, x_prev, beta, rel = case
+        x, x_prev = np.ldexp(x, k), np.ldexp(x_prev, k)
+        x_sq = float(np.vdot(x, x))
+        for y in (x_prev, x + beta * (x - x_prev)):
+            y_sq = float(np.vdot(y, y))
+            assert (bregman_divergence(kernel, x, y, y_sq)
+                    == bregman_divergence(kernel, x, y))
+        d_prev = 2.0 * (1.0 + rel) * bregman_divergence(
+            kernel, x, x + beta * (x - x_prev))
+        cons = RelSmoothConstants(L=1.0, l=0.0)
+        args = (kernel, cons, cons, x, x_prev, d_prev, beta, 0.5, 0.9, 10)
+        plain, carried = (search_extrapolation(*args),
+                          search_extrapolation(*args, x_sq))
+        assert (carried.beta, carried.shrinks) == (plain.beta, plain.shrinks)
+        assert np.array_equal(carried.x_bar, plain.x_bar)
+
+
+    @pytest.mark.parametrize("instance", [onmf_instance,
+                                          completion_instance],
+                             ids=["onmf", "completion-bt"])
+    def test_run_carries_each_update_s_norm(self, monkeypatch, instance):
+        searches, divergences = [], []
+        real_search, real_div = (solver.search_extrapolation,
+                                 solver.bregman_divergence)
+        monkeypatch.setattr(solver, "search_extrapolation",
+                            lambda *a: searches.append(a) or real_search(*a))
+        monkeypatch.setattr(solver, "bregman_divergence",
+                            lambda *a: divergences.append(a) or real_div(*a))
+        problems, init, objective = instance()
+        run(problems, init, SolverConfig(max_iters=10, tol_rel_change=0.0),
+            objective)
+        # every search that tries a candidate (beta_init > 0, from the
+        # second sweep on) reads a carried ||x||^2
+        tried = [a for a in searches if a[6] > 0.0]
+        assert len(tried) >= 9 * len(problems)
+        for a in tried:
+            assert a[10] == float(np.vdot(a[3], a[3]))
+        carried = [a for a in divergences if len(a) == 4]
+        assert len(carried) == 10 * len(problems)
+        for a in carried:
+            assert a[3] == float(np.vdot(a[2], a[2]))
+
+
+def arrays_seen(problems, objective):
+    """``problems`` and ``objective`` wrapped to keep every array a callback
+    receives, as a block or as ``x_bar``; the kept arrays."""
+    seen = []
+
+    def wrap(fn):
+        def call(blocks, *rest):
+            seen.extend(blocks)
+            seen.extend(rest[:1])  # solve_subproblem's x_bar
+            return fn(blocks, *rest)
+        return call
+
+    names = ("partial_grad", "kernel_for", "constants_for",
+             "solve_subproblem", "smooth_eval")
+    return ([dataclasses.replace(p, **{n: wrap(getattr(p, n)) for n in names
+                                       if getattr(p, n) is not None})
+             for p in problems], wrap(objective), seen)
+
+
+class TestReadOnlyIterates:
+    """The solver holds every iterate and x_bar as a read-only array."""
+
+    @pytest.mark.parametrize("instance, iters", [
+        pytest.param(onmf_instance, 30, id="onmf"),
+        *BACKTRACKED_INSTANCES])
+    def test_every_array_a_callback_sees_is_read_only(self, instance, iters):
+        problems, init, objective = instance()
+        problems, objective, seen = arrays_seen(problems, objective)
+        res = run(problems, init, SolverConfig(max_iters=iters,
+                                               tol_rel_change=0.0,
+                                               keep_certificates=True),
+                  objective)
+        assert len(res.trace) == iters
+        assert any(b > 0.0 for r in res.trace.records
+                   for b in r.per_block_beta)
+        assert len(seen) > 4 * iters
+        assert not any(a.flags.writeable for a in seen)
+        assert not any(a.flags.writeable for a in res.final)
+        assert all(a.flags.writeable for a in init)  # the caller's, untouched
+        for c in res.state.certificates:
+            assert not any(a.flags.writeable
+                           for a in (c.x_prev, c.x_curr, c.x_new))
+
+    def test_writing_into_x_bar_raises_on_the_first_sweep(self):
+        a = np.array([3.0, -1.0])
+        calls = []
+
+        def solve(blocks, x_bar, g, L, kernel):
+            calls.append(1)
+            x_bar -= g / L
+            return x_bar
+
+        block = dataclasses.replace(quadratic_block(a), solve_subproblem=solve)
+        init = np.zeros(2)
+        with pytest.raises(ValueError, match="read-only"):
+            run([block], [init], SolverConfig(max_iters=5),
+                quadratic_objective(a))
+        assert calls == [1]
+        assert np.array_equal(init, [0.0, 0.0])
+
+    def test_a_returned_view_is_copied(self, monkeypatch):
+        # the subproblem writes each update into one buffer of its own and
+        # returns a view of it; without the copy, every certificate's x_new
+        # and the final iterate would be that one buffer
+        problems, init, objective = completion_instance()
+        real = problems[0].solve_subproblem
+        buf = np.empty_like(init[0])
+
+        def solve(*args):
+            buf[...] = real(*args)
+            return buf[:]
+
+        viewing = [dataclasses.replace(problems[0], solve_subproblem=solve)]
+        cfg = SolverConfig(max_iters=20, tol_rel_change=0.0,
+                           keep_certificates=True)
+        res, plain = (run(viewing, init, cfg, objective),
+                      run(problems, init, cfg, objective))
+        buf[...] = 0.0
+        assert np.array_equal(res.final[0], plain.final[0])
+        assert res.final[0].flags.owndata and buf.flags.writeable
+        assert len(res.state.certificates) == 20
+        for c, want in zip(res.state.certificates, plain.state.certificates):
+            assert np.array_equal(c.x_new, want.x_new)
+            assert np.array_equal(c.x_bar, want.x_bar)
+
+
 def onmf_v_backtracked():
     """:func:`onmf_instance` with a fixed U block and a backtracked V."""
     (u, v), init, objective = onmf_instance()
