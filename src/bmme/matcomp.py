@@ -24,15 +24,19 @@ observed entries: one gather of V^T's rows, one sparse mat-vec over U's
 entries, and a subtraction of A. The gathered rows are the data of an
 n_obs x (m r) CSR matrix whose fixed pattern indexes ``U.ravel()``: row e
 holds entry e's r products, so the mat-vec sums them left to right from 0,
-at every r. Each :class:`McProblem` lazily builds a helper, used by the
+at every r. The mat-vecs and the gradient's two products call the C loops
+of ``scipy.sparse._sparsetools`` directly, the same loops ``csr_matrix @``
+runs, with no sparse matrix object built per call. Those loops do not check
+bounds, so every packed Z is first checked to be float64 of shape
+(m + n, r). Each :class:`McProblem` lazily builds a helper, used by the
 packed evaluations (``f_eval``, ``grad``, ``partial_grad``,
 :func:`mc_objective_packed`), that holds three things:
 
-- the residual pass's CSR matrices without data, one per part of the
+- the residual pass's index arrays, ``(indptr, indices)`` per part of the
   entries (below), built once;
 - the CSR pattern of the observed entries, built once. The entries are
-  row-major, so a gradient's matrix takes the memo's residual array as
-  its data;
+  row-major, so a gradient's products read the memo's residual array in
+  place as their data;
 - a one-entry residual memo (:class:`bmme.bregman.ValueMemo`) keyed by the
   last Z. The solver's iterates and extrapolated points are read-only, so
   the memo keeps such a Z by reference and hits it by identity: no copy on
@@ -45,25 +49,27 @@ The backtracked solver asks for f and grad f at x̄, then for f at x_new in
 the upper check, in the trace objective and at the start of the next step.
 With the memo, each of those points costs one pass and one dot product. The
 memo sits in the problem rather than in the solver because the solver sees
-the trace objective only as an opaque callable.
+the trace objective only as an opaque callable. A second one-entry memo
+holds exp(-theta |Z|): the trace objective's penalty forms it at x_new, and
+the next step's surrogate weights, anchored at that same iterate, read it.
 
 A residual pass runs its parts through :func:`bmme.bregman._shared`, each
-part a gather, a mat-vec on its rows of the pass matrix and the subtraction
-of its values. Below ``_SPLIT_SIZE`` entries of the pass matrix (n_obs r)
-there is one part, which runs on the calling thread, so no thread starts.
-From there on a pass has ``_PARTS`` fixed parts and a gradient two, its
-products R V^T and R^T U, each run whole (split by rows of R, R^T U would
-reorder its sums); the calling thread and one pool worker each take the
-next part not yet started. Every output entry keeps its operands and its
-summation order, so the results are the same bits whichever thread runs
-which part.
+part a gather, a mat-vec into its slice of the pass's residual array and
+the subtraction of its values. Below ``_SPLIT_SIZE`` entries of the pass
+matrix (n_obs r) there is one part, which runs on the calling thread, so
+no thread starts. From there on a pass has ``_PARTS`` fixed parts and a
+gradient two, its products R V^T and R^T U, each run whole into its rows
+of the gradient (split by rows of R, R^T U would reorder its sums); the
+calling thread and one pool worker each take the next part not yet
+started. Every output entry keeps its operands and its summation order, so
+the results are the same bits whichever thread runs which part.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import _sparsetools
 
 from .bregman import (BlockKernel, RelSmoothConstants, ValueMemo,
                       _check_problem, _shared, cubic_norm_scale)
@@ -94,12 +100,17 @@ __all__ = [
 # 0.13M-0.35M it broke about even (0.79-1.21x), at 0.69M-0.70M it won
 # (0.67-0.92x) and at 1.4M by 0.65-0.77x. While the host kept the second
 # CPU busy it lost at every size, by 1.06-1.21x from 0.28M on, so the
-# threshold sits above the even range.
+# threshold sits above the even range. Those timings built csr_matrix
+# objects per pass; with the kernels called directly (medians of 8, free
+# phases) sharing won by 0.75-0.94x at 0.14M-0.35M, 0.60-0.86x at 0.70M
+# and 0.57-0.60x at 1.4M, and lost 1.20x at 0.09M. No busy phase was
+# timed on that form, so the threshold stays.
 _SPLIT_SIZE = 2**19
 # fixed parts of a shared pass's entries: a worker that starts late holds up
 # at most the part it took. Each part also costs Python work under the GIL:
 # in one-process timings of a form that built each part's matrix per pass,
-# 8 parts made a step 2-18% slower than 4.
+# 8 parts made a step 2-18% slower than 4. With the kernels called directly,
+# from 0.28M entries on, 2 parts ran between 2% faster and 6% slower than 4.
 _PARTS = 4
 
 
@@ -122,6 +133,12 @@ class McProblem:
     @cached_property
     def _passes(self):
         return _ResidualPasses(self.observed, self.r)
+
+    @cached_property
+    def _decay(self):
+        # exp(-theta |Z|) at the last Z: read by the penalty and the weights
+        theta = self.theta
+        return ValueMemo(lambda Z: np.exp(-theta * np.abs(Z)))
 
 
 @dataclass(frozen=True)
@@ -148,32 +165,50 @@ def unpack_state(Z, m):
     return McState(U=Z[:m], V=Z[m:].T)
 
 
-def _pass_matrix(row_idx, m, r):
-    """The residual pass's CSR matrix over the entries in rows ``row_idx``
-    of an m-row matrix, at rank r, without data: a pass sets its gather as
-    the data for that pass only."""
-    k = row_idx.size
-    indices = (row_idx[:, None] * r + np.arange(r)).ravel()
-    # scipy picks the index dtype here, once, so no pass re-checks it
-    A = csr_matrix((np.empty(indices.size), indices, np.arange(k + 1) * r),
-                   shape=(k, m * r))
-    A.data = None
-    return A
+def _checked(Z, observed, r):
+    """Z, if it is float64 of shape (m + n, r): the sparse kernels read
+    their operands unchecked, so no other array may reach them."""
+    want = (observed.rows + observed.cols, r)
+    if Z.dtype != np.float64 or Z.shape != want:
+        raise ValueError(f"packed factors must be float64 of shape {want}, "
+                         f"got {Z.dtype} of shape {Z.shape}")
+    return Z
 
 
-def _residuals(observed, U, Vt, parts):
-    # predicted minus observed, on observed positions only; U is m x r and
-    # Vt is n x r. ``parts`` are (slice, pass matrix) parts of the entries,
-    # which _shared runs; row e of a part's mat-vec is entry e's
-    # prediction, its r products summed left to right (module docstring).
-    u, res = U.ravel(), np.empty(observed.n_obs)
+def _index_dtype(bound):
+    # int32, as scipy picks for sparse indices, unless a bound needs more
+    return np.int32 if bound < 2**31 else np.int64
 
-    def part(s, A):
-        A.data = np.take(Vt, observed.col_idx[s], axis=0).ravel()
-        np.subtract(A @ u, observed.values[s], out=res[s])
-        A.data = None  # a kept problem holds no gather between passes
 
-    _shared(*(partial(part, s, A) for s, A in parts))
+def _pass_parts(observed, r, k):
+    """The residual pass's k parts of the entries: (slice, indptr, indices)
+    of the rows of its n_obs x (m r) CSR matrix (module docstring)."""
+    idx = _index_dtype(max(observed.n_obs, observed.rows) * r)
+    bounds = [observed.n_obs * i // k for i in range(k + 1)]
+    parts = []
+    for s in map(slice, bounds[:-1], bounds[1:]):
+        slots = (observed.row_idx[s, None] * r + np.arange(r)).ravel()
+        parts.append((s, np.arange(0, slots.size + 1, r, dtype=idx),
+                      slots.astype(idx)))
+    return parts
+
+
+def _residuals(observed, Z, parts):
+    # predicted minus observed, on observed positions only, at a checked
+    # packed Z. ``parts`` are _pass_parts, which _shared runs; row e of a
+    # part's mat-vec is entry e's prediction, its r products summed left to
+    # right from the zero it starts at (module docstring).
+    m = observed.rows
+    U, Vt, res = Z[:m], Z[m:], np.zeros(observed.n_obs)
+
+    def part(s, indptr, indices):
+        out = res[s]
+        _sparsetools.csr_matvec(indptr.size - 1, U.size, indptr, indices,
+                                np.take(Vt, observed.col_idx[s], axis=0), U,
+                                out)
+        np.subtract(out, observed.values[s], out=out)
+
+    _shared(*(partial(part, *q) for q in parts))
     return res
 
 
@@ -192,22 +227,18 @@ class _ResidualPasses:
     """CSR patterns of the observed entries and the last packed residuals."""
 
     def __init__(self, observed, r):
-        # the entries are row-major, so entry e fills slot e of the
-        # gradient's CSR matrix; scipy picks the index dtype here, once
-        m = observed.rows
-        pattern = csr_matrix(
-            (np.empty(observed.n_obs), observed.col_idx,
-             np.searchsorted(observed.row_idx, np.arange(m + 1))),
-            shape=(m, observed.cols))
-        self.indices, self.indptr = pattern.indices, pattern.indptr
-        self.split = observed.n_obs * r >= _SPLIT_SIZE
-        k = _PARTS if self.split else 1
-        bounds = [observed.n_obs * i // k for i in range(k + 1)]
-        parts = [(s, _pass_matrix(observed.row_idx[s], m, r))
-                 for s in map(slice, bounds[:-1], bounds[1:])]
+        # the entries are row-major, so entry e is slot e of the gradient's
+        # CSR pattern and the residual array is its data as it stands
+        m, n_obs = observed.rows, observed.n_obs
+        idx = _index_dtype(max(n_obs, m, observed.cols))
+        self.indptr = np.searchsorted(observed.row_idx,
+                                      np.arange(m + 1)).astype(idx)
+        self.indices = observed.col_idx.astype(idx)
+        self.split = n_obs * r >= _SPLIT_SIZE
+        parts = _pass_parts(observed, r, _PARTS if self.split else 1)
         # residuals at packed Z: one fresh pass unless Z equals the last Z
         self.residuals = ValueMemo(lambda Z: _Pass(
-            _residuals(observed, Z[:m], Z[m:], parts)))
+            _residuals(observed, _checked(Z, observed, r), parts)))
 
 
 def _penalty(lam, theta, M):
@@ -219,13 +250,19 @@ def _smooth_eval_packed(p, Z):
 
 
 def _smooth_grad_packed(p, Z):
-    m, passes = p.observed.rows, p._passes
-    R = csr_matrix((passes.residuals(Z).res, passes.indices, passes.indptr),
-                   shape=p.shape)
-    # R^T U stays one product: split by rows of R, its sums would reorder
-    products = (lambda: R @ Z[m:], lambda: R.T @ Z[:m])
-    return np.vstack(_shared(*products) if passes.split
-                     else [f() for f in products])
+    (m, n), r, passes = p.shape, p.r, p._passes
+    res, G = passes.residuals(Z).res, np.zeros((m + n, r))
+    R = (passes.indptr, passes.indices, res)
+    # R V^T into G's first m rows, R^T U into the rest; R^T U stays one
+    # product: split by rows of R, its sums would reorder
+    products = (lambda: _sparsetools.csr_matvecs(m, n, r, *R, Z[m:], G[:m]),
+                lambda: _sparsetools.csc_matvecs(n, m, r, *R, Z[:m], G[m:]))
+    if passes.split:
+        _shared(*products)
+    else:
+        for f in products:
+            f()
+    return G
 
 
 def mc_kernel(p):
@@ -286,7 +323,7 @@ def cubic_step_scale(c1, c2, s):
 def _subproblem_packed(p, kernel, Z_anchor, Z_bar, grad_bar, L):
     # grad phi(Z_new) = -soft(grad f(Zbar) - L * grad phi(Zbar), weights) / L,
     # with the majorizer weights taken at the anchor.
-    W = surrogate_weights(Z_anchor, p.lam, p.theta)
+    W = p.lam * p.theta * p._decay(Z_anchor)  # surrogate_weights at the anchor
     S = soft_threshold(grad_bar - L * kernel.grad(Z_bar), W)
     return kernel.grad_inverse(-S / L)
 
@@ -295,8 +332,12 @@ def rmse(observed, state):
     """Root mean squared error of state.U state.V on the observed entries."""
     if observed.n_obs == 0:
         raise ValueError("no observed entries to evaluate")
-    A = _pass_matrix(observed.row_idx, observed.rows, state.U.shape[1])
-    res = _residuals(observed, state.U, state.V.T, [(slice(None), A)])
+    m, r = observed.rows, state.U.shape[1]
+    if state.U.shape[0] != m:
+        raise ValueError(f"U has shape {state.U.shape}, the observed matrix "
+                         f"{m} rows")
+    Z = _checked(np.asarray(pack_state(state), dtype=np.float64), observed, r)
+    res = _residuals(observed, Z, _pass_parts(observed, r, 1))
     return float(np.sqrt(res @ res / res.size))
 
 
@@ -347,9 +388,9 @@ def mc_backtracking_problem(p):
 
 def mc_objective_packed(p):
     """The objective F on the packed representation ``Z = [U; V^T]``."""
-    lam, theta = p.lam, p.theta
-
     def eval_(Z):
-        return _smooth_eval_packed(p, Z) + _penalty(lam, theta, Z)
+        # _penalty, with its exponentials kept for the next step's weights
+        return (_smooth_eval_packed(p, Z)
+                + p.lam * float(np.sum(1.0 - p._decay(Z))))
 
     return eval_

@@ -417,8 +417,8 @@ def left_to_right_residuals(observed, U, Vt):
 
 def one_part_residuals(observed, U, Vt):
     # the residual pass below the split threshold: one part, all entries
-    A = matcomp._pass_matrix(observed.row_idx, observed.rows, U.shape[1])
-    return matcomp._residuals(observed, U, Vt, [(slice(None), A)])
+    parts = matcomp._pass_parts(observed, U.shape[1], 1)
+    return matcomp._residuals(observed, np.vstack([U, Vt]), parts)
 
 
 def per_call_csr_grad(observed, Z):
@@ -648,6 +648,20 @@ class TestSplitPasses:
         assert set(threading.enumerate()) <= threads
 
 
+class Recorded:
+    """Stands in for ``matcomp._sparsetools``: each kernel call is appended
+    to ``calls`` as (name, args), then run."""
+
+    def __init__(self, calls):
+        self.calls, self.kernels = calls, matcomp._sparsetools
+
+    def __getattr__(self, name):
+        def call(*args):
+            self.calls.append((name, args))
+            return getattr(self.kernels, name)(*args)
+        return call
+
+
 class TestCsrPattern:
     @staticmethod
     def check(observed, r, seed):
@@ -669,7 +683,7 @@ class TestCsrPattern:
 
     def test_entries_in_csr_order_need_no_gather(self, monkeypatch):
         # entries are stored row-major, so in any given order the memo's
-        # residual array is the gradient matrix's data, read in place
+        # residual array is the data both gradient kernels read, in place
         obs = datakit.gen_synthetic_ratings(305, 203, 4, 0.1, seed=7)
         train, _ = datakit.train_test_split(obs, 0.8, seed=3)
         order = np.random.default_rng(8).permutation(obs.n_obs)
@@ -683,12 +697,14 @@ class TestCsrPattern:
                 (observed.rows + observed.cols, 4))
             res = p._passes.residuals(Z).res
             before = res.copy()
-            data = []
+            calls = []
             with monkeypatch.context() as mp:
-                mp.setattr(matcomp, "csr_matrix", lambda arg, **kw: (
-                    data.append(arg[0]) or csr_matrix(arg, **kw)))
+                mp.setattr(matcomp, "_sparsetools", Recorded(calls))
                 got = matcomp._smooth_grad_packed(p, Z)
-            assert len(data) == 1 and data[0] is res
+            # (n_row, n_col, n_vecs, indptr, indices, data, x, y)
+            assert [name for name, _ in calls] == ["csr_matvecs",
+                                                   "csc_matvecs"]
+            assert all(args[5] is res for _, args in calls)
             assert np.array_equal(got, per_call_csr_grad(observed, Z))
             assert p._passes.residuals.value.res is res
             assert np.array_equal(res, before)
@@ -706,3 +722,200 @@ class TestCsrPattern:
             3, 4, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
             np.zeros(0))
         assert np.all(self.check(obs, r=2, seed=11) == 0.0)
+
+
+def per_call_csr_forms(observed, Z):
+    """Residuals and gradient through ``csr_matrix`` objects built for this
+    call and their ``@``: a pass matrix holding the gathered rows of V^T,
+    then R in the observed entries' CSR pattern."""
+    m, r = observed.rows, Z.shape[1]
+    U, Vt = Z[:m], Z[m:]
+    A = csr_matrix((np.take(Vt, observed.col_idx, axis=0).ravel(),
+                    (observed.row_idx[:, None] * r + np.arange(r)).ravel(),
+                    np.arange(observed.n_obs + 1) * r),
+                   shape=(observed.n_obs, m * r))
+    res = A @ U.ravel() - observed.values
+    R = csr_matrix((res, observed.col_idx,
+                    np.searchsorted(observed.row_idx, np.arange(m + 1))),
+                   shape=(m, observed.cols))
+    return res, np.vstack([R @ Vt, R.T @ U])
+
+
+def shuffled_ratings():
+    obs = datakit.gen_synthetic_ratings(40, 30, 3, 0.3, seed=7)
+    order = np.random.default_rng(8).permutation(obs.n_obs)
+    return datakit.ObservedMatrix(obs.rows, obs.cols, obs.row_idx[order],
+                                  obs.col_idx[order], obs.values[order])
+
+
+KERNEL_CASES = {
+    # rows 0, 2, 5 and columns 1, 3 hold no entry
+    "empty-rows-and-columns": lambda: datakit.ObservedMatrix(
+        6, 5, np.array([4, 1, 3, 1, 4]), np.array([2, 0, 4, 4, 0]),
+        np.array([1.5, -2.0, 0.25, 3.0, -1.0])),
+    "no-entries": lambda: datakit.ObservedMatrix(
+        5, 6, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+        np.zeros(0)),
+    "shuffled": shuffled_ratings,
+}
+
+
+def packed_point(rows, r, form, seed):
+    Z = np.random.default_rng(seed).standard_normal((rows, r))
+    if form == "read-only":
+        Z.setflags(write=False)
+    elif form == "fortran":
+        Z = np.asfortranarray(Z)
+    return Z
+
+
+class TestSparseKernels:
+    """The passes, gradients and ``rmse`` call scipy's sparse kernels
+    directly; they equal the per-call ``csr_matrix @`` forms bit for bit."""
+
+    @pytest.mark.parametrize("split_size", [matcomp._SPLIT_SIZE, 0],
+                             ids=["single-thread", "shared"])
+    @pytest.mark.parametrize("form", ["writeable", "read-only", "fortran"])
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_equal_to_per_call_csr_forms(self, monkeypatch, split_size, form,
+                                         case, r):
+        monkeypatch.setattr(matcomp, "_SPLIT_SIZE", split_size)
+        obs = KERNEL_CASES[case]()
+        p = McProblem(observed=obs, r=r, lam=0.1, theta=5.0)
+        assert p._passes.split == (split_size == 0)
+        Z = packed_point(obs.rows + obs.cols, r, form, seed=r)
+        res, grad = per_call_csr_forms(obs, Z)
+        got = matcomp._smooth_grad_packed(p, Z)
+        kept = p._passes.residuals.value.res
+        assert np.array_equal(kept, res)
+        assert matcomp._smooth_eval_packed(p, Z) == 0.5 * float(res @ res)
+        assert np.array_equal(got, grad)
+        assert got.shape == Z.shape and got.dtype == np.float64
+        assert not np.shares_memory(got, Z)
+        assert not np.shares_memory(got, kept)
+        state = unpack_state(Z, obs.rows)
+        if obs.n_obs:
+            assert rmse(obs, state) == float(np.sqrt(res @ res / res.size))
+        else:
+            with pytest.raises(ValueError):
+                rmse(obs, state)
+
+
+class TestPackedShape:
+    """The kernels do not check bounds, so every packed entry point first
+    checks that Z is float64 of shape (m + n, r)."""
+
+    @staticmethod
+    def entry_points(p):
+        bt, block = mc_backtracking_problem(p), mc_block_problem(p)
+        return [bt.f_eval, bt.grad, mc_objective_packed(p),
+                lambda Z: block.smooth_eval([Z]),
+                lambda Z: block.partial_grad([Z])]
+
+    @pytest.mark.parametrize("shape", [(7, 2), (5, 2), (6, 3), (6,)])
+    def test_wrong_shape_rejected_naming_both(self, shape):
+        p = diagonal_problem()  # m + n = 6, r = 2
+        Z = np.ones(shape)
+        for fn in self.entry_points(p):
+            with pytest.raises(ValueError) as err:
+                fn(Z)
+            assert str((6, 2)) in str(err.value)
+            assert str(shape) in str(err.value)
+
+    def test_other_dtype_rejected(self):
+        p = diagonal_problem()
+        for dtype in (np.float32, np.int64):
+            for fn in self.entry_points(p):
+                with pytest.raises(ValueError, match="float64"):
+                    fn(np.ones((6, 2), dtype=dtype))
+
+    def test_rmse_checks_the_factors(self):
+        obs = diagonal_problem().observed  # 3 x 3
+        for U, V in [(np.ones((4, 2)), np.ones((2, 2))),
+                     (np.ones((2, 2)), np.ones((2, 4))),
+                     (np.ones((3, 2)), np.ones((2, 4)))]:
+            with pytest.raises(ValueError):
+                rmse(obs, McState(U=U, V=V))
+        ints = McState(U=np.ones((3, 2), dtype=np.int64),
+                       V=np.ones((2, 3), dtype=np.int64))
+        assert rmse(obs, ints) == rmse(obs, McState(U=np.ones((3, 2)),
+                                                    V=np.ones((2, 3))))
+
+
+class TestExpMemo:
+    """exp(-theta |Z|) is formed once per iterate: by the trace objective at
+    x_new, then read by the next step's surrogate weights at that anchor."""
+
+    @staticmethod
+    def counted(p):
+        memo, fresh = p._decay, [0]
+        exp = memo.fn
+
+        def fn(Z):
+            fresh[0] += 1
+            return exp(Z)
+
+        memo.fn = fn
+        return memo, fresh
+
+    def test_one_exp_per_iterate(self, monkeypatch):
+        # L doubles from its floor in steps 1 and 2, so those steps re-solve;
+        # every exp the run takes is counted, wherever it is called from
+        obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=5)
+        p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
+        prob, weights, exps, real_exp = (mc_backtracking_problem(p), [], [0],
+                                         np.exp)
+
+        def exp(*args, **kwargs):
+            exps[0] += 1
+            return real_exp(*args, **kwargs)
+
+        def solve(z_bar, g, L, z_prev):
+            z_new = prob.solve_subproblem(z_bar, g, L, z_prev)
+            assert p._decay.key is z_prev
+            weights.append((z_prev, p.lam * p.theta * p._decay.value))
+            return z_new
+
+        steps = 6
+        cfg = SolverConfig(delta=0.5, max_iters=steps, tol_rel_change=0.0,
+                           verify_descent=False, keep_certificates=True)
+        with monkeypatch.context() as mp:
+            mp.setattr(np, "exp", exp)
+            res = run_backtracking(
+                dataclasses.replace(prob, solve_subproblem=solve),
+                pack_state(mc_random_init(p, seed=5)), cfg,
+                mc_objective_packed(p))
+        certs = res.state.certificates
+        assert certs[0].L > 2 * BT_FLOORS.L and len(weights) > steps
+        assert exps[0] == steps + 1
+        for z_prev, w in weights:
+            assert np.array_equal(w, surrogate_weights(z_prev, p.lam,
+                                                       p.theta))
+        fresh_f = mc_backtracking_problem(
+            McProblem(observed=obs, r=2, lam=0.1, theta=5.0)).f_eval
+        for rec, c in zip(res.trace.records, certs, strict=True):
+            assert rec.objective == fresh_f(c.x_new) + matcomp._penalty(
+                p.lam, p.theta, c.x_new)
+
+    def test_writeable_point_is_compared_by_value(self):
+        p = diagonal_problem()
+        memo, fresh = self.counted(p)
+        f = mc_objective_packed(p)
+        Z = np.random.default_rng(1).standard_normal((6, 2))
+        before = f(Z)
+        assert f(Z.copy()) == before and fresh[0] == 1
+        Z[0, 0] += 1.0
+        assert f(Z) == mc_objective_packed(diagonal_problem())(Z.copy())
+        assert fresh[0] == 2
+
+    def test_oracle_keeps_its_own_exp(self):
+        p = diagonal_problem()
+        memo, fresh = self.counted(p)
+        rng = np.random.default_rng(2)
+        anchor = McState(U=rng.standard_normal((3, 2)),
+                         V=rng.standard_normal((2, 3)))
+        x_bar = McState(U=rng.standard_normal((3, 2)),
+                        V=rng.standard_normal((2, 3)))
+        verify.oracle_completion_block(p, anchor, x_bar, 1.0)
+        assert fresh[0] == 0 and memo.key is None
