@@ -22,8 +22,9 @@ The solver needs the smooth part f to be relatively smooth against phi:
 
 The sampling-based checkers below serve the test suite and ``verify``.
 ``ValueMemo`` is the one-entry memo that the problems keep data passes and
-Grams in: it trusts a read-only key that owns its data, as the solver's
-iterates are, to hit only itself, and compares any other key by value.
+Grams in. It keeps only a read-only key that owns its data, as every
+iterate the solver holds is, and hits that array by identity; any other
+key is computed afresh on every call.
 Above a size threshold each problem splits its data passes into fixed
 parts that the calling thread and one worker of a lazily built thread pool
 (``_executor``) take in turn (``_shared``): ONMF's X products in two halves,
@@ -87,7 +88,7 @@ def as_matrix(a, name="matrix"):
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and column")
-    if not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -101,54 +102,42 @@ def _all_finite(a):
     return math.isfinite(float(np.vdot(a, a))) or bool(np.isfinite(a).all())
 
 
-def _trusted(A):
-    """A is read-only and owns its data, so nothing writes to it unless it
-    is made writeable again."""
-    return not A.flags.writeable and A.flags.owndata
+def _check_square(norm, name):
+    """ValueError naming the overflow or underflow of ``name``^2 unless the
+    square of the computed ``norm`` is a normal float64."""
+    sq = norm * norm
+    if not np.finfo(np.float64).tiny <= sq < math.inf:
+        word = "overflows" if sq == math.inf else "underflows"
+        raise ValueError(f"{name}^2 {word} the float64 range; rescale the "
+                         "data")
 
 
 class ValueMemo:
-    """fn(A) for the last A.
+    """fn(A) for the last A, if the memo may keep it.
 
-    A trusted key (read-only and owning its data, as every iterate the
-    solver holds is) is kept by reference, and while it stays read-only
-    the same array hits by identity, with no entry compare. A trusted A
-    that is not the kept array misses at once: the solvers' new iterates
-    are such arrays, and comparing each with the kept key would cost every
-    miss a compare. A kept key that has been made writeable since misses,
-    whatever it holds; so would one a caller made writeable, edited and
-    froze again between two calls, which the memo cannot tell.
-
-    Any other key may be updated in place by its caller, so the memo keeps
-    a read-only snapshot copy of it, and any other A is compared by value.
-    One of another dtype or shape misses at once, and so does one whose
-    first entry differs from the kept key's (a NaN there differs from
-    itself); any other is compared entry by entry, and hits only if every
-    entry is equal.
+    Only a read-only A that owns its data, as every iterate the solver
+    holds is, is kept, by reference. While it stays read-only the same
+    array hits by identity, with no compare of its entries. Any other A
+    may change in place at any time, so fn runs on it at every call, and
+    the call drops what the memo kept: a kept key passed again after being
+    made writeable misses, and stays unkept when frozen again. One that a
+    caller made writeable, edited and froze again between two calls would
+    hit with the old value, which the memo cannot tell.
     """
 
     def __init__(self, fn):
         self.fn, self.key, self.value = fn, None, None
 
     def hit(self, A):
-        k = self.key
-        if k is None or k.flags.writeable:
-            return False
-        if A is k or _trusted(A):
-            return A is k
-        # shape before values, so that no broadcast compare can hit
-        return (k.dtype == A.dtype and k.shape == A.shape
-                and (k.size == 0 or k.item(0) == A.item(0))
-                and (k == A).all())
+        return A is self.key and not A.flags.writeable
 
     def __call__(self, A):
-        if not self.hit(A):
-            self.value = self.fn(A)
-            if not _trusted(A):
-                A = A.copy()
-                A.setflags(write=False)
-            self.key = A
-        return self.value
+        if self.hit(A):
+            return self.value
+        value = self.fn(A)
+        kept = not A.flags.writeable and A.flags.owndata
+        self.key, self.value = (A, value) if kept else (None, None)
+        return value
 
 
 # (pid, two-worker executor) for the split passes, built on first use

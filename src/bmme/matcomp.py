@@ -38,12 +38,12 @@ packed evaluations (``f_eval``, ``grad``, ``partial_grad``,
   row-major, so a gradient's products read the memo's residual array in
   place as their data;
 - a one-entry residual memo (:class:`bmme.bregman.ValueMemo`) keyed by the
-  last Z. The solver's iterates and extrapolated points are read-only, so
-  the memo keeps such a Z by reference and hits it by identity: no copy on
-  a fresh pass and no entry compare on a hit. Any other Z, which its caller
-  may update in place, is kept as a snapshot copy and hits only on the same
-  dtype, the same shape and equal entries. Beside the residuals the memo
-  keeps 1/2 ||r||^2 once an evaluation has asked for it.
+  last Z. The solver's iterates and extrapolated points are read-only and
+  own their data, so the memo keeps such a Z by reference and hits it by
+  identity: no copy on a fresh pass and no entry compare on a hit. Any
+  other Z, which its caller may update in place, costs a fresh pass at
+  every call and is never kept. Beside the residuals the memo keeps
+  1/2 ||r||^2 once an evaluation has asked for it.
 
 The backtracked solver asks for f and grad f at x̄, then for f at x_new in
 the upper check, in the trace objective and at the start of the next step.
@@ -72,7 +72,8 @@ import numpy as np
 from scipy.sparse import _sparsetools
 
 from .bregman import (BlockKernel, RelSmoothConstants, ValueMemo,
-                      _check_problem, _shared, cubic_norm_scale)
+                      _check_problem, _check_square, _shared,
+                      cubic_norm_scale)
 from .solver import BacktrackingProblem, BlockProblem
 
 __all__ = [
@@ -236,7 +237,7 @@ class _ResidualPasses:
         self.indices = observed.col_idx.astype(idx)
         self.split = n_obs * r >= _SPLIT_SIZE
         parts = _pass_parts(observed, r, _PARTS if self.split else 1)
-        # residuals at packed Z: one fresh pass unless Z equals the last Z
+        # residuals at packed Z: one fresh pass unless Z is the last iterate
         self.residuals = ValueMemo(lambda Z: _Pass(
             _residuals(observed, _checked(Z, observed, r), parts)))
 
@@ -269,11 +270,13 @@ def mc_kernel(p):
     """Joint kernel 3/4 ||Z||^4 + c2/2 ||Z||^2 on packed factors: (3, ||P(A)||_F).
 
     The smooth part is (1, 1)-relatively smooth against it for any factor
-    pair.
+    pair. ValueError if P(A) is zero or ||P(A)||_F^2 is not a normal float64.
     """
-    c2 = p.observed.frobenius()
-    if c2 == 0.0:
+    with np.errstate(over="ignore"):  # an overflow raises below
+        c2 = p.observed.frobenius()
+    if c2 == 0.0 and not p.observed.values.any():
         raise ValueError("kernel needs at least one nonzero observed entry")
+    _check_square(c2, "||P(A)||_F")
     return BlockKernel(c1=3.0, c2=c2)
 
 

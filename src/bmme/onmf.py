@@ -26,8 +26,9 @@ with ``c = 6 lam ||max(G, 0)||_F^2``.
 The gradients read X only as X V^T and U^T X. Each :class:`OnmfProblem`
 lazily builds ``_products``: ||X||_F^2 and a one-entry memo of each product
 and of each Gram, U^T U and V V^T, keyed by its factor. The solver's
-iterates are read-only, so a memo keeps one by reference and hits it by
-identity; any other factor is kept as a snapshot copy and compared by value
+iterates are read-only and own their data, so a memo keeps one by
+reference and hits it by identity; any other factor, such as a writeable
+one a caller passes, is computed afresh at every call and never kept
 (:class:`bmme.bregman.ValueMemo`). Each Gram of an iterate is thus formed
 once, and read by the U constants, the SVD path of the V kernel weight, both
 gradients and the objective. The objective at the end of a sweep finds U^T X
@@ -66,6 +67,7 @@ from .bregman import (
     ValueMemo,
     _all_finite,
     _check_problem,
+    _check_square,
     _shared,
     as_matrix,
     cubic_norm_scale,
@@ -296,7 +298,8 @@ def spa_select_rows(X, r):
 
     The rank floor is checked on ||y||^2, the explicit residual. The updated
     norms carry about eps ||x_i||^2 of error, far above the floor, and serve
-    only to choose the pick.
+    only to choose the pick. ValueError if X is zero or ||X||_F^2, which
+    bounds every squared row norm, is not a normal float64.
     """
     return _spa_rows(as_matrix(X, "X"), r)
 
@@ -305,9 +308,11 @@ def _spa_rows(X, r):
     # spa_select_rows on an X that as_matrix has already validated
     m, n = X.shape
     _check_problem((m, n), r)
-    total = float(np.linalg.norm(X))
-    if total == 0.0:
+    with np.errstate(over="ignore"):  # an overflow raises below
+        total = float(np.linalg.norm(X))
+    if total == 0.0 and not X.any():
         raise ValueError("X is identically zero; no informative rows")
+    _check_square(total, "||X||_F")
     floor = (1e-12 * total) ** 2
     norms2 = np.einsum("ij,ij->i", X, X)
     Q = np.zeros((r, n))

@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bregman import (BlockKernel, RelSmoothConstants, _number,
+from .bregman import (BlockKernel, RelSmoothConstants, _all_finite, _number,
                       bregman_divergence)
 
 __all__ = [
@@ -420,7 +420,7 @@ def initial_state(problems, init_blocks):
         if p.constants_for is None and p.smooth_eval is None:
             raise ValueError(
                 f"block {i} needs constants_for or, to backtrack, smooth_eval")
-        if not np.all(np.isfinite(b)):
+        if not _all_finite(b):
             raise ValueError(f"block {i} initial value has non-finite entries")
         if not p.feasible(b):
             raise ValueError(f"block {i} initial value is infeasible")

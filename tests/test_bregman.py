@@ -322,7 +322,7 @@ class TestRelSmoothConstants:
 
 
 class Watched(np.ndarray):
-    """An array that counts the entry reads a value compare makes."""
+    """An array that counts the entry reads a value compare would make."""
 
     reads = 0
 
@@ -333,6 +333,39 @@ class Watched(np.ndarray):
     def item(self, *args):
         Watched.reads += 1
         return np.ndarray.item(self, *args)
+
+
+def frozen(A):
+    """A new read-only array that owns its data, as ``run`` keeps iterates."""
+    A = np.array(A, dtype=np.float64)
+    A.flags.writeable = False
+    return A
+
+
+@st.composite
+def memo_histories(draw):
+    """Arrays of every kind the memo may see, and a history of calls, flag
+    flips and in-place edits on them."""
+    base = np.arange(12.0)
+    makers = {
+        "owning": lambda: np.arange(6.0).reshape(2, 3),
+        "fortran": lambda: np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        "view": lambda: base[2:8].reshape(2, 3),
+        "0-d": lambda: np.array(2.5),
+        "empty": lambda: np.zeros((0, 3)),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=1,
+                          max_size=4))
+    arrays = [makers[k]() for k in kinds]
+    if draw(st.booleans()):
+        base.flags.writeable = False  # its views can be made writeable no more
+    for A in arrays:
+        if draw(st.booleans()):
+            A.flags.writeable = False
+    ops = draw(st.lists(st.tuples(st.sampled_from(["call", "flip", "edit"]),
+                                  st.integers(0, len(arrays) - 1)),
+                        min_size=1, max_size=30))
+    return arrays, ops
 
 
 class TestValueMemo:
@@ -346,14 +379,14 @@ class TestValueMemo:
 
         return ValueMemo(fn), calls
 
-    def test_hit_on_equal_value_of_same_dtype_and_shape(self):
+    def test_equal_writeable_copy_is_recomputed(self):
         memo, calls = self.counted()
         A = np.arange(6.0).reshape(2, 3)
         assert not memo.hit(A)
         assert memo(A) == 15.0
-        assert memo.hit(A.copy())
-        assert memo(A.copy()) == 15.0
-        assert len(calls) == 1
+        assert not memo.hit(A) and not memo.hit(A.copy())
+        assert memo(A.copy()) == 15.0 and memo(A) == 15.0
+        assert len(calls) == 3 and memo.key is None
 
     @pytest.mark.parametrize("key, other", [
         (np.ones((1, 5)), np.ones((5, 5))),          # broadcastable
@@ -386,10 +419,8 @@ class TestValueMemo:
 
     @pytest.mark.parametrize("index", [0, -1], ids=["first", "last"])
     def test_miss_when_one_end_entry_differs(self, index):
-        # the first entry is compared before the others, the last only in
-        # the full compare
         memo, calls = self.counted()
-        A = np.arange(12.0).reshape(3, 4)
+        A = frozen(np.arange(12.0).reshape(3, 4))
         memo(A)
         B = A.copy()
         B.flat[index] += 0.5
@@ -397,29 +428,17 @@ class TestValueMemo:
         assert memo(B) == A.sum() + 0.5
         assert len(calls) == 2
 
-    def test_nan_first_entry_misses(self):
-        memo, calls = self.counted()
-        A = np.array([np.nan, 1.0, 2.0])
-        memo(A)
-        assert not memo.hit(A.copy())
-        assert len(calls) == 1
-
     @pytest.mark.parametrize("A", [np.zeros((0, 3)), np.zeros(0),
                                    np.array(2.5)],
                              ids=["empty-2d", "empty-1d", "0-d"])
-    def test_equal_empty_and_0d_arrays_hit(self, A):
+    def test_empty_and_0d_arrays_hit_by_identity(self, A):
         memo, calls = self.counted()
+        A = frozen(A)
         memo(A)
-        assert memo.hit(A.copy())
-        memo(A.copy())
+        assert memo.hit(A) and memo.key is A
+        memo(A)
+        assert not memo.hit(frozen(A)) and not memo.hit(A.copy())
         assert len(calls) == 1
-
-
-    @staticmethod
-    def frozen(A):
-        A = np.array(A, dtype=np.float64)  # a new array that owns its data
-        A.flags.writeable = False
-        return A
 
     def test_read_only_key_hits_by_identity_without_compare(self):
         memo, calls = self.counted()
@@ -431,56 +450,85 @@ class TestValueMemo:
         Watched.reads = 0
         assert memo.hit(A)
         memo(A)
-        assert Watched.reads == 0 and len(calls) == 1
+        assert len(calls) == 1
         B = A.copy()
         B.flags.writeable = False  # equal, trusted, and not the kept key
         assert not memo.hit(B)
+        assert not memo.hit(A.copy())  # equal and writeable
         assert Watched.reads == 0
-        assert memo.hit(A.copy())  # an equal writeable array hits by value
-        assert Watched.reads > 0
 
     def test_read_only_key_holding_nan_hits_itself_only(self):
-        # a NaN never equals itself, so only the identity rule can hit
         memo, calls = self.counted()
-        A = self.frozen([[1.0, np.nan], [2.0, 3.0]])
+        A = frozen([[1.0, np.nan], [2.0, 3.0]])
         memo(A)
         assert memo.hit(A)
-        assert not memo.hit(self.frozen(A))
+        assert not memo.hit(frozen(A))
         assert len(calls) == 1
 
     def test_read_only_key_made_writeable_and_edited_misses(self):
         memo, calls = self.counted()
-        A = self.frozen(np.ones((3, 3)))
+        A = frozen(np.ones((3, 3)))
         assert memo(A) == 9.0
         A.flags.writeable = True
         A[1, 2] = 2.0
         assert not memo.hit(A)
         assert memo(A) == 10.0
-        assert len(calls) == 2
-        assert memo.key is not A and not memo.key.flags.writeable
-        A[1, 2] = 3.0  # the snapshot, not A, decides the next hit
+        assert len(calls) == 2 and memo.key is None
+        A.flags.writeable = False  # seen writeable, so not kept any more
         assert not memo.hit(A)
+        assert memo(A) == 10.0 and len(calls) == 3 and memo.key is A
 
-    def test_read_only_view_is_copied_and_compared_by_value(self):
+    def test_read_only_view_is_recomputed_and_never_kept(self):
         memo, calls = self.counted()
         base = np.arange(6.0)
         view = base.reshape(2, 3)
         view.flags.writeable = False
         assert not view.flags.owndata
         assert memo(view) == 15.0
-        assert memo.key is not view and memo.key.flags.owndata
-        assert memo.hit(view.copy())  # equal values hit
+        assert memo.key is None and not memo.hit(view)
         base[0] = 10.0  # the view is read-only, its buffer is not
-        assert not memo.hit(view)
         assert memo(view) == 25.0
         assert len(calls) == 2
 
-    def test_snapshot_of_a_writeable_key_is_read_only(self):
+    def test_writeable_key_is_neither_kept_nor_frozen(self):
         memo, _ = self.counted()
+        kept = frozen(np.zeros(4))
+        memo(kept)
         A = np.ones(4)
         memo(A)
-        assert memo.key is not A and not memo.key.flags.writeable
+        assert memo.key is None and memo.value is None
         assert A.flags.writeable  # the caller's array is left as it was
+        assert not memo.hit(kept)
+
+    @settings(max_examples=300, deadline=None)
+    @given(history=memo_histories())
+    def test_only_trusted_keys_are_kept_and_hit_by_identity(self, history):
+        # fn's value is the index of its call; ``sources`` holds the array
+        # each call was for. A trusted key is read-only and owns its data.
+        arrays, ops = history
+        sources = []
+        memo = ValueMemo(lambda A: sources.append(A) or len(sources) - 1)
+        kept = None  # the key the rule says the memo holds
+        for op, i in ops:
+            A = arrays[i]
+            if op == "flip":
+                try:
+                    A.flags.writeable = not A.flags.writeable
+                except ValueError:  # a view of a read-only base
+                    assert not A.flags.owndata
+            elif op == "edit" and A.flags.writeable:
+                A += 1.0
+            elif op == "call":
+                trusted = not A.flags.writeable and A.flags.owndata
+                hit = A is kept and not A.flags.writeable
+                n = len(sources)
+                got = memo(A)
+                assert sources[got] is A  # a value computed for A itself
+                assert len(sources) == n + (not hit)  # fn ran unless hit
+                kept = A if trusted else None
+                assert memo.key is kept
+            for B in arrays:
+                assert memo.hit(B) == (B is kept and not B.flags.writeable)
 
 
 class TestAllFinite:
@@ -650,6 +698,14 @@ class TestAsMatrix:
         with pytest.raises(ValueError):
             as_matrix(np.zeros(3))
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            as_matrix(np.array([[np.nan, 1.0]]))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_matrix(np.array([[bad, 1.0], [2.0, 3.0]]))
+
+    @pytest.mark.parametrize("big", [1e200, -1.7e308])
+    def test_accepts_entries_whose_squares_overflow(self, big):
+        # the sum of squares overflows, so each entry is tested
+        M = np.array([[big, 1.0], [2.0, big]])
+        assert np.array_equal(as_matrix(M), M)
+        assert np.array_equal(as_matrix(M.T), M.T)  # not C-contiguous

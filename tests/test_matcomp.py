@@ -8,6 +8,7 @@ re-derived from the scalar cubic it induces.
 import dataclasses
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,34 @@ class TestKernel:
         err = check_gradient(kern.eval, kern.grad,
                              rng.standard_normal((6, 2)), rng=rng)
         assert err < 1e-5
+
+    @pytest.mark.parametrize("scale, word", [(1e200, "overflows"),
+                                             (1e-200, "underflows")])
+    def test_extreme_scale_names_the_squared_norm(self, scale, word,
+                                                  tmp_path, capsys):
+        # every observed value is nonzero and finite; ||P(A)||_F^2 is not
+        obs = datakit.gen_synthetic_ratings(40, 30, 2, 0.5, seed=4)
+        obs = datakit.ObservedMatrix(obs.rows, obs.cols, obs.row_idx,
+                                     obs.col_idx, scale * obs.values)
+        assert obs.values.all()
+        path = tmp_path / "A.mtx"
+        datakit.save_matrix_market(path, obs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=rf"\|\|P\(A\)\|\|_F\^2 {word}"):
+                mc_kernel(McProblem(observed=obs, r=2, lam=0.1, theta=5.0))
+            assert cli.main(["run", "--problem", "matcomp", "--data-format",
+                             "mm", "--data", str(path), "--r", "2",
+                             "--out", str(tmp_path)]) == 1
+        assert f"||P(A)||_F^2 {word}" in capsys.readouterr().err
+
+    def test_all_zero_observations_rejected(self):
+        obs = diagonal_problem().observed
+        obs = datakit.ObservedMatrix(3, 3, obs.row_idx, obs.col_idx,
+                                     np.zeros(3))
+        with pytest.raises(ValueError, match="at least one nonzero"):
+            mc_kernel(McProblem(observed=obs, r=2, lam=0.1, theta=5.0))
 
     def test_smooth_part_is_one_one_relative_to_kernel(self):
         p = diagonal_problem()
@@ -451,30 +480,38 @@ def fresh_passes(monkeypatch):
 
 
 class TestResidualMemo:
-    def test_memo_is_keyed_by_value(self, fresh_passes):
+    def test_memo_is_keyed_by_identity(self, fresh_passes):
         obs = datakit.gen_synthetic_ratings(20, 15, 2, 0.4, seed=11)
         p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
         prob = mc_backtracking_problem(p)
         Z = pack_state(mc_random_init(p, seed=1))
+        Z.setflags(write=False)  # as run keeps its iterates
         f_before = prob.f_eval(Z)
-        Z[0, 0] += 1.0
-        Z[-1, 1] -= 0.5
-        f_after, g_after = prob.f_eval(Z), prob.grad(Z)
-        assert fresh_passes[0] == 2
+        assert prob.f_eval(Z) == f_before and fresh_passes[0] == 1
+        W = Z.copy()  # writeable: a fresh pass at every call
+        W[0, 0] += 1.0
+        W[-1, 1] -= 0.5
+        f_after, g_after = prob.f_eval(W), prob.grad(W)
+        assert prob.f_eval(W) == f_after and fresh_passes[0] == 4
+        assert p._passes.residuals.key is None
 
         fresh = mc_backtracking_problem(
             McProblem(observed=obs, r=2, lam=0.1, theta=5.0))
         assert f_after != f_before
-        assert f_after == fresh.f_eval(Z.copy())
-        assert np.array_equal(g_after, fresh.grad(Z.copy()))
+        assert f_after == fresh.f_eval(W.copy())
+        assert np.array_equal(g_after, fresh.grad(W.copy()))
 
+        W.setflags(write=False)
         count = fresh_passes[0]
-        twin = Z.copy()  # another array, equal contents: served by the memo
+        assert prob.f_eval(W) == f_after
+        assert np.array_equal(prob.grad(W), g_after)
+        assert mc_objective_packed(p)(W) == f_after + penalty(
+            p.lam, p.theta, W)
+        assert fresh_passes[0] == count + 1
+        twin = W.copy()  # equal, and not the kept array
+        twin.setflags(write=False)
         assert prob.f_eval(twin) == f_after
-        assert np.array_equal(prob.grad(twin), g_after)
-        assert mc_objective_packed(p)(twin) == f_after + penalty(
-            p.lam, p.theta, Z)
-        assert fresh_passes[0] == count
+        assert fresh_passes[0] == count + 2
 
     @pytest.mark.parametrize("split_size", [matcomp._SPLIT_SIZE, 0],
                              ids=["single-thread", "shared"])
@@ -695,6 +732,7 @@ class TestCsrPattern:
             assert p._passes.indices.dtype == np.int32
             Z = np.random.default_rng(9).standard_normal(
                 (observed.rows + observed.cols, 4))
+            Z.setflags(write=False)  # as run keeps its iterates
             res = p._passes.residuals(Z).res
             before = res.copy()
             calls = []
@@ -786,8 +824,10 @@ class TestSparseKernels:
         assert p._passes.split == (split_size == 0)
         Z = packed_point(obs.rows + obs.cols, r, form, seed=r)
         res, grad = per_call_csr_forms(obs, Z)
+        passes, fn = [], p._passes.residuals.fn
+        p._passes.residuals.fn = lambda Z: passes.append(fn(Z)) or passes[-1]
         got = matcomp._smooth_grad_packed(p, Z)
-        kept = p._passes.residuals.value.res
+        kept = passes[-1].res  # the residuals the gradient read
         assert np.array_equal(kept, res)
         assert matcomp._smooth_eval_packed(p, Z) == 0.5 * float(res @ res)
         assert np.array_equal(got, grad)
@@ -898,16 +938,20 @@ class TestExpMemo:
             assert rec.objective == fresh_f(c.x_new) + matcomp._penalty(
                 p.lam, p.theta, c.x_new)
 
-    def test_writeable_point_is_compared_by_value(self):
+    def test_writeable_point_is_recomputed(self):
         p = diagonal_problem()
         memo, fresh = self.counted(p)
         f = mc_objective_packed(p)
         Z = np.random.default_rng(1).standard_normal((6, 2))
         before = f(Z)
-        assert f(Z.copy()) == before and fresh[0] == 1
+        assert f(Z) == before and fresh[0] == 2 and memo.key is None
         Z[0, 0] += 1.0
-        assert f(Z) == mc_objective_packed(diagonal_problem())(Z.copy())
-        assert fresh[0] == 2
+        after = f(Z)
+        assert after == mc_objective_packed(diagonal_problem())(Z.copy())
+        assert fresh[0] == 3
+        Z.setflags(write=False)  # as run keeps its iterates
+        assert f(Z) == after and f(Z) == after
+        assert fresh[0] == 4 and memo.key is Z
 
     def test_oracle_keeps_its_own_exp(self):
         p = diagonal_problem()

@@ -217,11 +217,29 @@ class TestProductMemo:
         syn = datakit.gen_synthetic_onmf(60, 60, 3, noise=0.05, seed=7)
         p = OnmfProblem(X=syn.X, r=3, lam=10.0)
         U0, V0 = spa_init(p.X, 3)
+        for A in (U0, V0):
+            A.setflags(write=False)  # as run keeps its iterates
         got, want = onmf_objective(p, U0, V0), onmf._objective(p, U0, V0)
         gram = float(np.vdot(U0.T @ U0, V0 @ V0.T))
         assert abs(got - want) <= 64 * EPS * (p._products.xx + gram + want)
         assert p._products.XVt.hit(V0)
         assert not p._products.UtX.hit(U0)
+
+    def test_writeable_factors_are_recomputed_and_never_kept(self):
+        syn = datakit.gen_synthetic_onmf(30, 20, 3, noise=0.05, seed=7)
+        p = OnmfProblem(X=syn.X, r=3, lam=10.0)
+        U, V = spa_init(p.X, 3)
+        prod, calls = p._products, []
+        for name in ("XVt", "UtU", "VVt"):
+            memo = getattr(prod, name)
+            memo.fn = (lambda fn: lambda A: calls.append(A) or fn(A))(memo.fn)
+        first = onmf_objective(p, U, V)
+        assert onmf_objective(p, U, V) == first and len(calls) == 6
+        assert all(A is U or A is V for A in calls)
+        assert all(getattr(prod, n).key is None for n in ("XVt", "UtU", "VVt"))
+        U[0, 0] += 1.0
+        fresh = OnmfProblem(X=syn.X, r=3, lam=10.0)
+        assert onmf_objective(p, U, V) == onmf_objective(fresh, U.copy(), V)
 
     def test_fixed_constant_sweep_reads_X_twice(self, monkeypatch):
         sweeps_read_X_twice(monkeypatch, 30, 40)
@@ -708,6 +726,34 @@ class TestSpa:
         with pytest.raises(ValueError,
                            match=f"only {rank} informative rows found"):
             spa_select_rows(X, r)
+
+    @pytest.mark.parametrize("scale, word", [(1e200, "overflows"),
+                                             (1e-200, "underflows")])
+    def test_extreme_scale_names_the_squared_norm(self, scale, word,
+                                                  tmp_path, capsys):
+        # SPA picks the same rows at any scale in exact arithmetic; here
+        # ||X||_F^2 and the squared row norms leave float64
+        X = scale * np.random.default_rng(0).uniform(size=(30, 40))
+        path = tmp_path / "X.csv"
+        datakit.save_dense_csv(path, X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pick in (spa_select_rows, spa_init):
+                with pytest.raises(ValueError,
+                                   match=rf"\|\|X\|\|_F\^2 {word}"):
+                    pick(X, 3)
+            assert cli.main(["run", "--problem", "onmf", "--data", str(path),
+                             "--r", "3", "--out", str(tmp_path)]) == 1
+        assert f"||X||_F^2 {word}" in capsys.readouterr().err
+
+    def test_only_an_all_zero_X_is_identically_zero(self):
+        with pytest.raises(ValueError, match="identically zero"):
+            spa_select_rows(np.zeros((4, 3)), 2)
+        for tiny in (1e-300, 1e-160):  # squares to zero, to a subnormal
+            X = np.zeros((4, 3))
+            X[2, 1] = tiny
+            with pytest.raises(ValueError, match="underflows"):
+                spa_select_rows(X, 1)
 
     def test_orthogonal_rows_picked_in_norm_order(self):
         X = np.array([[3.0, 0.0, 0.0, 0.0],

@@ -20,6 +20,7 @@ from bmme import datakit, matcomp, onmf, solver
 from bmme.bregman import (
     BlockKernel,
     RelSmoothConstants,
+    ValueMemo,
     bregman_divergence,
     quadratic_kernel,
 )
@@ -404,10 +405,17 @@ class TestRunBasics:
         with pytest.raises(ValueError):
             initial_state([quadratic_block(a)], [np.zeros(1), np.zeros(1)])
 
-    def test_rejects_non_finite_init(self):
-        a = np.array([1.0])
-        with pytest.raises(ValueError):
-            initial_state([quadratic_block(a)], [np.array([np.nan])])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_init(self, bad):
+        a = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            initial_state([quadratic_block(a)], [np.array([1.0, bad])])
+
+    def test_accepts_init_whose_squares_overflow(self):
+        a = np.array([1.0, 2.0])
+        init = np.array([1e200, -1e200])
+        state = initial_state([quadratic_block(a)], [init])
+        assert np.array_equal(state.current[0], init)
 
     def test_unknown_algorithm_rejected(self):
         a = np.array([1.0])
@@ -620,11 +628,13 @@ def onmf_instance(m=40, n=30, r=3, seed=2, backtracked=False):
             lambda b: onmf.onmf_objective(p, b[0], b[1]))
 
 
-def completion_instance(seed=13):
+def completion_instance(seed=13, backtracked=True):
     obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=seed)
     p = matcomp.McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
-    return ([dataclasses.replace(matcomp.mc_block_problem(p),
-                                 constants_for=None)],
+    block = matcomp.mc_block_problem(p)
+    if backtracked:
+        block = dataclasses.replace(block, constants_for=None)
+    return ([block],
             [matcomp.pack_state(matcomp.mc_random_init(p, seed=seed))],
             lambda b: matcomp.mc_objective_packed(p)(b[0]))
 
@@ -988,6 +998,63 @@ class TestReadOnlyIterates:
         for c, want in zip(res.state.certificates, plain.state.certificates):
             assert np.array_equal(c.x_new, want.x_new)
             assert np.array_equal(c.x_bar, want.x_bar)
+
+
+def memo_keys(monkeypatch):
+    """Every key any ValueMemo receives from here on, and the hit count."""
+    keys, hits = [], [0]
+    call, hit = ValueMemo.__call__, ValueMemo.hit
+
+    def recording_call(memo, A):
+        keys.append(A)
+        return call(memo, A)
+
+    def recording_hit(memo, A):  # __call__ asks it too
+        keys.append(A)
+        found = hit(memo, A)
+        hits[0] += found
+        return found
+
+    monkeypatch.setattr(ValueMemo, "__call__", recording_call)
+    monkeypatch.setattr(ValueMemo, "hit", recording_hit)
+    return keys, hits
+
+
+class TestMemoPremise:
+    """The memos keep and hit only read-only arrays that own their data;
+    every key a run gives them is one, so the rule serves every call."""
+
+    @staticmethod
+    def check(keys, hits):
+        assert len(keys) > 100 and hits[0] > 10
+        assert all(not A.flags.writeable and A.flags.owndata for A in keys)
+
+    @pytest.mark.parametrize("instance", [
+        pytest.param(onmf_instance, id="onmf"),
+        pytest.param(lambda: onmf_instance(backtracked=True), id="onmf-bt"),
+        pytest.param(lambda: completion_instance(backtracked=False),
+                     id="completion"),
+        pytest.param(completion_instance, id="completion-bt")])
+    def test_every_key_a_run_gives_is_trusted(self, instance, monkeypatch):
+        problems, init, objective = instance()
+        keys, hits = memo_keys(monkeypatch)
+        res = run(problems, init, SolverConfig(max_iters=30,
+                                               tol_rel_change=0.0,
+                                               verify_descent=True),
+                  objective)
+        assert len(res.trace) == 30
+        self.check(keys, hits)
+
+    def test_every_key_run_backtracking_gives_is_trusted(self, monkeypatch):
+        obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=5)
+        p = matcomp.McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
+        init = matcomp.pack_state(matcomp.mc_random_init(p, seed=5))
+        keys, hits = memo_keys(monkeypatch)
+        run_backtracking(matcomp.mc_backtracking_problem(p), init,
+                         SolverConfig(max_iters=30, tol_rel_change=0.0,
+                                      keep_certificates=True),
+                         matcomp.mc_objective_packed(p))
+        self.check(keys, hits)
 
 
 def onmf_v_backtracked():
