@@ -380,21 +380,19 @@ def check_relative_smoothness(f_eval, f_grad, kernel, constants, samples):
     return RelSmoothReport(max_upper_violation=up, max_lower_violation=lo)
 
 
-def check_gradient(f_eval, f_grad, x, directions=None, rng=None, n_dirs=5):
+def check_gradient(f_eval, f_grad, x, rng=None):
     """Max relative mismatch between <grad, d> and a central finite difference.
 
-    The step is ``1e-6 * (1 + ||x||_F)``; the mismatch is measured relative to
+    Five directions d are drawn from ``rng`` (by default seeded with 0). The
+    step is ``1e-6 * (1 + ||x||_F)``; the mismatch is measured relative to
     ``1 + |directional derivative|``.
     """
     x = np.asarray(x, dtype=np.float64)
-    if directions is None:
-        rng = np.random.default_rng(0) if rng is None else rng
-        directions = [rng.standard_normal(x.shape) for _ in range(n_dirs)]
+    rng = np.random.default_rng(0) if rng is None else rng
     h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
     g = f_grad(x)
     worst = 0.0
-    for d in directions:
-        d = np.asarray(d, dtype=np.float64)
+    for d in [rng.standard_normal(x.shape) for _ in range(5)]:
         nd = float(np.linalg.norm(d))
         if nd == 0.0:
             continue

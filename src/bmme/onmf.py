@@ -171,13 +171,13 @@ def _nonnegative(x):
     return np.minimum.reduce(x, axis=None, initial=0.0) >= 0.0
 
 
-def _objective(p, U, V, fit=None, VVt=None):
+def _objective(p, U, V, fit, VVt):
     if fit is None:
         R = p.X - U @ V
         fit = float(np.vdot(R, R))
     # I - V V^T: 1 + (-g) is 1 - g exactly, and the square hides the sign
     # of an off-diagonal -0.0
-    O = -(V @ V.T if VVt is None else VVt)
+    O = -VVt
     O.ravel()[::V.shape[0] + 1] += 1.0
     return 0.5 * fit + 0.5 * p.lam * float(np.vdot(O, O))
 
@@ -438,7 +438,7 @@ def onmf_block_problems(p):
 
     def smooth_eval(blocks):
         U, V = blocks
-        return _objective(p, U, V, VVt=p._products.VVt(V))
+        return _objective(p, U, V, None, p._products.VVt(V))
 
     def u_grad(blocks):
         U, V = blocks

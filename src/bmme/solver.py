@@ -30,13 +30,13 @@ from three scalars computed once per search, and forms an array divergence
 only for a candidate within rounding of the bound. A backtracked block's
 line search forms D_k(x_i, xbar_i) once, for the xbar it accepted.
 
-Every iterate the solver holds is read-only: the copies of the initial
-blocks, each xbar and each block update, which is copied first if it is a
-view of another array. No callback can write to an iterate, so the
-problems' memos keep iterates by reference and hit them by identity (see
-:class:`bmme.bregman.ValueMemo`). Each update's ||x_i^{k+1}||^2, formed by
-the finiteness check, is carried to the divergence D_k(x_i^k, x_i^{k+1})
-and to the next step's extrapolation search.
+Every iterate the solver holds is a read-only float64 copy it made itself:
+each initial block and each ``solve_subproblem`` result passes one gate,
+:func:`_hold`, which also forms its squared norm and checks it finite and
+feasible; each xbar is a new read-only array. No array a callback keeps can
+reach an iterate, so the problems' memos keep iterates by reference and hit
+them by identity (see :class:`bmme.bregman.ValueMemo`). The gate's ||x_i||^2
+is carried to D_k(x_i^k, x_i^{k+1}) and to the next extrapolation search.
 """
 
 import math
@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bregman import (BlockKernel, RelSmoothConstants, _all_finite, _number,
+from .bregman import (BlockKernel, RelSmoothConstants, _number,
                       bregman_divergence)
 
 __all__ = [
@@ -226,8 +226,8 @@ class BlockProblem:
 
     Every callable receives ``blocks``, the list of all block values with
     blocks earlier in the sweep already holding their updated iterates and
-    this block holding its current iterate. Every iterate, and the ``x_bar``
-    that ``solve_subproblem`` receives, is read-only.
+    this block holding its current iterate. Every iterate is a read-only
+    copy the solver made (:func:`_hold`), and ``x_bar`` is read-only too.
 
     The block's relative-smoothness pair (L, l) is either fixed, given by
     ``constants_for``, or backtracked: with ``constants_for`` None, doubling
@@ -381,8 +381,8 @@ class SolverState:
     D(previous[i], current[i]) under the last step's kernel. Each step of a
     run that extrapolates or verifies computes it, for the next step's
     extrapolation test and verifier; an unverified ``bmm`` run leaves None.
-    ``sq_norms[i]`` is ||current[i]||^2 as the finiteness check of block
-    i's last update computed it; None before the first step.
+    Each array in ``current`` and ``previous`` is a read-only copy made by
+    :func:`_hold`, and ``sq_norms[i]`` is ||current[i]||^2 as it computed.
     """
 
     current: list
@@ -390,8 +390,8 @@ class SolverState:
     prev_constants: list
     nesterov_nu: float
     prev_divergences: list
+    sq_norms: list
     objective: Optional[float] = None
-    sq_norms: Optional[list] = None
     iter: int = 0
     elapsed_seconds: float = 0.0
     trace: Trace = field(default_factory=Trace)
@@ -401,35 +401,32 @@ class SolverState:
 def initial_state(problems, init_blocks):
     """Build a SolverState at ``init_blocks`` with x^{-1} = x^0.
 
-    Each block is copied once, as float64, and the copy made read-only, so
+    Each block passes :func:`_hold`, so x^0 is a read-only float64 copy that
     neither the caller's later writes to ``init_blocks`` nor any callback
-    can change it. x^{-1} and x^0 are that same copy: a second one would
-    only add one array per block to what the certificates hold.
+    can change. x^{-1} and x^0 are that same copy: a second one would only
+    add one array per block to what the certificates hold.
 
     No kernel or constants are evaluated: every previous pair is
     ``BT_FLOORS``, which only multiplies D(x^0, x^0) = 0 (stored exactly)
     and starts a backtracked block's first line searches. beta^0 = 0
     through nu_0 = 1.
     """
-    blocks = [np.array(b, dtype=np.float64, copy=True) for b in init_blocks]
-    for b in blocks:
-        b.setflags(write=False)
-    if len(blocks) != len(problems):
+    if len(init_blocks) != len(problems):
         raise ValueError("one initial value per block problem required")
-    for i, (p, b) in enumerate(zip(problems, blocks)):
+    for i, p in enumerate(problems):
         if p.constants_for is None and p.smooth_eval is None:
             raise ValueError(
                 f"block {i} needs constants_for or, to backtrack, smooth_eval")
-        if not _all_finite(b):
-            raise ValueError(f"block {i} initial value has non-finite entries")
-        if not p.feasible(b):
-            raise ValueError(f"block {i} initial value is infeasible")
+    held = [_hold(p, i, b, initial=True)
+            for i, (p, b) in enumerate(zip(problems, init_blocks))]
+    blocks = [x for x, _ in held]
     return SolverState(
         current=blocks,
         previous=list(blocks),
         prev_constants=[BT_FLOORS] * len(blocks),
         nesterov_nu=1.0,
         prev_divergences=[0.0] * len(blocks),
+        sq_norms=[sq for _, sq in held],
     )
 
 
@@ -439,19 +436,26 @@ def _at(blocks, i, x):
     return point
 
 
-def _finite(i, x):
-    """Block i's update as a read-only array, and its squared norm.
-
-    A view of another array is copied first, so that no later write to its
-    buffer reaches the iterate. ||x||^2 decides finiteness unless it
-    overflows (as :func:`bmme.bregman._all_finite` does).
+def _hold(p, i, x, initial=False):
+    """Block i's value ``x`` (x^0 if ``initial``, else a ``solve_subproblem``
+    result) as a new read-only float64 copy in x's memory layout, which no
+    array a caller or callback keeps can reach, and its ||x||^2. That
+    decides finiteness unless it overflows (as ``bregman._all_finite``
+    does). A copy not finite or not ``p.feasible`` raises ValueError for
+    x^0, SubproblemError for an update.
     """
-    if not x.flags.owndata:
-        x = x.copy()
-    sq = float(np.vdot(x, x))
-    if not (math.isfinite(sq) or np.isfinite(x).all()):
-        raise SubproblemError(f"block {i} update produced non-finite values")
+    x = np.array(x, dtype=np.float64)
     x.setflags(write=False)
+    sq = float(np.vdot(x, x))
+    error, nonfinite, infeasible = (
+        (ValueError, "initial value has non-finite entries",
+         "initial value is infeasible") if initial else
+        (SubproblemError, "update produced non-finite values",
+         "update left the feasible set"))
+    if not (math.isfinite(sq) or np.isfinite(x).all()):
+        raise error(f"block {i} {nonfinite}")
+    if not p.feasible(x):
+        raise error(f"block {i} {infeasible}")
     return x, sq
 
 
@@ -477,21 +481,20 @@ def _block_update(p, i, blocks, kernel, state, beta, config):
     fixed = p.constants_for is not None
     cons = p.constants_for(blocks) if fixed else state.prev_constants[i]
     fx = None if fixed else float(p.smooth_eval(blocks))
-    x_sq = state.sq_norms[i] if state.sq_norms else None
     shrinks, solved_beta, sides = 0, None, None
     while True:
         beta, x_bar, s = search_extrapolation(
             kernel, cons, state.prev_constants[i], x, x_prev,
             state.prev_divergences[i], beta, config.delta, config.eta,
-            MAX_SHRINKS - shrinks, x_sq)
+            MAX_SHRINKS - shrinks, state.sq_norms[i])
         shrinks += s
         if beta == solved_beta:  # the last solve already used this x_bar
             break
         point = _at(blocks, i, x_bar)
         if fixed:
             g_bar = p.partial_grad(point)
-            x_new, sq = _finite(i, p.solve_subproblem(blocks, x_bar, g_bar,
-                                                      cons.L, kernel))
+            x_new, sq = _hold(p, i, p.solve_subproblem(blocks, x_bar, g_bar,
+                                                       cons.L, kernel))
             break
         d_bar = bregman_divergence(kernel, x, x_bar) if beta else 0.0
         f_bar = float(p.smooth_eval(point))
@@ -514,8 +517,8 @@ def _block_update(p, i, blocks, kernel, state, beta, config):
             doublings += 1
         doublings = 0
         while True:
-            x_new, sq = _finite(i, p.solve_subproblem(blocks, x_bar, g_bar,
-                                                      L, kernel))
+            x_new, sq = _hold(p, i, p.solve_subproblem(blocks, x_bar, g_bar,
+                                                       L, kernel))
             gap_new = (float(p.smooth_eval(_at(blocks, i, x_new))) - f_bar
                        - float(np.vdot(g_bar, x_new - x_bar)))
             upper_div = L * bregman_divergence(kernel, x_new, x_bar)
@@ -552,8 +555,6 @@ def _step(problems, state, config, objective, force_beta_zero):
             state.certificates.append(BacktrackCertificate(
                 x_prev=state.previous[i], x_curr=state.current[i],
                 x_new=x_new, L=cons.L, l=cons.l, beta=beta))
-        if not p.feasible(x_new):
-            raise SubproblemError(f"block {i} update left the feasible set")
         blocks[i] = x_new
         betas.append(beta)
         shrinks.append(shrink)

@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 
-def bisect_root(h, lo, hi, iters=200):
-    """Vanilla bisection for a sign change of ``h`` on [lo, hi]."""
+def bisect_root(h, lo, hi):
+    """Bisection for a sign change of ``h`` on [lo, hi], 200 halvings."""
     flo = h(lo)
     fhi = h(hi)
     if flo == 0.0:
@@ -45,7 +45,7 @@ def bisect_root(h, lo, hi, iters=200):
         return hi
     if flo * fhi > 0:
         raise ValueError("h(lo) and h(hi) must differ in sign")
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = h(mid)
         if fm == 0.0:

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from bmme import cli, datakit, matcomp, onmf, verify
 from bmme.bregman import RelSmoothConstants
-from bmme.solver import SolverConfig, run_backtracking
+from bmme.solver import SolverConfig, run, run_backtracking
 from bmme.svgplot import render_loglog_svg
 
 
@@ -290,6 +290,70 @@ class TestDataFiles:
         assert rc == 1
 
 
+def init_files(tmp_path, problem, seed, m=30, n=20, r=3):
+    """Factors of the right shape for ``problem`` on the synthetic data of
+    ``seed``, written to two CSV files; the factors, the files and the
+    ``--init file`` flags of a run from them."""
+    rng = np.random.default_rng(seed + 100)
+    U0, V0 = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
+    paths = tmp_path / "U0.csv", tmp_path / "V0.csv"
+    for path, A in zip(paths, (U0, V0)):
+        datakit.save_dense_csv(path, A)
+    flags = ["--problem", problem, "--m", str(m), "--n", str(n),
+             "--r", str(r), "--seed", str(seed), "--max-iters", "15",
+             "--tol", "0", "--init", "file", "--init-u", str(paths[0]),
+             "--init-v", str(paths[1])]
+    return (U0, V0), paths, flags
+
+
+class TestInitFile:
+    def test_onmf_run_from_files_equals_run_from_the_arrays(self, tmp_path):
+        (U0, V0), _, flags = init_files(tmp_path, "onmf", seed=4)
+        out = tmp_path / "o"
+        assert cli.main(["run", *flags, "--out", str(out)]) == 0
+        syn = datakit.gen_synthetic_onmf(30, 20, 3, noise=0.05, seed=4)
+        p = onmf.OnmfProblem(X=syn.X, r=3, lam=1000.0)
+        res = run(onmf.onmf_block_problems(p), [U0, V0],
+                  SolverConfig(max_iters=15, tol_rel_change=0.0,
+                               verify_descent=False),
+                  lambda b: onmf.onmf_objective(p, b[0], b[1]))
+        col = [row["objective"] for row in read_trace(out / "trace.csv")]
+        assert col == [repr(r.objective) for r in res.trace.records]
+        assert len(col) == 15
+
+    def test_matcomp_run_from_files_equals_run_from_the_arrays(
+            self, tmp_path):
+        (U0, V0), _, flags = init_files(tmp_path, "matcomp", seed=6)
+        out = tmp_path / "o"
+        assert cli.main(["run", *flags, "--out", str(out)]) == 0
+        obs = datakit.gen_synthetic_ratings(30, 20, 3, 0.3, seed=6)
+        train, _ = datakit.train_test_split(obs, 0.7, seed=6)
+        p = matcomp.McProblem(observed=train, r=3, lam=0.1, theta=5.0)
+        packed = matcomp.mc_objective_packed(p)
+        res = run([matcomp.mc_block_problem(p)],
+                  [matcomp.pack_state(matcomp.McState(U0, V0))],
+                  SolverConfig(max_iters=15, tol_rel_change=0.0,
+                               verify_descent=False),
+                  lambda b: packed(b[0]))
+        col = [row["objective"] for row in read_trace(out / "trace.csv")]
+        assert col == [repr(r.objective) for r in res.trace.records]
+        assert len(col) == 15
+
+    @pytest.mark.parametrize("problem", ["onmf", "matcomp"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["U", "V"])
+    def test_wrong_shape_exits_two_and_writes_nothing(
+            self, tmp_path, capsys, problem, which):
+        (U0, V0), paths, flags = init_files(tmp_path, problem, seed=4)
+        # one column too few, or one row too many for V
+        bad = (U0[:, :-1], np.vstack([V0, V0[:1]]))[which]
+        datakit.save_dense_csv(paths[which], bad)
+        out = tmp_path / "o"
+        assert cli.main(["run", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --init-u/--init-v shapes do not match the data")
+        assert not out.exists()
+
+
 class TestBadUsage:
     def test_unknown_algorithm_exits_two_naming_the_flag(self, tmp_path, capsys):
         rc = cli.main(["run", "--problem", "onmf", "--algorithm", "sgd",
@@ -518,6 +582,14 @@ class TestVerifyCommand:
                                    lam=50.0)
         assert len(bad) > 0
         assert "exceeds certified bound" in bad[0]
+
+    def test_failing_suite_exits_one_listing_each_violation(
+            self, monkeypatch, capsys):
+        monkeypatch.setitem(verify.SUITES, "cubic",
+                            lambda: ["first violation", "second violation"])
+        assert cli.main(["verify", "cubic"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "first violation", "second violation", "cubic: 2 violation(s)"]
 
     def test_clean_descent_suite_empty(self):
         assert verify.suite_descent(seed=1, iters=20, size=(30, 30, 2),

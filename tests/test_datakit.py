@@ -1,5 +1,7 @@
 """Tests for synthetic data generation and the three on-disk formats."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -319,6 +321,60 @@ class TestRatings:
         path.write_text("\n")
         with pytest.raises(ValueError, match="no ratings"):
             load_ratings(path)
+
+
+_MM = "%%MatrixMarket matrix coordinate real general\n"
+
+# (loader, file text or ObservedMatrix arrays, the message after the path)
+REJECTIONS = [
+    pytest.param("csv", "1,2\n3,x\n", ":2: non-numeric entry",
+                 id="csv-non-numeric"),
+    pytest.param("csv", "\n  \n", ": no data rows", id="csv-no-rows"),
+    pytest.param("mm", "1 1 1\n", ":1: not a MatrixMarket file",
+                 id="mm-no-header"),
+    pytest.param("mm", _MM + "2 2\n", ":2: malformed size line",
+                 id="mm-size-fields"),
+    pytest.param("mm", _MM + "2 x 1\n", ":2: malformed size line",
+                 id="mm-size-value"),
+    pytest.param("mm", _MM + "2 2 1\n1 x 3.0\n", ":3: malformed entry",
+                 id="mm-entry-value"),
+    pytest.param("mm", _MM + "2 2 1\n1 1\n", ":3: expected 'i j value'",
+                 id="mm-entry-fields"),
+    pytest.param("mm", _MM + "% a comment only\n", ": missing size line",
+                 id="mm-no-size"),
+    pytest.param("ratings", "u1::i1::3.0\nu2::i2\n",
+                 ":2: expected user/item/rating[/timestamp], got 2 fields",
+                 id="ratings-fields"),
+    pytest.param("ratings", "u1::i1::3.0\n ::i2::4.0\n",
+                 ":2: empty user or item id", id="ratings-empty-id"),
+    pytest.param("observed", ([[0]], [[0]], [[1.0]]),
+                 "index/value arrays must be 1-D", id="observed-2d"),
+    pytest.param("observed", ([0, 1], [0], [1.0]),
+                 "index/value arrays must have equal length",
+                 id="observed-lengths"),
+    pytest.param("observed", ([2], [0], [1.0]), "row index out of range",
+                 id="observed-row"),
+    pytest.param("observed", ([0], [-1], [1.0]), "column index out of range",
+                 id="observed-column"),
+    pytest.param("observed", ([0], [0], [np.inf]),
+                 "observed values contain non-finite entries",
+                 id="observed-non-finite"),
+]
+
+
+@pytest.mark.parametrize("loader, content, message", REJECTIONS)
+def test_each_rejection_names_its_cause(tmp_path, loader, content, message):
+    if loader == "observed":
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ObservedMatrix(2, 3, *content)
+        return
+    path = tmp_path / "data"
+    path.write_text(content)
+    load = {"csv": load_dense_csv, "mm": load_matrix_market,
+            "ratings": load_ratings}[loader]
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path) + message)}$"):
+        load(path)
 
 
 class TestObservedMatrix:

@@ -82,7 +82,7 @@ def sweeps_read_X_twice(monkeypatch, m, n):
     fresh = {"UtX": 0, "XVt": 0, "residual": 0}
     real_objective = onmf._objective
 
-    def objective_part(p, U, V, fit=None, VVt=None):
+    def objective_part(p, U, V, fit, VVt):
         fresh["residual"] += fit is None
         return real_objective(p, U, V, fit, VVt)
 
@@ -219,7 +219,8 @@ class TestProductMemo:
         U0, V0 = spa_init(p.X, 3)
         for A in (U0, V0):
             A.setflags(write=False)  # as run keeps its iterates
-        got, want = onmf_objective(p, U0, V0), onmf._objective(p, U0, V0)
+        got = onmf_objective(p, U0, V0)
+        want = onmf._objective(p, U0, V0, None, V0 @ V0.T)
         gram = float(np.vdot(U0.T @ U0, V0 @ V0.T))
         assert abs(got - want) <= 64 * EPS * (p._products.xx + gram + want)
         assert p._products.XVt.hit(V0)

@@ -118,6 +118,17 @@ class TestSearchExtrapolation:
         assert_allclose(res.beta, 0.855, rtol=1e-15)
         assert_allclose(res.x_bar, [1.855], rtol=1e-15)
 
+    @pytest.mark.parametrize("delta, eta, name", [
+        (0.0, 0.9, "delta"), (1.0, 0.9, "delta"), (0.5, 0.0, "eta"),
+        (0.5, 1.0, "eta"), (0.5, np.nan, "eta")])
+    def test_settings_outside_the_open_unit_interval_rejected(
+            self, delta, eta, name):
+        consts = RelSmoothConstants(L=1.0, l=0.0)
+        with pytest.raises(ValueError, match=f"{name} must be in \\(0, 1\\)"):
+            search_extrapolation(quadratic_kernel(), consts, consts,
+                                 np.array([1.0]), np.array([0.0]), 0.5,
+                                 beta_init=0.5, delta=delta, eta=eta)
+
     def test_beta_zero_when_shrinks_exhausted(self):
         kern = quadratic_kernel()
         tight = RelSmoothConstants(L=1e8, l=0.0)
@@ -405,6 +416,13 @@ class TestRunBasics:
         with pytest.raises(ValueError):
             initial_state([quadratic_block(a)], [np.zeros(1), np.zeros(1)])
 
+    def test_rejects_a_block_with_no_constants_and_no_smooth_part(self):
+        block = dataclasses.replace(quadratic_block(np.array([1.0])),
+                                    constants_for=None)
+        with pytest.raises(ValueError, match="block 0 needs constants_for or, "
+                           "to backtrack, smooth_eval"):
+            initial_state([block], [np.zeros(1)])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_init(self, bad):
         a = np.array([1.0, 2.0])
@@ -574,6 +592,35 @@ class TestBacktracking:
             l_prev = cert.l
         assert grew > 0
 
+    def test_lower_search_gives_up_after_max_doublings(self):
+        # f = -c ||x||^2 / 2 has lower gap -c D(x, xbar) for the Euclidean
+        # kernel, and c = 1e18 exceeds l's floor 1e-3 times 2^60 (1.2e15).
+        # Sweep 1 (beta = 0) has D = 0; sweep 2 extrapolates and fails
+        c = 1e18
+        prob = BacktrackingProblem(
+            f_eval=lambda x: -0.5 * c * float(np.vdot(x, x)),
+            grad=lambda x: -c * x, kernel=quadratic_kernel(),
+            solve_subproblem=lambda x_bar, g, L, x_prev: 2.0 * x_bar)
+        with pytest.raises(solver.SubproblemError,
+                           match="block 0: lower-constant search failed"):
+            run_backtracking(prob, np.array([1.0]),
+                             SolverConfig(max_iters=2, tol_rel_change=0.0),
+                             prob.f_eval)
+
+    def test_upper_search_gives_up_after_max_doublings(self):
+        # the gradient 0 is inconsistent with f = c x: the upper gap
+        # f(x_new) - f(xbar) = c stays above L D(x_new, xbar) = L / 2 for
+        # every L up to the floor 1e-2 times 2^60 (1.2e16)
+        c = 1e30
+        prob = BacktrackingProblem(
+            f_eval=lambda x: c * float(x.sum()),
+            grad=lambda x: np.zeros_like(x), kernel=quadratic_kernel(),
+            solve_subproblem=lambda x_bar, g, L, x_prev: x_bar + 1.0)
+        with pytest.raises(solver.SubproblemError,
+                           match="block 0: upper-constant search failed"):
+            run_backtracking(prob, np.array([1.0]),
+                             SolverConfig(max_iters=1), prob.f_eval)
+
     def test_zero_iterations(self):
         res = run_backtracking(self.problem(), np.array([1.0]),
                                SolverConfig(max_iters=0),
@@ -599,7 +646,7 @@ class TestBacktracking:
         state = solver.SolverState(
             current=[x], previous=[x - 2e-170],
             prev_constants=[solver.BT_FLOORS], nesterov_nu=1.0,
-            prev_divergences=[0.0])
+            prev_divergences=[0.0], sq_norms=[float(np.vdot(x, x))])
         starts = []
         real = solver.search_extrapolation
 
@@ -998,6 +1045,134 @@ class TestReadOnlyIterates:
         for c, want in zip(res.state.certificates, plain.state.certificates):
             assert np.array_equal(c.x_new, want.x_new)
             assert np.array_equal(c.x_bar, want.x_bar)
+
+
+def trace_rows(res):
+    return [(r.objective, r.per_block_beta, r.per_block_shrinks,
+             r.descent_slack, r.sum_block_divergence, r.per_block_line_search)
+            for r in res.trace.records]
+
+
+def nonnegative_block(backtracked, solve, seen=None):
+    """min 0.5||x - a||^2 over x >= 0 with a = (3, -1), solved by ``solve``;
+    ``seen`` collects every point ``smooth_eval`` receives."""
+    a = np.array([3.0, -1.0])
+
+    def smooth_eval(blocks):
+        if seen is not None:
+            seen.append(blocks[0])
+        return 0.5 * float(np.vdot(blocks[0] - a, blocks[0] - a))
+
+    block = quadratic_block(a)
+    return dataclasses.replace(
+        block, solve_subproblem=solve,
+        constants_for=None if backtracked else block.constants_for,
+        feasible=lambda x: bool((x >= 0.0).all()), smooth_eval=smooth_eval)
+
+
+class TestIterateGate:
+    """Every initial block and every solve_subproblem result passes one gate:
+    a new read-only float64 copy, checked finite and feasible."""
+
+    def test_a_kept_view_of_a_returned_update_cannot_reach_the_iterate(self):
+        # the U solve keeps a view of each array it returns and zeroes the
+        # previous one through it; an iterate that were that array would
+        # change under the memos, and the verifier would trip at sweep 3
+        problems, init, objective = onmf_instance()
+        real = problems[0].solve_subproblem
+        views = []
+
+        def solve(*args):
+            for v in views[-1:]:
+                v[...] = 0.0
+            out = real(*args)
+            views.append(out[:])
+            return out
+
+        writing = [dataclasses.replace(problems[0], solve_subproblem=solve),
+                   problems[1]]
+        cfg = SolverConfig(max_iters=30, tol_rel_change=0.0)
+        res = run(writing, init, cfg, objective)
+        plain = run(problems, init, cfg, objective)
+        assert len(res.trace) == 30 and len(views) == 30
+        assert trace_rows(res) == trace_rows(plain)
+        assert all(np.array_equal(a, b) for a, b in zip(res.final, plain.final))
+
+    @pytest.mark.parametrize("backtracked", [False, True],
+                             ids=["fixed", "backtracked"])
+    def test_a_float32_update_is_held_as_float64(self, backtracked):
+        def solve(blocks, x_bar, g, L, kernel):
+            return np.maximum(x_bar - g / L, 0.0).astype(np.float32)
+
+        block = nonnegative_block(backtracked, solve)
+        res = run([block], [np.float32([1.0, 2.0])],
+                  SolverConfig(max_iters=5, tol_rel_change=0.0,
+                               keep_certificates=True),
+                  block.smooth_eval)
+        held = [*res.final, *res.state.previous,
+                *(c.x_new for c in res.state.certificates)]
+        assert len(held) == 2 + 5 * backtracked
+        assert all(x.dtype == np.float64 and not x.flags.writeable
+                   for x in held)
+        assert res.state.sq_norms == [float(np.vdot(res.final[0],
+                                                    res.final[0]))]
+
+    def test_an_infeasible_initial_block_is_rejected(self):
+        block = nonnegative_block(False, None)
+        with pytest.raises(ValueError, match="block 0 initial value is "
+                           "infeasible"):
+            initial_state([block], [np.array([1.0, -1.0])])
+
+    @pytest.mark.parametrize("backtracked", [False, True],
+                             ids=["fixed", "backtracked"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_update_is_rejected(self, backtracked, bad):
+        block = nonnegative_block(
+            backtracked, lambda blocks, x_bar, g, L, kernel: x_bar + bad)
+        with pytest.raises(solver.SubproblemError,
+                           match="block 0 update produced non-finite values"):
+            run([block], [np.ones(2)], SolverConfig(), block.smooth_eval)
+
+    @pytest.mark.parametrize("backtracked", [False, True],
+                             ids=["fixed", "backtracked"])
+    def test_an_infeasible_update_is_rejected_before_f_sees_it(
+            self, backtracked):
+        # the unconstrained step x_bar - g / L leaves x >= 0 on the first
+        # sweep; a backtracked block would evaluate f there to test L
+        seen = []
+        block = nonnegative_block(
+            backtracked, lambda blocks, x_bar, g, L, kernel: x_bar - g / L,
+            seen)
+        with pytest.raises(solver.SubproblemError,
+                           match="block 0 update left the feasible set"):
+            run([block], [np.ones(2)], SolverConfig(), block.smooth_eval)
+        assert all((x >= 0.0).all() for x in seen)
+        # F(x^0); a backtracked block's f(x) and f(x_bar), both at x^0
+        assert len(seen) == 1 + 2 * backtracked
+
+    @pytest.mark.parametrize("instance, iters", [
+        pytest.param(onmf_instance, 20, id="onmf"),
+        *BACKTRACKED_INSTANCES])
+    def test_every_array_the_solver_holds_comes_from_the_gate(
+            self, monkeypatch, instance, iters):
+        made, real = [], solver._hold
+        monkeypatch.setattr(solver, "_hold",
+                            lambda *a, **k: made.append(real(*a, **k)) or
+                            made[-1])
+        problems, init, objective = instance()
+        res = run(problems, init, SolverConfig(max_iters=iters,
+                                               tol_rel_change=0.0,
+                                               keep_certificates=True),
+                  objective)
+        ids = {id(x) for x, _ in made}
+        held = [*res.final, *res.state.previous,
+                *(a for c in res.state.certificates
+                  for a in (c.x_prev, c.x_curr, c.x_new))]
+        assert len(held) >= 2 * len(problems) and len(made) > iters
+        assert all(id(x) in ids for x in held)
+        assert not any(np.shares_memory(x, b) for x in held for b in init)
+        assert res.state.sq_norms == [sq for x, sq in made
+                                      if any(x is c for c in res.final)]
 
 
 def memo_keys(monkeypatch):
