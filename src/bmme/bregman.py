@@ -122,7 +122,10 @@ class ValueMemo:
     the call drops what the memo kept: a kept key passed again after being
     made writeable misses, and stays unkept when frozen again. One that a
     caller made writeable, edited and froze again between two calls would
-    hit with the old value, which the memo cannot tell.
+    hit with the old value, which the memo cannot tell. Nor can it tell a
+    frozen A edited through a view taken before the freeze, which numpy
+    leaves writeable. The solver's iterates have no such views
+    (:func:`bmme.solver._hold`); other callers who keep views pass copies.
     """
 
     def __init__(self, fn):

@@ -150,11 +150,12 @@ def _resolve_options(args):
     SolverConfig); any bad setting raises UsageError naming its flag."""
     cfg = dict(DEFAULTS)
     if args.config is not None:
-        with open(args.config) as fh:
-            try:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"--config {args.config}: invalid JSON ({exc})")
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+            raise UsageError(f"--config {args.config}: not a readable JSON "
+                             f"file ({exc})") from None
         if not isinstance(loaded, dict):
             raise UsageError(f"--config {args.config}: expected a JSON object")
         unknown = sorted(set(loaded) - set(DEFAULTS))

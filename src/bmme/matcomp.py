@@ -87,7 +87,6 @@ __all__ = [
     "rmse",
     "mc_random_init",
     "mc_block_problem",
-    "mc_backtracking_problem",
     "mc_objective_packed",
     "pack_state",
     "unpack_state",
@@ -242,10 +241,6 @@ class _ResidualPasses:
             _residuals(observed, _checked(Z, observed, r), parts)))
 
 
-def _penalty(lam, theta, M):
-    return lam * float(np.sum(1.0 - np.exp(-theta * np.abs(M))))
-
-
 def _smooth_eval_packed(p, Z):
     return p._passes.residuals(Z).half_sq
 
@@ -280,9 +275,14 @@ def mc_kernel(p):
     return BlockKernel(c1=3.0, c2=c2)
 
 
-def surrogate_weights(M, lam, theta):
-    """Majorizer slopes lam * theta * exp(-theta |M|), elementwise."""
-    return lam * theta * np.exp(-theta * np.abs(M))
+def _penalty(p, M):
+    """lam * sum(1 - exp(-theta |M|)), the exponentials from ``p._decay``."""
+    return p.lam * float(np.sum(1.0 - p._decay(M)))
+
+
+def surrogate_weights(p, M):
+    """Majorizer slopes lam * theta * exp(-theta |M|), from ``p._decay``."""
+    return p.lam * p.theta * p._decay(M)
 
 
 def mc_surrogate(p):
@@ -291,14 +291,8 @@ def mc_surrogate(p):
     u(x, y) = g(y) + <w(y), |x| - |y|> with w(y) the surrogate weights; equals
     g at x = y and lies above g everywhere by concavity of t -> 1 - exp(-t).
     """
-    lam, theta = p.lam, p.theta
-
-    def u(x, y):
-        w = surrogate_weights(y, lam, theta)
-        return (_penalty(lam, theta, y)
-                + float(np.vdot(w, np.abs(x) - np.abs(y))))
-
-    return u
+    return lambda x, y: _penalty(p, y) + float(
+        np.vdot(surrogate_weights(p, y), np.abs(x) - np.abs(y)))
 
 
 def soft_threshold(A, B):
@@ -326,8 +320,8 @@ def cubic_step_scale(c1, c2, s):
 def _subproblem_packed(p, kernel, Z_anchor, Z_bar, grad_bar, L):
     # grad phi(Z_new) = -soft(grad f(Zbar) - L * grad phi(Zbar), weights) / L,
     # with the majorizer weights taken at the anchor.
-    W = p.lam * p.theta * p._decay(Z_anchor)  # surrogate_weights at the anchor
-    S = soft_threshold(grad_bar - L * kernel.grad(Z_bar), W)
+    S = soft_threshold(grad_bar - L * kernel.grad(Z_bar),
+                       surrogate_weights(p, Z_anchor))
     return kernel.grad_inverse(-S / L)
 
 
@@ -378,7 +372,8 @@ def mc_block_problem(p):
 
 
 def mc_backtracking_problem(p):
-    """Packed single-block problem for the backtracked (L, l) solver."""
+    """Packed problem for :func:`bmme.solver.run_backtracking`; not exported,
+    kept only for mc-large-bt in ``perfbench/workloads.py`` (ROADMAP 6a)."""
     kernel = mc_kernel(p)
     return BacktrackingProblem(
         f_eval=lambda Z: _smooth_eval_packed(p, Z),
@@ -390,10 +385,11 @@ def mc_backtracking_problem(p):
 
 
 def mc_objective_packed(p):
-    """The objective F on the packed representation ``Z = [U; V^T]``."""
+    """The objective F on the packed representation ``Z = [U; V^T]``.
+
+    Its memos cannot see a Z changed through a view kept from before it was
+    frozen (:class:`bmme.bregman.ValueMemo`); pass a copy in that case."""
     def eval_(Z):
-        # _penalty, with its exponentials kept for the next step's weights
-        return (_smooth_eval_packed(p, Z)
-                + p.lam * float(np.sum(1.0 - p._decay(Z))))
+        return _smooth_eval_packed(p, Z) + _penalty(p, Z)
 
     return eval_

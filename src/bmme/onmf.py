@@ -189,6 +189,8 @@ def onmf_objective(p, U, V):
     memo, else through X V^T, which the memo computes if V misses too (at a
     solver's start, where the first U gradient reuses it). Both Grams come
     from their memos; V V^T serves the Gram fit and the orthogonality term.
+    The memos cannot see a factor changed through a view kept from before
+    it was frozen (:class:`bmme.bregman.ValueMemo`); pass copies then.
     """
     prod = p._products
     VVt = prod.VVt(V)

@@ -53,7 +53,6 @@ from .bregman import (BlockKernel, RelSmoothConstants, _number,
 
 __all__ = [
     "BlockProblem",
-    "BacktrackingProblem",
     "SolverConfig",
     "SolverState",
     "Trace",
@@ -66,7 +65,6 @@ __all__ = [
     "nesterov_next",
     "search_extrapolation",
     "run",
-    "run_backtracking",
     "initial_state",
 ]
 
@@ -672,7 +670,10 @@ class BacktrackingProblem:
     """Single-block problem whose (L, l) pair is found by line search.
 
     ``f_eval``/``grad`` describe the smooth part only; the nonsmooth part
-    enters through ``solve_subproblem``.
+    enters through ``solve_subproblem``. This adapter and
+    :func:`run_backtracking` are not exported and are kept only for the
+    mc-large-bt workload in ``perfbench/workloads.py``, until ROADMAP item
+    6a; other code runs a :class:`BlockProblem` with ``constants_for=None``.
     """
 
     f_eval: Callable

@@ -341,7 +341,7 @@ def suite_oracles(n_instances=10, seed=0, tol=1e-6):
             bad.append(f"completion block mismatch {err:.3e} on instance {k}")
 
         # surrogate majorization of the concave penalty
-        g_eval = lambda Z: matcomp._penalty(mp.lam, mp.theta, Z)
+        g_eval = lambda Z: matcomp._penalty(mp, Z)
         anchors = [rng.standard_normal((9, 2)) for _ in range(3)]
         cands = [rng.standard_normal((9, 2)) for _ in range(4)]
         bad.extend(f"instance {k}: {msg}" for msg in check_surrogate(

@@ -9,12 +9,13 @@ where the property includes one; the measured margins are wide (the heaviest
 case below runs in well under half its budget on a laptop-class machine).
 """
 
+import dataclasses
 import time
 
 import numpy as np
 
 from bmme import cli, datakit, matcomp, onmf, verify
-from bmme.solver import SolverConfig, run, run_backtracking
+from bmme.solver import SolverConfig, run
 
 
 def _emit(name, ok, detail):
@@ -160,28 +161,35 @@ def test_backtracked_completion_certificates_and_rmse():
     init = matcomp.mc_random_init(p, seed=1)
     z0 = matcomp.pack_state(init)
 
-    prob = matcomp.mc_backtracking_problem(p)
+    # one packed block whose (L, l) the sweep finds by line search
+    block = dataclasses.replace(matcomp.mc_block_problem(p),
+                                constants_for=None)
+    obj = matcomp.mc_objective_packed(p)
     cfg = SolverConfig(delta=0.99, max_iters=300, tol_rel_change=0.0,
                        keep_certificates=True)
-    res = run_backtracking(prob, z0, cfg, matcomp.mc_objective_packed(p))
+    res = run([block], [z0], cfg, lambda blocks: obj(blocks[0]))
     assert len(res.trace.records) == 300
 
     # replay both line-search inequalities from the stored certificates
-    kern, worst_up, worst_low = prob.kernel, -np.inf, -np.inf
+    kern, worst_up, worst_low = matcomp.mc_kernel(p), -np.inf, -np.inf
+
+    def f_eval(Z):
+        return block.smooth_eval([Z])
+
     for cert in res.state.certificates:
-        g_bar = prob.grad(cert.x_bar)
-        f_bar = prob.f_eval(cert.x_bar)
+        g_bar = block.partial_grad([cert.x_bar])
+        f_bar = f_eval(cert.x_bar)
 
         def dv(x):
             return (kern.eval(x) - kern.eval(cert.x_bar)
                     - float(np.vdot(kern.grad(cert.x_bar), x - cert.x_bar)))
 
-        slack = 1e-8 * (1.0 + abs(prob.f_eval(cert.x_new)))
-        up = (prob.f_eval(cert.x_new) - f_bar
+        slack = 1e-8 * (1.0 + abs(f_eval(cert.x_new)))
+        up = (f_eval(cert.x_new) - f_bar
               - float(np.vdot(g_bar, cert.x_new - cert.x_bar))
               - cert.L * dv(cert.x_new))
         low = (f_bar + float(np.vdot(g_bar, cert.x_curr - cert.x_bar))
-               - cert.l * dv(cert.x_curr) - prob.f_eval(cert.x_curr))
+               - cert.l * dv(cert.x_curr) - f_eval(cert.x_curr))
         worst_up = max(worst_up, up)
         worst_low = max(worst_low, low)
         assert up <= slack

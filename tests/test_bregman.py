@@ -30,7 +30,7 @@ from bmme.bregman import (
     cubic_norm_scale,
     quadratic_kernel,
 )
-from bmme.verify import bisect_cubic_root
+from bmme.verify import bisect_cubic_root, bisect_root
 
 
 class TestQuadraticKernel:
@@ -676,6 +676,44 @@ class TestValidators:
         out = check_surrogate(lambda x, y: 0.0, lambda z: 0.0, anchors, cands)
         assert out == []
 
+    def test_relative_smoothness_needs_a_sample(self):
+        with pytest.raises(ValueError, match="no samples supplied"):
+            check_relative_smoothness(
+                lambda z: 0.0, lambda z: z, quadratic_kernel(),
+                RelSmoothConstants(L=1.0, l=1.0), [])
+
+    def test_divergence_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"shape mismatch: \(3,\) vs \(1, 3\)"):
+            bregman_divergence(quadratic_kernel(), np.ones(3),
+                               np.ones((1, 3)))
+
+    def test_check_surrogate_skips_candidates_of_other_shapes(self):
+        # u(x, y) = 0 on g = 0 holds; a candidate of another shape than the
+        # anchor is neither compared nor paired for the midpoint test, where
+        # evaluating it would raise
+        def u(x, y):
+            assert x.shape == y.shape
+            return 0.0
+
+        anchors = [np.zeros(3)]
+        cands = [np.ones(3), np.ones(2), np.ones(3), np.ones((3, 1))]
+        assert check_surrogate(u, lambda z: 0.0, anchors, cands) == []
+
+    def test_check_surrogate_reports_midpoint_convexity_failure(self):
+        # u(x, y) = -||x||^2 equals g = -10 ||x||^2 at y = 0 and lies above
+        # it everywhere, but it is concave: at the midpoint 0 of candidates
+        # x = 1 and x = -1 (each entry), u = 0 exceeds their average -2
+        def u(x, y):
+            return -float(np.vdot(x, x))
+
+        def g(z):
+            return -10.0 * float(np.vdot(z, z))
+
+        out = check_surrogate(u, g, [np.zeros(2)],
+                              [np.ones(2), -np.ones(2)])
+        assert out == ["midpoint convexity failed at (0,0)"]
+
     def test_check_surrogate_flags_non_majorizer(self):
         # u(x,y) = 0 fails to majorize g(x) = ||x||_1
         rng = np.random.default_rng(5)
@@ -698,6 +736,12 @@ class TestAsMatrix:
         with pytest.raises(ValueError):
             as_matrix(np.zeros(3))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_rejects_an_empty_dimension(self, shape):
+        with pytest.raises(ValueError,
+                           match="X must have at least one row and column"):
+            as_matrix(np.zeros(shape), name="X")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
@@ -709,3 +753,15 @@ class TestAsMatrix:
         M = np.array([[big, 1.0], [2.0, big]])
         assert np.array_equal(as_matrix(M), M)
         assert np.array_equal(as_matrix(M.T), M.T)  # not C-contiguous
+
+
+class TestBisectRoot:
+    @pytest.mark.parametrize("lo, hi, want", [(2.0, 5.0, 2.0),
+                                              (-1.0, 2.0, 2.0)])
+    def test_root_at_an_endpoint_is_returned(self, lo, hi, want):
+        assert bisect_root(lambda t: t - 2.0, lo, hi) == want
+
+    def test_no_sign_change_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"h\(lo\) and h\(hi\) must differ in sign"):
+            bisect_root(lambda t: t * t + 1.0, -1.0, 1.0)

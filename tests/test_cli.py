@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bmme import cli, datakit, matcomp, onmf, verify
+from bmme import cli, datakit, matcomp, onmf, solver, svgplot, verify
 from bmme.bregman import RelSmoothConstants
 from bmme.solver import SolverConfig, run, run_backtracking
 from bmme.svgplot import render_loglog_svg
@@ -154,6 +154,18 @@ class TestRunMatcomp:
         assert rep["rmse_test"] == rep["rmse_test_init"]
         assert read_trace(out / "trace.csv") == []
 
+    def test_train_fraction_one_trains_on_every_entry(self, tmp_path):
+        # no held-out side: the report has the training RMSE only
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--problem", "matcomp", "--m", "20", "--n", "15",
+                       "--r", "2", "--obs-fraction", "0.5", "--seed", "3",
+                       "--max-iters", "5", "--train-fraction", "1",
+                       "--out", str(out)])
+        assert rc == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert "rmse_train" in rep and "rmse_train_init" in rep
+        assert "rmse_test" not in rep and "rmse_test_init" not in rep
+
     def test_training_improves_both_rmses(self, tmp_path):
         # from a random start, seed 3 still has train RMSE 0.47 and test
         # RMSE 2.8 (start 2.2) after 150 steps; both reach 0.03-0.04 by 1000
@@ -199,6 +211,11 @@ class TestRunMatcomp:
         col = [row["objective"] for row in read_trace(out / "trace.csv")]
         assert col == [repr(r.objective) for r in res.trace.records]
         assert len(col) == 80
+        # the adapter is kept only for the benchmark, and no module exports it
+        for module, name in ((solver, "BacktrackingProblem"),
+                             (solver, "run_backtracking"),
+                             (matcomp, "mc_backtracking_problem")):
+            assert name not in module.__all__
 
 
 class TestDataFiles:
@@ -463,6 +480,30 @@ class TestConfigFile:
         assert f"invalid {next(iter(entry))}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, why", [
+        ("missing", "not a readable JSON file ([Errno 2]"),
+        ("directory", "not a readable JSON file ([Errno 21]"),
+        ("undecodable", "not a readable JSON file ('utf-8' codec"),
+        ("invalid-json", "not a readable JSON file (Expecting"),
+        ("not-an-object", "expected a JSON object")])
+    def test_unreadable_config_exits_two_naming_the_flag(
+            self, tmp_path, capsys, no_data, case, why):
+        path = tmp_path / "c.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "undecodable":
+            path.write_bytes(b"\xff\xfe{}")
+        elif case == "invalid-json":
+            path.write_text('{"m": 20,}')
+        elif case == "not-an-object":
+            path.write_text("[1, 2]")
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config {path}: {why}")
+        assert not out.exists()
+
     def test_config_values_of_flag_types_run(self, tmp_path):
         # every default, an int where a float is expected and null where the
         # default is None are all valid
@@ -596,6 +637,18 @@ class TestVerifyCommand:
                                     lam=50.0) == []
 
 
+class TestMeanCurve:
+    def test_no_usable_point_gives_none(self):
+        # only positive times and objectives are kept
+        assert cli._mean_curve([([0.0, 1.0], [5.0, -1.0]), ([], [])]) is None
+
+    def test_runs_without_time_overlap_give_the_first_runs_end(self):
+        # run 1 ends at t = 2 before run 2 starts at t = 3, so there is no
+        # common grid; the curve is run 1's last point
+        runs = [([1.0, 2.0], [4.0, 3.0]), ([3.0, 4.0], [2.0, 1.0])]
+        assert cli._mean_curve(runs) == ([2.0], [3.0])
+
+
 class TestSvgPlot:
     def test_multiple_curves_render_and_parse(self):
         xs = np.geomspace(0.01, 10.0, 30)
@@ -630,6 +683,17 @@ class TestSvgPlot:
         want = json.loads((Path(__file__).parent / "data"
                            / "svgplot_two_groups.json").read_text())
         assert got == want
+
+    def test_single_point_widens_the_degenerate_ranges(self):
+        # one point has x_lo == x_hi and y_lo == y_hi; each range becomes
+        # [v / 2, 2 v], so the point sits at the middle of the plot area
+        svg = render_loglog_svg([([1.0], [10.0], 0)])
+        (line,) = ET.fromstring(svg).iter(
+            "{http://www.w3.org/2000/svg}polyline")
+        x, y = map(float, line.get("points").split(","))
+        s = svgplot
+        assert x == pytest.approx((s._ML + s._W - s._MR) / 2, abs=0.01)
+        assert y == pytest.approx((s._MT + s._H - s._MB) / 2, abs=0.01)
 
     def test_nothing_to_plot_raises(self):
         with pytest.raises(ValueError):

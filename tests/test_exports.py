@@ -23,6 +23,18 @@ def test_every_exported_name_resolves_and_is_listed_once(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def test_package_root_holds_only_the_version():
+    # every other name is imported from its own module; a fresh interpreter
+    # shows what ``import bmme`` alone defines
+    code = ("import bmme; print(bmme.__all__, "
+            "sorted(n for n in vars(bmme) if not n.startswith('_')))")
+    src = str(Path(bmme.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "['__version__'] []"
+
+
 def test_package_and_cli_leave_scipy_linalg_and_optimize_unloaded():
     # scipy.optimize holds about 19 MB of resident memory and 200 modules,
     # scipy.linalg about 8 MB: cluster scoring solves its assignment in

@@ -29,7 +29,6 @@ from bmme.matcomp import (
     McProblem,
     McState,
     cubic_step_scale,
-    mc_backtracking_problem,
     mc_block_problem,
     mc_kernel,
     mc_objective_packed,
@@ -41,7 +40,7 @@ from bmme.matcomp import (
     surrogate_weights,
     unpack_state,
 )
-from bmme.solver import BT_FLOORS, SolverConfig, run, run_backtracking
+from bmme.solver import BT_FLOORS, SolverConfig, run
 
 
 def diagonal_problem():
@@ -58,6 +57,17 @@ def penalty(lam, theta, M):
 
 def objective_at(p, state):
     return mc_objective_packed(p)(pack_state(state))
+
+
+def backtracked_block(p):
+    """The packed completion block with (L, l) found by line search."""
+    return dataclasses.replace(mc_block_problem(p), constants_for=None)
+
+
+def run_completion(block, p, z0, cfg, objective=None):
+    """``run`` on the one packed ``block`` from ``z0``, tracing F."""
+    f = mc_objective_packed(p) if objective is None else objective
+    return run([block], [z0], cfg, lambda blocks: f(blocks[0]))
 
 
 def mc_step(p, anchor, x_bar, L):
@@ -160,17 +170,17 @@ class TestKernel:
 class TestSurrogateWeights:
     def test_weight_at_zero(self):
         # d/dM of lam (1 - exp(-theta |M|)) evaluated at 0+ is lam * theta
-        w = surrogate_weights(np.zeros((2, 2)), 0.1, 5.0)
+        w = surrogate_weights(diagonal_problem(), np.zeros((2, 2)))
         assert np.all(w == 0.5)
 
     def test_known_value(self):
         # 0.1 * 5 * exp(-5 * 0.2) = 0.5 / e
-        w = surrogate_weights(np.array([0.2]), 0.1, 5.0)
+        w = surrogate_weights(diagonal_problem(), np.array([0.2]))
         assert_allclose(w, [0.18393972058572116], rtol=1e-15)
 
     def test_monotone_decay_in_magnitude(self):
         M = np.linspace(0.0, 3.0, 50)
-        w = surrogate_weights(M, 0.1, 5.0)
+        w = surrogate_weights(diagonal_problem(), M)
         assert np.all(np.diff(w) < 0.0)
         assert w[-1] > 0.0
 
@@ -195,11 +205,23 @@ class TestSoftThreshold:
         with pytest.raises(ValueError, match="nonnegative"):
             soft_threshold(np.ones(3), np.array([bad, 0.0, 0.0]))
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"shape mismatch: \(2, 3\) vs \(3, 2\)"):
+            soft_threshold(np.ones((2, 3)), np.ones((3, 2)))
+
 
 class TestCubicStepScale:
     def test_zero_s_linear_case(self):
         # c1 s tau^3 + c2 tau = 1 degenerates to tau = 1/c2
         assert cubic_step_scale(3.0, 2.0, 0.0) == 0.5
+
+    @pytest.mark.parametrize("c1, c2, s", [(0.0, 1.0, 1.0), (-3.0, 1.0, 1.0),
+                                           (3.0, 0.0, 1.0), (3.0, -1.0, 1.0),
+                                           (3.0, 1.0, -1e-300)])
+    def test_nonpositive_coefficient_or_negative_s_rejected(self, c1, c2, s):
+        with pytest.raises(ValueError, match="need c1 > 0, c2 > 0, s >= 0"):
+            cubic_step_scale(c1, c2, s)
 
     def test_worked_example(self):
         # 3 * (4/3) * tau^3 + tau = 1 has the root tau = 0.5
@@ -237,7 +259,7 @@ class TestSubproblem:
         kern = mc_kernel(p)
         Z_bar = pack_state(st)
         g = mc_block_problem(p).partial_grad([Z_bar])
-        W = surrogate_weights(Z_bar, p.lam, p.theta)
+        W = surrogate_weights(p, Z_bar)
         S = soft_threshold(g - L * kern.grad(Z_bar), W) / L
         s = float(np.vdot(S, S))
         tau = cubic_step_scale(3.0, p.observed.frobenius(), s)
@@ -310,6 +332,12 @@ class TestStateHandling:
         with pytest.raises(ValueError):
             McState(U=np.zeros((3, 2)), V=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("U, V", [(np.zeros(3), np.zeros((1, 3))),
+                                      (np.zeros((3, 1)), np.zeros((1, 3, 1)))])
+    def test_factor_not_2d_rejected(self, U, V):
+        with pytest.raises(ValueError, match="factors must be 2-D"):
+            McState(U=U, V=V)
+
     @pytest.mark.parametrize("field, value", [
         ("r", 2.5), ("r", True), ("r", 0), ("r", 4), ("lam", "1"),
         ("lam", None), ("lam", 0.0), ("lam", np.inf), ("theta", "x"),
@@ -361,9 +389,7 @@ class TestEndToEnd:
         z0 = pack_state(mc_random_init(p, seed=1))
         cfg = SolverConfig(max_iters=50, tol_rel_change=0.0,
                            verify_descent=True)
-        f = mc_objective_packed(p)
-        res = run([mc_block_problem(p)], [z0], cfg,
-                  lambda blocks: f(blocks[0]), algorithm="bmme")
+        res = run_completion(mc_block_problem(p), p, z0, cfg)
         objs = res.trace.objectives()
         assert objs[-1] < objs[0]
 
@@ -372,8 +398,7 @@ class TestEndToEnd:
         p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
         z0 = pack_state(mc_random_init(p, seed=1))
         cfg = SolverConfig(max_iters=50, tol_rel_change=0.0)
-        res = run_backtracking(mc_backtracking_problem(p), z0, cfg,
-                               mc_objective_packed(p))
+        res = run_completion(backtracked_block(p), p, z0, cfg)
         objs = res.trace.objectives()
         assert objs[-1] < objs[0]
         final = unpack_state(res.final[0], 20)
@@ -388,8 +413,7 @@ class TestEndToEnd:
         z0 = pack_state(mc_random_init(p, seed=13))
         cfg = SolverConfig(max_iters=100, tol_rel_change=0.0,
                            verify_descent=True, keep_certificates=True)
-        res = run_backtracking(mc_backtracking_problem(p), z0, cfg,
-                               mc_objective_packed(p))
+        res = run_completion(backtracked_block(p), p, z0, cfg)
         assert len(res.trace.records) == 100
         certs = res.state.certificates
         assert any(b.L > a.L and b.beta > 0 for a, b in zip(certs, certs[1:]))
@@ -405,8 +429,7 @@ class TestEndToEnd:
         z0 = pack_state(mc_random_init(p, seed=seed))
         cfg = SolverConfig(delta=0.99, max_iters=100, tol_rel_change=0.0,
                            verify_descent=False, keep_certificates=True)
-        res = run_backtracking(mc_backtracking_problem(p), z0, cfg,
-                               mc_objective_packed(p))
+        res = run_completion(backtracked_block(p), p, z0, cfg)
         kern = mc_kernel(p)
         L_prev = BT_FLOORS.L
         grew_extrapolating = False
@@ -426,8 +449,7 @@ class TestEndToEnd:
         z0 = pack_state(mc_random_init(p, seed=5))
         cfg = SolverConfig(delta=0.5, max_iters=60, tol_rel_change=0.0,
                            verify_descent=False, keep_certificates=True)
-        res = run_backtracking(mc_backtracking_problem(p), z0, cfg,
-                               mc_objective_packed(p))
+        res = run_completion(backtracked_block(p), p, z0, cfg)
         assert len(res.trace.records) == 60
         assert res.trace.records[-1].objective == 8.933217945513968
         last = res.state.certificates[-1]
@@ -483,34 +505,36 @@ class TestResidualMemo:
     def test_memo_is_keyed_by_identity(self, fresh_passes):
         obs = datakit.gen_synthetic_ratings(20, 15, 2, 0.4, seed=11)
         p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
-        prob = mc_backtracking_problem(p)
+        block = mc_block_problem(p)
+        f, grad = (lambda Z: block.smooth_eval([Z]),
+                   lambda Z: block.partial_grad([Z]))
         Z = pack_state(mc_random_init(p, seed=1))
         Z.setflags(write=False)  # as run keeps its iterates
-        f_before = prob.f_eval(Z)
-        assert prob.f_eval(Z) == f_before and fresh_passes[0] == 1
+        f_before = f(Z)
+        assert f(Z) == f_before and fresh_passes[0] == 1
         W = Z.copy()  # writeable: a fresh pass at every call
         W[0, 0] += 1.0
         W[-1, 1] -= 0.5
-        f_after, g_after = prob.f_eval(W), prob.grad(W)
-        assert prob.f_eval(W) == f_after and fresh_passes[0] == 4
+        f_after, g_after = f(W), grad(W)
+        assert f(W) == f_after and fresh_passes[0] == 4
         assert p._passes.residuals.key is None
 
-        fresh = mc_backtracking_problem(
+        fresh = mc_block_problem(
             McProblem(observed=obs, r=2, lam=0.1, theta=5.0))
         assert f_after != f_before
-        assert f_after == fresh.f_eval(W.copy())
-        assert np.array_equal(g_after, fresh.grad(W.copy()))
+        assert f_after == fresh.smooth_eval([W.copy()])
+        assert np.array_equal(g_after, fresh.partial_grad([W.copy()]))
 
         W.setflags(write=False)
         count = fresh_passes[0]
-        assert prob.f_eval(W) == f_after
-        assert np.array_equal(prob.grad(W), g_after)
+        assert f(W) == f_after
+        assert np.array_equal(grad(W), g_after)
         assert mc_objective_packed(p)(W) == f_after + penalty(
             p.lam, p.theta, W)
         assert fresh_passes[0] == count + 1
         twin = W.copy()  # equal, and not the kept array
         twin.setflags(write=False)
-        assert prob.f_eval(twin) == f_after
+        assert f(twin) == f_after
         assert fresh_passes[0] == count + 2
 
     @pytest.mark.parametrize("split_size", [matcomp._SPLIT_SIZE, 0],
@@ -521,7 +545,8 @@ class TestResidualMemo:
         obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=5)
         p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
         assert p._passes.split == (split_size == 0)
-        calls = {"f_eval": 0, "grad": 0, "subproblem": 0, "objective": 0}
+        calls = {"smooth_eval": 0, "grad": 0, "subproblem": 0,
+                 "objective": 0}
 
         def counted(name, fn):
             def wrapped(*args):
@@ -529,20 +554,21 @@ class TestResidualMemo:
                 return fn(*args)
             return wrapped
 
-        prob = mc_backtracking_problem(p)
-        prob = dataclasses.replace(
-            prob, f_eval=counted("f_eval", prob.f_eval),
-            grad=counted("grad", prob.grad),
-            solve_subproblem=counted("subproblem", prob.solve_subproblem))
+        block = backtracked_block(p)
+        block = dataclasses.replace(
+            block, smooth_eval=counted("smooth_eval", block.smooth_eval),
+            partial_grad=counted("grad", block.partial_grad),
+            solve_subproblem=counted("subproblem", block.solve_subproblem))
         objective = counted("objective", mc_objective_packed(p))
         cfg = SolverConfig(delta=0.5, max_iters=50, tol_rel_change=0.0,
                            verify_descent=False)
-        res = run_backtracking(prob, pack_state(mc_random_init(p, seed=5)),
-                               cfg, objective)
+        res = run_completion(block, p, pack_state(mc_random_init(p, seed=5)),
+                             cfg, objective)
         assert len(res.trace.records) == 50
         passes = fresh_passes[0]
         assert passes <= calls["grad"] + calls["subproblem"] + 1
-        assert 2 * passes < calls["f_eval"] + calls["grad"] + calls["objective"]
+        assert 2 * passes < (calls["smooth_eval"] + calls["grad"]
+                             + calls["objective"])
 
 
 # zero, or a magnitude from 1e-100 to 1e100 of either sign: no product or
@@ -848,9 +874,8 @@ class TestPackedShape:
 
     @staticmethod
     def entry_points(p):
-        bt, block = mc_backtracking_problem(p), mc_block_problem(p)
-        return [bt.f_eval, bt.grad, mc_objective_packed(p),
-                lambda Z: block.smooth_eval([Z]),
+        block = mc_block_problem(p)
+        return [mc_objective_packed(p), lambda Z: block.smooth_eval([Z]),
                 lambda Z: block.partial_grad([Z])]
 
     @pytest.mark.parametrize("shape", [(7, 2), (5, 2), (6, 3), (6,)])
@@ -904,17 +929,17 @@ class TestExpMemo:
         # every exp the run takes is counted, wherever it is called from
         obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=5)
         p = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
-        prob, weights, exps, real_exp = (mc_backtracking_problem(p), [], [0],
-                                         np.exp)
+        block, weights, exps, real_exp = (backtracked_block(p), [], [0],
+                                          np.exp)
 
         def exp(*args, **kwargs):
             exps[0] += 1
             return real_exp(*args, **kwargs)
 
-        def solve(z_bar, g, L, z_prev):
-            z_new = prob.solve_subproblem(z_bar, g, L, z_prev)
-            assert p._decay.key is z_prev
-            weights.append((z_prev, p.lam * p.theta * p._decay.value))
+        def solve(blocks, z_bar, g, L, kern):
+            z_new = block.solve_subproblem(blocks, z_bar, g, L, kern)
+            assert p._decay.key is blocks[0]
+            weights.append((blocks[0], surrogate_weights(p, blocks[0])))
             return z_new
 
         steps = 6
@@ -922,21 +947,20 @@ class TestExpMemo:
                            verify_descent=False, keep_certificates=True)
         with monkeypatch.context() as mp:
             mp.setattr(np, "exp", exp)
-            res = run_backtracking(
-                dataclasses.replace(prob, solve_subproblem=solve),
-                pack_state(mc_random_init(p, seed=5)), cfg,
-                mc_objective_packed(p))
+            res = run_completion(
+                dataclasses.replace(block, solve_subproblem=solve), p,
+                pack_state(mc_random_init(p, seed=5)), cfg)
         certs = res.state.certificates
         assert certs[0].L > 2 * BT_FLOORS.L and len(weights) > steps
         assert exps[0] == steps + 1
+        # the weights the step read, against their formula written out
         for z_prev, w in weights:
-            assert np.array_equal(w, surrogate_weights(z_prev, p.lam,
-                                                       p.theta))
-        fresh_f = mc_backtracking_problem(
-            McProblem(observed=obs, r=2, lam=0.1, theta=5.0)).f_eval
+            assert np.array_equal(
+                w, p.lam * p.theta * np.exp(-p.theta * np.abs(z_prev)))
+        fresh = McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
         for rec, c in zip(res.trace.records, certs, strict=True):
-            assert rec.objective == fresh_f(c.x_new) + matcomp._penalty(
-                p.lam, p.theta, c.x_new)
+            assert rec.objective == matcomp._smooth_eval_packed(
+                fresh, c.x_new) + penalty(p.lam, p.theta, c.x_new)
 
     def test_writeable_point_is_recomputed(self):
         p = diagonal_problem()

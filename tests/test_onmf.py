@@ -437,6 +437,12 @@ class TestSpectralNorm:
             spectral_norm(np.full((2, 2), np.nan))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+    def test_non_2d_input_rejected(self, shape):
+        with pytest.raises(ValueError,
+                           match="spectral_norm expects a 2-D array"):
+            spectral_norm(np.ones(shape))
+
 
 class TestConstantsU:
     def test_orthonormal_rows_give_unit_L(self):
@@ -858,6 +864,17 @@ class TestClusteringAccuracy:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             clustering_accuracy(np.array([1, 2]), np.array([1, 2, 3]))
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValueError, match="label arrays are empty"):
+            clustering_accuracy(np.array([], dtype=np.int64),
+                                np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("true, pred", [([0, 1, 2], [1, 1, 2]),
+                                            ([1, 2, 2], [1, -1, 2])])
+    def test_ids_below_one_rejected(self, true, pred):
+        with pytest.raises(ValueError, match="cluster ids must be >= 1"):
+            clustering_accuracy(true, pred)
 
     def test_integer_valued_floats_accepted(self):
         assert clustering_accuracy([1.0, 2.0, 1.0], np.array([2, 1, 2])) == 1.0

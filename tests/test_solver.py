@@ -26,7 +26,6 @@ from bmme.bregman import (
 )
 from bmme.solver import (
     BacktrackCertificate,
-    BacktrackingProblem,
     BlockProblem,
     DescentViolation,
     SolverConfig,
@@ -34,7 +33,6 @@ from bmme.solver import (
     initial_state,
     nesterov_next,
     run,
-    run_backtracking,
     search_extrapolation,
 )
 
@@ -501,25 +499,45 @@ class TestDescentVerification:
                 algorithm="bmme")
 
 
-class TestBacktracking:
-    """Line-searched variant on f = 0.5||x||^2 with the Euclidean kernel."""
+def half_sq(x):
+    return 0.5 * float(np.vdot(x, x))
 
-    def problem(self):
-        return BacktrackingProblem(
-            f_eval=lambda x: 0.5 * float(np.vdot(x, x)),
-            grad=lambda x: np.asarray(x, dtype=np.float64),
-            kernel=quadratic_kernel(),
-            solve_subproblem=lambda x_bar, g, L, x_prev: x_bar - g / L,
-            feasible=lambda x: True,
-        )
+
+def gradient_step(x_bar, g, L):
+    return x_bar - g / L
+
+
+def backtracked_block(f, grad, solve=gradient_step):
+    """One Euclidean block with smooth part ``f`` and backtracked (L, l)."""
+    kern = quadratic_kernel()
+    return BlockProblem(
+        partial_grad=lambda blocks: grad(blocks[0]),
+        kernel_for=lambda blocks: kern,
+        constants_for=None,
+        solve_subproblem=lambda blocks, x_bar, g, L, kernel:
+            solve(x_bar, g, L),
+        smooth_eval=lambda blocks: f(blocks[0]))
+
+
+def run_backtracked(f, grad, x0, config, solve=gradient_step):
+    """``run`` on :func:`backtracked_block`, tracing f itself."""
+    return run([backtracked_block(f, grad, solve)], [x0], config,
+               lambda blocks: f(blocks[0]))
+
+
+class TestBacktracking:
+    """Line-searched blocks on f = 0.5||x||^2 with the Euclidean kernel."""
+
+    @staticmethod
+    def run_half_sq(x0, config):
+        return run_backtracked(half_sq, lambda x: x, x0, config)
 
     def test_L_doubles_from_floor_to_cover_curvature(self):
         # floors are L0 = 0.01, l0 = 0.001; the true curvature is 1, so the
         # upper-bound check forces exactly seven doublings: 0.01 * 2^7 = 1.28.
         cfg = SolverConfig(max_iters=1, tol_rel_change=0.0,
                            keep_certificates=True)
-        res = run_backtracking(self.problem(), np.array([1.0]), cfg,
-                               lambda x: 0.5 * float(np.vdot(x, x)))
+        res = self.run_half_sq(np.array([1.0]), cfg)
         assert res.state.prev_constants[0].L == 1.28
         assert res.state.prev_constants[0].l == 0.001
         cert = res.state.certificates[0]
@@ -529,8 +547,7 @@ class TestBacktracking:
     def test_constants_monotone_and_objective_decreases(self):
         cfg = SolverConfig(max_iters=30, tol_rel_change=0.0,
                            keep_certificates=True)
-        res = run_backtracking(self.problem(), np.array([4.0, -3.0]), cfg,
-                               lambda x: 0.5 * float(np.vdot(x, x)))
+        res = self.run_half_sq(np.array([4.0, -3.0]), cfg)
         Ls = [c.L for c in res.state.certificates]
         ls = [c.l for c in res.state.certificates]
         assert all(b >= a for a, b in zip(Ls, Ls[1:]))
@@ -540,24 +557,20 @@ class TestBacktracking:
         assert np.linalg.norm(res.final[0]) < 1e-3
 
     def test_certificates_replay_both_inequalities(self):
-        prob = self.problem()
         cfg = SolverConfig(max_iters=15, tol_rel_change=0.0,
                            keep_certificates=True)
-        res = run_backtracking(prob, np.array([2.0, 1.0, -0.5]), cfg,
-                               lambda x: 0.5 * float(np.vdot(x, x)))
-        kern = prob.kernel
+        res = self.run_half_sq(np.array([2.0, 1.0, -0.5]), cfg)
+        kern = quadratic_kernel()
         for cert in res.state.certificates:
             def gap(x, y):
-                gy = prob.grad(y)
-                return (prob.f_eval(x) - prob.f_eval(y)
-                        - float(np.vdot(gy, x - y)))
+                return half_sq(x) - half_sq(y) - float(np.vdot(y, x - y))
             d_new = (kern.eval(cert.x_new) - kern.eval(cert.x_bar)
                      - float(np.vdot(kern.grad(cert.x_bar),
                                      cert.x_new - cert.x_bar)))
             d_curr = (kern.eval(cert.x_curr) - kern.eval(cert.x_bar)
                       - float(np.vdot(kern.grad(cert.x_bar),
                                       cert.x_curr - cert.x_bar)))
-            slack = 1e-12 * (1.0 + abs(prob.f_eval(cert.x_new)))
+            slack = 1e-12 * (1.0 + abs(half_sq(cert.x_new)))
             assert gap(cert.x_new, cert.x_bar) <= cert.L * d_new + slack
             assert gap(cert.x_curr, cert.x_bar) >= -cert.l * d_curr - slack
 
@@ -573,12 +586,9 @@ class TestBacktracking:
         def grad(x):
             return x ** 3 - x
 
-        prob = BacktrackingProblem(
-            f_eval=f, grad=grad, kernel=quadratic_kernel(),
-            solve_subproblem=lambda x_bar, g, L, x_prev: x_bar - g / L)
         cfg = SolverConfig(max_iters=40, tol_rel_change=0.0,
                            keep_certificates=True)
-        res = run_backtracking(prob, np.array([2.0, -1.5, 0.05]), cfg, f)
+        res = run_backtracked(f, grad, np.array([2.0, -1.5, 0.05]), cfg)
         l_prev, grew = solver.BT_FLOORS.l, 0
         for cert in res.state.certificates:
             gap = f(cert.x_curr) - f(cert.x_bar) - float(
@@ -597,34 +607,26 @@ class TestBacktracking:
         # kernel, and c = 1e18 exceeds l's floor 1e-3 times 2^60 (1.2e15).
         # Sweep 1 (beta = 0) has D = 0; sweep 2 extrapolates and fails
         c = 1e18
-        prob = BacktrackingProblem(
-            f_eval=lambda x: -0.5 * c * float(np.vdot(x, x)),
-            grad=lambda x: -c * x, kernel=quadratic_kernel(),
-            solve_subproblem=lambda x_bar, g, L, x_prev: 2.0 * x_bar)
         with pytest.raises(solver.SubproblemError,
                            match="block 0: lower-constant search failed"):
-            run_backtracking(prob, np.array([1.0]),
-                             SolverConfig(max_iters=2, tol_rel_change=0.0),
-                             prob.f_eval)
+            run_backtracked(lambda x: -0.5 * c * float(np.vdot(x, x)),
+                            lambda x: -c * x, np.array([1.0]),
+                            SolverConfig(max_iters=2, tol_rel_change=0.0),
+                            lambda x_bar, g, L: 2.0 * x_bar)
 
     def test_upper_search_gives_up_after_max_doublings(self):
         # the gradient 0 is inconsistent with f = c x: the upper gap
         # f(x_new) - f(xbar) = c stays above L D(x_new, xbar) = L / 2 for
         # every L up to the floor 1e-2 times 2^60 (1.2e16)
         c = 1e30
-        prob = BacktrackingProblem(
-            f_eval=lambda x: c * float(x.sum()),
-            grad=lambda x: np.zeros_like(x), kernel=quadratic_kernel(),
-            solve_subproblem=lambda x_bar, g, L, x_prev: x_bar + 1.0)
         with pytest.raises(solver.SubproblemError,
                            match="block 0: upper-constant search failed"):
-            run_backtracking(prob, np.array([1.0]),
-                             SolverConfig(max_iters=1), prob.f_eval)
+            run_backtracked(lambda x: c * float(x.sum()), np.zeros_like,
+                            np.array([1.0]), SolverConfig(max_iters=1),
+                            lambda x_bar, g, L: x_bar + 1.0)
 
     def test_zero_iterations(self):
-        res = run_backtracking(self.problem(), np.array([1.0]),
-                               SolverConfig(max_iters=0),
-                               lambda x: 0.5 * float(np.vdot(x, x)))
+        res = self.run_half_sq(np.array([1.0]), SolverConfig(max_iters=0))
         assert len(res.trace.records) == 0
         assert_allclose(res.final[0], [1.0])
 
@@ -1218,17 +1220,6 @@ class TestMemoPremise:
                                                verify_descent=True),
                   objective)
         assert len(res.trace) == 30
-        self.check(keys, hits)
-
-    def test_every_key_run_backtracking_gives_is_trusted(self, monkeypatch):
-        obs = datakit.gen_synthetic_ratings(30, 25, 2, 0.4, seed=5)
-        p = matcomp.McProblem(observed=obs, r=2, lam=0.1, theta=5.0)
-        init = matcomp.pack_state(matcomp.mc_random_init(p, seed=5))
-        keys, hits = memo_keys(monkeypatch)
-        run_backtracking(matcomp.mc_backtracking_problem(p), init,
-                         SolverConfig(max_iters=30, tol_rel_change=0.0,
-                                      keep_certificates=True),
-                         matcomp.mc_objective_packed(p))
         self.check(keys, hits)
 
 
