@@ -432,10 +432,10 @@ def _mean_curve(runs):
         return None
     lo = max(c[0][0] for c in curves)
     hi = min(c[0][-1] for c in curves)
-    if not (hi > lo):
-        ts, ys = curves[0]
-        return [ts[-1]], [ys[-1]]
-    grid = np.geomspace(lo, hi, 60)
+    if not hi > lo:  # no common range: the union, each run held at its ends
+        lo = min(c[0][0] for c in curves)
+        hi = max(c[0][-1] for c in curves)
+    grid = np.geomspace(lo, hi, 60 if hi > lo else 1)
     stack = [np.interp(grid, np.asarray(ts), np.asarray(ys))
              for ts, ys in curves]
     return list(grid), list(np.mean(stack, axis=0))

@@ -72,8 +72,7 @@ import numpy as np
 from scipy.sparse import _sparsetools
 
 from .bregman import (BlockKernel, RelSmoothConstants, ValueMemo,
-                      _check_problem, _check_square, _shared,
-                      cubic_norm_scale)
+                      _check_problem, _check_square, _shared)
 from .solver import BacktrackingProblem, BlockProblem
 
 __all__ = [
@@ -82,7 +81,6 @@ __all__ = [
     "mc_kernel",
     "surrogate_weights",
     "soft_threshold",
-    "cubic_step_scale",
     "mc_surrogate",
     "rmse",
     "mc_random_init",
@@ -304,17 +302,6 @@ def soft_threshold(A, B):
     if not (B >= 0).all():  # also rejects NaN
         raise ValueError("thresholds must be nonnegative numbers")
     return np.sign(A) * np.maximum(np.abs(A) - B, 0.0)
-
-
-def cubic_step_scale(c1, c2, s):
-    """Unique positive root of ``c1 * s * t^3 + c2 * t - 1 = 0``.
-
-    Its reciprocal rho solves ``rho^2 (rho - c2) = c1 * s``, the cubic of
-    :func:`bmme.bregman.cubic_norm_scale`.
-    """
-    if c1 <= 0 or c2 <= 0 or s < 0:
-        raise ValueError("need c1 > 0, c2 > 0, s >= 0")
-    return 1.0 / cubic_norm_scale(c2, c1 * s)
 
 
 def _subproblem_packed(p, kernel, Z_anchor, Z_bar, grad_bar, L):

@@ -70,7 +70,6 @@ from .bregman import (
     _check_square,
     _shared,
     as_matrix,
-    cubic_norm_scale,
     quadratic_kernel,
 )
 from .solver import _EPS, BlockProblem
@@ -82,7 +81,6 @@ __all__ = [
     "onmf_constants_U",
     "v_kernel_weight",
     "v_block_kernel",
-    "cubic_norm_scale",
     "spa_select_rows",
     "spa_init",
     "predict_clusters",

@@ -146,7 +146,7 @@ def _screen(kernel, beta, terms, rhs):
 
 
 def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
-                         d_prev, beta_init, delta, eta,
+                         d_prev, beta_init, config,
                          max_shrinks=MAX_SHRINKS, x_sq=None):
     """Find the first admissible extrapolation weight on a geometric grid.
 
@@ -156,11 +156,13 @@ def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
         D_kernel(x, xbar) <= delta * prev_L / (L + l) * d_prev,
 
     where ``d_prev`` is the previous step's D(x_prev, x), carried by the
-    caller. That beta need not be the largest admissible weight: a weight
-    between it and the last rejected candidate, a factor 1/eta above it,
-    may pass too. Falls back to beta = 0 (condition trivially true) after
-    ``max_shrinks`` rejections; a budget of zero or less tries no candidate,
-    and neither that nor beta_init = 0 reads ``d_prev``.
+    caller, and delta and eta are read from ``config``, the run's
+    :class:`SolverConfig`, which checked them when it was built. That beta
+    need not be the largest admissible weight: a weight between it and the
+    last rejected candidate, a factor 1/eta above it, may pass too. Falls
+    back to beta = 0 (condition trivially true) after ``max_shrinks``
+    rejections; a budget of zero or less tries no candidate, and neither
+    that nor beta_init = 0 reads ``d_prev``.
 
     Each candidate is first screened from scalars. With d = x - x_prev,
     D(x, x + beta d) is the quartic in beta of :mod:`bmme.bregman`, built
@@ -169,10 +171,9 @@ def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
     with each candidate; ``x_sq``, if given, is float(np.vdot(x_curr,
     x_curr)) as the caller already computed it, and stands in for ||x||^2.
     The screen decides when the quartic clears the right-hand side by more
-    than a rounding margin. Only a candidate
-    inside the margin falls back to the array formula (xbar and
-    :func:`bregman.bregman_divergence`), so every decision, and with it
-    beta, shrinks and xbar, equals the array formula's.
+    than a rounding margin. Only a candidate inside the margin falls back to
+    the array formula (xbar and :func:`bregman.bregman_divergence`), so every
+    decision, and with it beta, shrinks and xbar, equals the array formula's.
 
     The margin. Let u be the unit roundoff, a = ||x||, b = |beta| ||d||,
     rho = a / b and n = x.size. The array formula's xbar = fl(x + beta d)
@@ -193,14 +194,11 @@ def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
     rejected candidates). ``x_bar`` is a new read-only array, or ``x_curr``
     itself when beta = 0.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
     beta = float(beta_init)
     shrinks = 0
     if beta != 0.0 and max_shrinks > 0:
-        rhs = delta * prev_constants.L / (constants.L + constants.l) * d_prev
+        rhs = (config.delta * prev_constants.L / (constants.L + constants.l)
+               * d_prev)
         diff = x_curr - x_prev
         q = float(np.vdot(x_curr, x_curr)) if x_sq is None else x_sq
         terms = (float(np.vdot(diff, diff)),
@@ -213,7 +211,7 @@ def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
             x_bar.setflags(write=False)
             if ok or bregman_divergence(kernel, x_curr, x_bar) <= rhs:
                 return ExtrapolationResult(beta, x_bar, shrinks)
-        beta *= eta
+        beta *= config.eta
         shrinks += 1
     return ExtrapolationResult(0.0, x_curr, shrinks)
 
@@ -483,8 +481,8 @@ def _block_update(p, i, blocks, kernel, state, beta, config):
     while True:
         beta, x_bar, s = search_extrapolation(
             kernel, cons, state.prev_constants[i], x, x_prev,
-            state.prev_divergences[i], beta, config.delta, config.eta,
-            MAX_SHRINKS - shrinks, state.sq_norms[i])
+            state.prev_divergences[i], beta, config, MAX_SHRINKS - shrinks,
+            state.sq_norms[i])
         shrinks += s
         if beta == solved_beta:  # the last solve already used this x_bar
             break

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import datakit, matcomp, onmf
+from . import bregman, datakit, matcomp, onmf
 from .bregman import check_gradient, check_relative_smoothness, check_surrogate
 from .solver import DescentViolation, SolverConfig, _at, run
 
@@ -350,9 +350,9 @@ def suite_oracles(n_instances=10, seed=0, tol=1e-6):
 
 
 def suite_cubic(n_draws=10_000, seed=0, n_bisect=200):
-    """Residual identities for both cubic solvers plus bisection cross-checks.
+    """Residual identity of the one cubic solver, plus bisection checks.
 
-    ``n_bisect`` draws also check ``cubic_norm_scale`` within 2 ulps of
+    ``n_bisect`` draws also check ``bregman.cubic_norm_scale`` within 2 ulps of
     :func:`bisect_cubic_root` for a, c from 1e-300 to 1e300, zeros included.
     """
     rng = np.random.default_rng(seed)
@@ -366,31 +366,17 @@ def suite_cubic(n_draws=10_000, seed=0, n_bisect=200):
     for _ in range(n_draws):
         a = 10.0 ** rng.uniform(-3, 2)
         c = 10.0 ** rng.uniform(-3, 3)
-        rho = onmf.cubic_norm_scale(a, c)
+        rho = bregman.cubic_norm_scale(a, c)
         worst_rho = max(worst_rho, abs(rho * rho * (rho - a) - c) / (1.0 + c))
     if worst_rho > 1e-8:
         bad.append(f"norm-scale cubic residual {worst_rho:.3e} exceeds 1e-8")
-
-    worst_tau = 0.0
-    for _ in range(n_draws):
-        c2 = 10.0 ** rng.uniform(-3, 3)
-        s = rng.uniform(0.0, 1e6)
-        tau = matcomp.cubic_step_scale(3.0, c2, s)
-        worst_tau = max(worst_tau, abs(3.0 * s * tau**3 + c2 * tau - 1.0))
-    if worst_tau > 1e-10:
-        bad.append(f"step-scale cubic residual {worst_tau:.3e} exceeds 1e-10")
 
     for _ in range(n_bisect):
         a = 10.0 ** rng.uniform(-2, 3)
         c = 10.0 ** rng.uniform(-2, 3)
         ref = bisect_root(lambda t: t * t * (t - a) - c, a, a + c + 1.0)
-        if abs(onmf.cubic_norm_scale(a, c) - ref) > 1e-9 * (1.0 + ref):
+        if abs(bregman.cubic_norm_scale(a, c) - ref) > 1e-9 * (1.0 + ref):
             bad.append(f"norm-scale cubic disagrees with bisection at ({a}, {c})")
-        c2 = 10.0 ** rng.uniform(-2, 2)
-        s = rng.uniform(1e-6, 1e4)
-        ref = bisect_root(lambda t: 3.0 * s * t**3 + c2 * t - 1.0, 0.0, 1.0 / c2)
-        if abs(matcomp.cubic_step_scale(3.0, c2, s) - ref) > 1e-9 * (1.0 + ref):
-            bad.append(f"step-scale cubic disagrees with bisection at ({c2}, {s})")
 
     def wide():  # log-uniform from 1e-300 to 1e300, or exactly zero
         return 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-300, 300)
@@ -399,7 +385,7 @@ def suite_cubic(n_draws=10_000, seed=0, n_bisect=200):
         a, c = wide(), wide()
         if a or c:
             ref = bisect_cubic_root(a, c)
-            ulps = abs(onmf.cubic_norm_scale(a, c) - ref) / np.spacing(ref)
+            ulps = abs(bregman.cubic_norm_scale(a, c) - ref) / np.spacing(ref)
             if ulps > 2.0:
                 bad.append(f"norm-scale cubic off by {ulps:.0f} ulps at "
                            f"({a!r}, {c!r})")

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from bmme import cli, datakit, matcomp, onmf, verify
+from bmme import bregman, cli, datakit, matcomp, onmf, verify
 from bmme.solver import SolverConfig, run
 
 
@@ -60,8 +60,8 @@ def test_cubic_root_identities():
     t0 = time.perf_counter()
     bad = verify.suite_cubic(n_draws=10000, seed=0)
     dt = time.perf_counter() - t0
-    analytic = (onmf.cubic_norm_scale(2.0, 0.0) == 2.0
-                and matcomp.cubic_step_scale(3.0, 2.0, 0.0) == 0.5)
+    analytic = (bregman.cubic_norm_scale(2.0, 0.0) == 2.0
+                and bregman.cubic_norm_scale(0.0, 8.0) == 2.0)
     ok = not bad and analytic and dt < 5.0
     _emit("cubic identities (10^4 draws + analytic cases)",
           ok, f"{len(bad)} violations, analytic={analytic}, {dt:.2f}s")

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bmme import cli, datakit, matcomp, onmf, solver, svgplot, verify
+from bmme import (bregman, cli, datakit, matcomp, onmf, solver, svgplot,
+                  verify)
 from bmme.bregman import RelSmoothConstants
 from bmme.solver import SolverConfig, run, run_backtracking
 from bmme.svgplot import render_loglog_svg
@@ -624,6 +625,23 @@ class TestVerifyCommand:
         assert len(bad) > 0
         assert "exceeds certified bound" in bad[0]
 
+    @pytest.mark.parametrize("move, kinds", [
+        (lambda t: t + 4.0 * float(np.spacing(t)), {"ulps"}),
+        (lambda t: (1.0 + 1e-6) * t, {"residual", "bisection", "ulps"})],
+        ids=["4-ulps-up", "relative-1e-6"])
+    def test_moved_cubic_root_is_reported(self, monkeypatch, move, kinds):
+        # the suite is the acceptance gate's only check of the cubic root
+        # every quartic-kernel step takes, so a root moved by a few ulps or
+        # by 1e-6 must show
+        real = bregman.cubic_norm_scale
+        monkeypatch.setattr(bregman, "cubic_norm_scale",
+                            lambda a, c: move(real(a, c)))
+        bad = verify.suite_cubic(n_draws=200, seed=0, n_bisect=20)
+        words = {"ulps": "ulps at", "residual": "residual",
+                 "bisection": "disagrees with bisection"}
+        assert {k for k, w in words.items()
+                if any(w in msg for msg in bad)} >= kinds
+
     def test_failing_suite_exits_one_listing_each_violation(
             self, monkeypatch, capsys):
         monkeypatch.setitem(verify.SUITES, "cubic",
@@ -642,11 +660,24 @@ class TestMeanCurve:
         # only positive times and objectives are kept
         assert cli._mean_curve([([0.0, 1.0], [5.0, -1.0]), ([], [])]) is None
 
-    def test_runs_without_time_overlap_give_the_first_runs_end(self):
+    def test_runs_without_time_overlap_span_the_union(self):
         # run 1 ends at t = 2 before run 2 starts at t = 3, so there is no
-        # common grid; the curve is run 1's last point
+        # common range; the grid spans both runs, and each run holds its
+        # first and last objective outside its own range
         runs = [([1.0, 2.0], [4.0, 3.0]), ([3.0, 4.0], [2.0, 1.0])]
-        assert cli._mean_curve(runs) == ([2.0], [3.0])
+        ts, ys = cli._mean_curve(runs)
+        assert len(ts) == len(ys) == 60
+        assert (ts[0], ts[-1]) == (1.0, 4.0)
+        assert (ys[0], ys[-1]) == (3.0, 2.0)
+
+    def test_overlapping_runs_keep_the_common_range(self):
+        runs = [([1.0, 3.0], [4.0, 2.0]), ([2.0, 4.0], [3.0, 1.0])]
+        ts, ys = cli._mean_curve(runs)
+        assert np.array_equal(ts, np.geomspace(2.0, 3.0, 60))
+        assert (ys[0], ys[-1]) == (3.0, 2.0)
+
+    def test_one_point_gives_that_point(self):
+        assert cli._mean_curve([([2.0], [3.0])]) == ([2.0], [3.0])
 
 
 class TestSvgPlot:

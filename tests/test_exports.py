@@ -1,6 +1,8 @@
-"""Export hygiene: every name in a module's ``__all__`` resolves, once."""
+"""Export hygiene: every name in a module's ``__all__`` resolves, once, and
+each class or function listed there is defined in that module."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -21,6 +23,17 @@ def test_every_exported_name_resolves_and_is_listed_once(name):
     exported = module.__all__
     assert sorted(n for n in set(exported) if exported.count(n) > 1) == []
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_class_or_function_has_its_home_here(name):
+    # one home per public name: a module lists only what it defines, and
+    # callers import a name from that module
+    module = importlib.import_module(name)
+    exported = [getattr(module, n) for n in module.__all__]
+    assert [f.__name__ for f in exported
+            if (inspect.isclass(f) or inspect.isfunction(f))
+            and f.__module__ != name] == []
 
 
 def test_package_root_holds_only_the_version():

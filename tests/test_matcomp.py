@@ -24,11 +24,11 @@ from bmme.bregman import (
     bregman_divergence,
     check_gradient,
     check_relative_smoothness,
+    cubic_norm_scale,
 )
 from bmme.matcomp import (
     McProblem,
     McState,
-    cubic_step_scale,
     mc_block_problem,
     mc_kernel,
     mc_objective_packed,
@@ -211,33 +211,6 @@ class TestSoftThreshold:
             soft_threshold(np.ones((2, 3)), np.ones((3, 2)))
 
 
-class TestCubicStepScale:
-    def test_zero_s_linear_case(self):
-        # c1 s tau^3 + c2 tau = 1 degenerates to tau = 1/c2
-        assert cubic_step_scale(3.0, 2.0, 0.0) == 0.5
-
-    @pytest.mark.parametrize("c1, c2, s", [(0.0, 1.0, 1.0), (-3.0, 1.0, 1.0),
-                                           (3.0, 0.0, 1.0), (3.0, -1.0, 1.0),
-                                           (3.0, 1.0, -1e-300)])
-    def test_nonpositive_coefficient_or_negative_s_rejected(self, c1, c2, s):
-        with pytest.raises(ValueError, match="need c1 > 0, c2 > 0, s >= 0"):
-            cubic_step_scale(c1, c2, s)
-
-    def test_worked_example(self):
-        # 3 * (4/3) * tau^3 + tau = 1 has the root tau = 0.5
-        assert_allclose(cubic_step_scale(3.0, 1.0, 4.0 / 3.0), 0.5, rtol=1e-12)
-
-    def test_residual_across_scales(self):
-        rng = np.random.default_rng(4)
-        for _ in range(500):
-            c1 = 10.0 ** rng.uniform(-1, 1)
-            c2 = 10.0 ** rng.uniform(-2, 3)
-            s = 10.0 ** rng.uniform(-6, 4)
-            tau = cubic_step_scale(c1, c2, s)
-            assert 0.0 < tau <= 1.0 / c2
-            assert abs(c1 * s * tau**3 + c2 * tau - 1.0) <= 1e-10
-
-
 class TestSubproblem:
     def test_zero_anchor_zero_gradient_stays_at_zero(self):
         p = diagonal_problem()
@@ -262,7 +235,7 @@ class TestSubproblem:
         W = surrogate_weights(p, Z_bar)
         S = soft_threshold(g - L * kern.grad(Z_bar), W) / L
         s = float(np.vdot(S, S))
-        tau = cubic_step_scale(3.0, p.observed.frobenius(), s)
+        tau = 1.0 / cubic_norm_scale(p.observed.frobenius(), 3.0 * s)
         assert np.linalg.norm(out - (-tau * S)) <= 1e-12
         assert abs(3.0 * s * tau**3
                    + p.observed.frobenius() * tau - 1.0) <= 1e-10

@@ -21,11 +21,11 @@ from conftest import CountingExecutor
 from numpy.testing import assert_allclose
 
 from bmme import bregman, cli, datakit, onmf, verify
-from bmme.bregman import RelSmoothConstants, bregman_divergence
+from bmme.bregman import (RelSmoothConstants, bregman_divergence,
+                          cubic_norm_scale)
 from bmme.onmf import (
     OnmfProblem,
     clustering_accuracy,
-    cubic_norm_scale,
     default_lambda,
     onmf_block_problems,
     onmf_constants_U,

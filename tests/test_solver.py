@@ -97,7 +97,8 @@ class TestSearchExtrapolation:
         consts = RelSmoothConstants(L=1.0, l=0.0)
         res = search_extrapolation(kern, consts, consts,
                                    np.array([1.0]), np.array([1.0]), 0.0,
-                                   beta_init=0.5, delta=0.99, eta=0.9)
+                                   beta_init=0.5,
+                                   config=SolverConfig(delta=0.99, eta=0.9))
         # x_curr == x_prev makes the divergence bound trivially satisfied
         assert res.shrinks == 0
         assert res.beta == 0.5
@@ -111,21 +112,11 @@ class TestSearchExtrapolation:
         consts = RelSmoothConstants(L=1.0, l=0.0)
         res = search_extrapolation(kern, consts, consts,
                                    np.array([1.0]), np.array([0.0]), 0.5,
-                                   beta_init=0.95, delta=0.81, eta=0.9)
+                                   beta_init=0.95,
+                                   config=SolverConfig(delta=0.81, eta=0.9))
         assert res.shrinks == 1
         assert_allclose(res.beta, 0.855, rtol=1e-15)
         assert_allclose(res.x_bar, [1.855], rtol=1e-15)
-
-    @pytest.mark.parametrize("delta, eta, name", [
-        (0.0, 0.9, "delta"), (1.0, 0.9, "delta"), (0.5, 0.0, "eta"),
-        (0.5, 1.0, "eta"), (0.5, np.nan, "eta")])
-    def test_settings_outside_the_open_unit_interval_rejected(
-            self, delta, eta, name):
-        consts = RelSmoothConstants(L=1.0, l=0.0)
-        with pytest.raises(ValueError, match=f"{name} must be in \\(0, 1\\)"):
-            search_extrapolation(quadratic_kernel(), consts, consts,
-                                 np.array([1.0]), np.array([0.0]), 0.5,
-                                 beta_init=0.5, delta=delta, eta=eta)
 
     def test_beta_zero_when_shrinks_exhausted(self):
         kern = quadratic_kernel()
@@ -133,7 +124,8 @@ class TestSearchExtrapolation:
         res = search_extrapolation(kern, tight,
                                    RelSmoothConstants(L=1.0, l=0.0),
                                    np.array([1.0]), np.array([0.0]), 0.5,
-                                   beta_init=0.9, delta=0.5, eta=0.9,
+                                   beta_init=0.9,
+                                   config=SolverConfig(delta=0.5, eta=0.9),
                                    max_shrinks=4)
         assert res.beta == 0.0
         assert_allclose(res.x_bar, [1.0])
@@ -157,7 +149,8 @@ class TestSearchExtrapolation:
             res = search_extrapolation(
                 kern, RelSmoothConstants(L=1e8, l=0.0),
                 RelSmoothConstants(L=1.0, l=0.0), np.array([1.0]),
-                np.array([0.0]), 0.5, beta_init=0.9, delta=0.5, eta=0.9,
+                np.array([0.0]), 0.5, beta_init=0.9,
+                config=SolverConfig(delta=0.5, eta=0.9),
                 max_shrinks=max_shrinks)
             assert len(calls) == per_candidate * tried
             assert (res.beta, res.shrinks) == (0.0, tried)
@@ -169,7 +162,7 @@ class TestSearchExtrapolation:
         cons = RelSmoothConstants(L=1.0, l=0.0)
         res = search_extrapolation(kern, cons, cons, np.array([1.0]),
                                    np.array([0.0]), None, beta_init=0.0,
-                                   delta=0.5, eta=0.9)
+                                   config=SolverConfig(delta=0.5, eta=0.9))
         assert (res.beta, res.shrinks) == (0.0, 0)
 
 
@@ -214,7 +207,8 @@ class TestExtrapolationScreen:
         # rhs = delta * L_prev / (L + l) * d_prev = 0.5 * d_prev, exactly
         rhs = d_bar * (1.0 + rel)
         cons = RelSmoothConstants(L=1.0, l=0.0)
-        args = (kernel, cons, cons, x, x_prev, 2.0 * rhs, beta, 0.5, 0.9, 1)
+        args = (kernel, cons, cons, x, x_prev, 2.0 * rhs, beta,
+                SolverConfig(delta=0.5, eta=0.9), 1)
         decisions = []
         real = solver._screen
         with mock.patch.object(
@@ -241,12 +235,13 @@ class TestExtrapolationScreen:
         # D = 1.99e5 and 1.46e5 fail the rhs 0.5 * d_prev = 1.2e5, and
         # beta = 0.9^2 * 0.8 passes with D = 1.08e5
         d_prev = 2.4e5
+        cfg = SolverConfig(delta=0.5, eta=0.9)
         res = search_extrapolation(kern, cons, cons, x, x_prev, d_prev, 0.8,
-                                   0.5, 0.9)
+                                   cfg)
         monkeypatch.undo()
         monkeypatch.setattr(solver, "_screen", lambda *a: None)
         exact = search_extrapolation(kern, cons, cons, x, x_prev, d_prev,
-                                     0.8, 0.5, 0.9)
+                                     0.8, cfg)
         assert res.shrinks == exact.shrinks == 2
         assert res.beta == exact.beta == 0.8 * 0.9 * 0.9
         assert np.array_equal(res.x_bar, exact.x_bar)
@@ -451,7 +446,8 @@ class TestSolverConfig:
         ("time_budget", "x"), ("max_iters", True),
         ("verify_descent", "no"), ("keep_certificates", 1),
         ("delta", [0.5, 0.9]), ("eta", (0.9,)), ("eta", np.array([0.8])),
-        ("delta", np.array([0.5, 0.9])), ("eta", np.array(0.9))])
+        ("delta", np.array([0.5, 0.9])), ("eta", np.array(0.9)),
+        ("delta", 0.0), ("eta", 1.0), ("eta", np.nan)])
     def test_bad_value_rejected_when_built(self, field, value):
         # delta and eta are one real each: a list, a tuple or an array of any
         # shape, even of valid values, is rejected; the non-numbers raised a
@@ -930,7 +926,8 @@ class TestCarriedSquaredNorm:
         d_prev = 2.0 * (1.0 + rel) * bregman_divergence(
             kernel, x, x + beta * (x - x_prev))
         cons = RelSmoothConstants(L=1.0, l=0.0)
-        args = (kernel, cons, cons, x, x_prev, d_prev, beta, 0.5, 0.9, 10)
+        args = (kernel, cons, cons, x, x_prev, d_prev, beta,
+                SolverConfig(delta=0.5, eta=0.9), 10)
         plain, carried = (search_extrapolation(*args),
                           search_extrapolation(*args, x_sq))
         assert (carried.beta, carried.shrinks) == (plain.beta, plain.shrinks)
@@ -956,7 +953,7 @@ class TestCarriedSquaredNorm:
         tried = [a for a in searches if a[6] > 0.0]
         assert len(tried) >= 9 * len(problems)
         for a in tried:
-            assert a[10] == float(np.vdot(a[3], a[3]))
+            assert a[9] == float(np.vdot(a[3], a[3]))
         carried = [a for a in divergences if len(a) == 4]
         assert len(carried) == 10 * len(problems)
         for a in carried:
