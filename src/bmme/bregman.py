@@ -299,7 +299,7 @@ def quadratic_kernel():
     return BlockKernel(c1=0.0, c2=1.0)
 
 
-def bregman_divergence(kernel, x, y, y_sq=None):
+def bregman_divergence(kernel, x, y):
     """Bregman divergence ``phi(x) - phi(y) - <grad phi(y), x - y>``.
 
     Evaluated in the closed form of the module docstring, a sum of
@@ -307,8 +307,6 @@ def bregman_divergence(kernel, x, y, y_sq=None):
     With c1 = 0 or ``||d||^2 == 0`` only ``c2/2 ||d||^2`` is formed, so no
     quartic term can overflow (or make inf * 0 of a huge ``||y||^2``); with
     c1 = 0 an overflowing ``||d||^2`` is re-formed at a power-of-two scale.
-    ``y_sq``, if given, is float(np.vdot(y, y)) as the caller already
-    computed it, and stands in for that product; the result is the same.
     Raises FloatingPointError if the value is not finite.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -329,7 +327,7 @@ def bregman_divergence(kernel, x, y, y_sq=None):
         div = 0.5 * kernel.c2 * dd
     else:
         t = float(np.vdot(d, x + y))
-        yy = float(np.vdot(y, y)) if y_sq is None else y_sq
+        yy = float(np.vdot(y, y))
         div = (0.5 * kernel.c2 * dd + 0.25 * kernel.c1 * t * t
                + 0.5 * kernel.c1 * yy * dd)
     if not math.isfinite(div):

@@ -32,11 +32,10 @@ line search forms D_k(x_i, xbar_i) once, for the xbar it accepted.
 
 Every iterate the solver holds is a read-only float64 copy it made itself:
 each initial block and each ``solve_subproblem`` result passes one gate,
-:func:`_hold`, which also forms its squared norm and checks it finite and
+:func:`_hold`, which checks it finite (``bregman._all_finite``) and
 feasible; each xbar is a new read-only array. No array a callback keeps can
 reach an iterate, so the problems' memos keep iterates by reference and hit
-them by identity (see :class:`bmme.bregman.ValueMemo`). The gate's ||x_i||^2
-is carried to D_k(x_i^k, x_i^{k+1}) and to the next extrapolation search.
+them by identity (see :class:`bmme.bregman.ValueMemo`).
 """
 
 import math
@@ -48,7 +47,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .bregman import (BlockKernel, RelSmoothConstants, _number,
+from .bregman import (BlockKernel, RelSmoothConstants, _all_finite, _number,
                       bregman_divergence)
 
 __all__ = [
@@ -147,7 +146,7 @@ def _screen(kernel, beta, terms, rhs):
 
 def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
                          d_prev, beta_init, config,
-                         max_shrinks=MAX_SHRINKS, x_sq=None):
+                         max_shrinks=MAX_SHRINKS):
     """Find the first admissible extrapolation weight on a geometric grid.
 
     Tries ``beta = beta_init * eta**j`` for j = 0, 1, ... and accepts the first
@@ -167,12 +166,11 @@ def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
     Each candidate is first screened from scalars. With d = x - x_prev,
     D(x, x + beta d) is the quartic in beta of :mod:`bmme.bregman`, built
     from ||d||^2, <x, d> and ||x||^2 (only ||d||^2 when c1 = 0). These, with
-    ||x|| and c2/2, are computed once per search and passed to ``_screen``
-    with each candidate; ``x_sq``, if given, is float(np.vdot(x_curr,
-    x_curr)) as the caller already computed it, and stands in for ||x||^2.
-    The screen decides when the quartic clears the right-hand side by more
-    than a rounding margin. Only a candidate inside the margin falls back to
-    the array formula (xbar and :func:`bregman.bregman_divergence`), so every
+    ||x|| and c2/2, are computed from ``x_curr`` and ``x_prev`` once per
+    search and passed to ``_screen`` with each candidate. The screen
+    decides when the quartic clears the right-hand side by more than a
+    rounding margin. Only a candidate inside the margin falls back to the
+    array formula (xbar and :func:`bregman.bregman_divergence`), so every
     decision, and with it beta, shrinks and xbar, equals the array formula's.
 
     The margin. Let u be the unit roundoff, a = ||x||, b = |beta| ||d||,
@@ -200,7 +198,7 @@ def search_extrapolation(kernel, constants, prev_constants, x_curr, x_prev,
         rhs = (config.delta * prev_constants.L / (constants.L + constants.l)
                * d_prev)
         diff = x_curr - x_prev
-        q = float(np.vdot(x_curr, x_curr)) if x_sq is None else x_sq
+        q = float(np.vdot(x_curr, x_curr))
         terms = (float(np.vdot(diff, diff)),
                  2.0 * float(np.vdot(x_curr, diff)) if kernel.c1 else None,
                  q, math.sqrt(q), 0.5 * kernel.c2, float(x_curr.size))
@@ -378,7 +376,7 @@ class SolverState:
     run that extrapolates or verifies computes it, for the next step's
     extrapolation test and verifier; an unverified ``bmm`` run leaves None.
     Each array in ``current`` and ``previous`` is a read-only copy made by
-    :func:`_hold`, and ``sq_norms[i]`` is ||current[i]||^2 as it computed.
+    :func:`_hold`.
     """
 
     current: list
@@ -386,7 +384,6 @@ class SolverState:
     prev_constants: list
     nesterov_nu: float
     prev_divergences: list
-    sq_norms: list
     objective: Optional[float] = None
     iter: int = 0
     elapsed_seconds: float = 0.0
@@ -413,16 +410,14 @@ def initial_state(problems, init_blocks):
         if p.constants_for is None and p.smooth_eval is None:
             raise ValueError(
                 f"block {i} needs constants_for or, to backtrack, smooth_eval")
-    held = [_hold(p, i, b, initial=True)
-            for i, (p, b) in enumerate(zip(problems, init_blocks))]
-    blocks = [x for x, _ in held]
+    blocks = [_hold(p, i, b, initial=True)
+              for i, (p, b) in enumerate(zip(problems, init_blocks))]
     return SolverState(
         current=blocks,
         previous=list(blocks),
         prev_constants=[BT_FLOORS] * len(blocks),
         nesterov_nu=1.0,
         prev_divergences=[0.0] * len(blocks),
-        sq_norms=[sq for _, sq in held],
     )
 
 
@@ -435,24 +430,22 @@ def _at(blocks, i, x):
 def _hold(p, i, x, initial=False):
     """Block i's value ``x`` (x^0 if ``initial``, else a ``solve_subproblem``
     result) as a new read-only float64 copy in x's memory layout, which no
-    array a caller or callback keeps can reach, and its ||x||^2. That
-    decides finiteness unless it overflows (as ``bregman._all_finite``
-    does). A copy not finite or not ``p.feasible`` raises ValueError for
-    x^0, SubproblemError for an update.
+    array a caller or callback keeps can reach. A copy that fails
+    ``bregman._all_finite`` or ``p.feasible`` raises ValueError for x^0,
+    SubproblemError for an update.
     """
     x = np.array(x, dtype=np.float64)
     x.setflags(write=False)
-    sq = float(np.vdot(x, x))
     error, nonfinite, infeasible = (
         (ValueError, "initial value has non-finite entries",
          "initial value is infeasible") if initial else
         (SubproblemError, "update produced non-finite values",
          "update left the feasible set"))
-    if not (math.isfinite(sq) or np.isfinite(x).all()):
+    if not _all_finite(x):
         raise error(f"block {i} {nonfinite}")
     if not p.feasible(x):
         raise error(f"block {i} {infeasible}")
-    return x, sq
+    return x
 
 
 def _block_update(p, i, blocks, kernel, state, beta, config):
@@ -469,9 +462,8 @@ def _block_update(p, i, blocks, kernel, state, beta, config):
     from the accepted beta against the grown pair. Constants never shrink,
     beta only shrinks and beta = 0 always passes, so the loop ends. The lower
     search is the only reader of D(x, xbar); it forms it once per accepted
-    xbar. Returns (beta, shrinks, (L, l), (x_new, ||x_new||^2), sides), with
-    ``sides`` the final pair's :class:`LineSearchSides`, None for a fixed
-    block.
+    xbar. Returns (beta, shrinks, (L, l), x_new, sides), with ``sides``
+    the final pair's :class:`LineSearchSides`, None for a fixed block.
     """
     x, x_prev = state.current[i], state.previous[i]
     fixed = p.constants_for is not None
@@ -481,16 +473,15 @@ def _block_update(p, i, blocks, kernel, state, beta, config):
     while True:
         beta, x_bar, s = search_extrapolation(
             kernel, cons, state.prev_constants[i], x, x_prev,
-            state.prev_divergences[i], beta, config, MAX_SHRINKS - shrinks,
-            state.sq_norms[i])
+            state.prev_divergences[i], beta, config, MAX_SHRINKS - shrinks)
         shrinks += s
         if beta == solved_beta:  # the last solve already used this x_bar
             break
         point = _at(blocks, i, x_bar)
         if fixed:
             g_bar = p.partial_grad(point)
-            x_new, sq = _hold(p, i, p.solve_subproblem(blocks, x_bar, g_bar,
-                                                       cons.L, kernel))
+            x_new = _hold(p, i, p.solve_subproblem(blocks, x_bar, g_bar,
+                                                   cons.L, kernel))
             break
         d_bar = bregman_divergence(kernel, x, x_bar) if beta else 0.0
         f_bar = float(p.smooth_eval(point))
@@ -513,8 +504,8 @@ def _block_update(p, i, blocks, kernel, state, beta, config):
             doublings += 1
         doublings = 0
         while True:
-            x_new, sq = _hold(p, i, p.solve_subproblem(blocks, x_bar, g_bar,
-                                                       L, kernel))
+            x_new = _hold(p, i, p.solve_subproblem(blocks, x_bar, g_bar,
+                                                   L, kernel))
             gap_new = (float(p.smooth_eval(_at(blocks, i, x_new))) - f_bar
                        - float(np.vdot(g_bar, x_new - x_bar)))
             upper_div = L * bregman_divergence(kernel, x_new, x_bar)
@@ -531,13 +522,13 @@ def _block_update(p, i, blocks, kernel, state, beta, config):
         sides = LineSearchSides(gap, l * d_bar, gap_new, upper_div)
         if not grew:
             break
-    return beta, shrinks, cons, (x_new, sq), sides
+    return beta, shrinks, cons, x_new, sides
 
 
 def _step(problems, state, config, objective, force_beta_zero):
     t0 = time.perf_counter()
     blocks = list(state.current)
-    betas, shrinks, constants_k, divs, sides, sq_norms = [], [], [], [], [], []
+    betas, shrinks, constants_k, divs, sides = [], [], [], [], []
     nu, beta_init = nesterov_next(state.nesterov_nu)
     if force_beta_zero:
         beta_init = 0.0
@@ -545,7 +536,7 @@ def _step(problems, state, config, objective, force_beta_zero):
     carry = config.verify_descent or not force_beta_zero
     for i, p in enumerate(problems):
         kern = p.kernel_for(blocks)
-        beta, shrink, cons, (x_new, sq), side = _block_update(
+        beta, shrink, cons, x_new, side = _block_update(
             p, i, blocks, kern, state, beta_init, config)
         if p.constants_for is None and config.keep_certificates:
             state.certificates.append(BacktrackCertificate(
@@ -556,8 +547,7 @@ def _step(problems, state, config, objective, force_beta_zero):
         shrinks.append(shrink)
         constants_k.append(cons)
         sides.append(side)
-        sq_norms.append(sq)
-        divs.append(bregman_divergence(kern, state.current[i], x_new, sq)
+        divs.append(bregman_divergence(kern, state.current[i], x_new)
                     if carry else None)
     state.elapsed_seconds += time.perf_counter() - t0
 
@@ -584,7 +574,6 @@ def _step(problems, state, config, objective, force_beta_zero):
     state.prev_constants = constants_k
     state.nesterov_nu = nu
     state.prev_divergences = divs
-    state.sq_norms = sq_norms
     state.objective = f_new
     state.iter += 1
     state.trace.records.append(TraceRecord(

@@ -644,7 +644,7 @@ class TestBacktracking:
         state = solver.SolverState(
             current=[x], previous=[x - 2e-170],
             prev_constants=[solver.BT_FLOORS], nesterov_nu=1.0,
-            prev_divergences=[0.0], sq_norms=[float(np.vdot(x, x))])
+            prev_divergences=[0.0])
         starts = []
         real = solver.search_extrapolation
 
@@ -907,59 +907,6 @@ class TestCertificates:
         assert 0 < held <= (n + 2) * z0.nbytes + n * 1024
 
 
-class TestCarriedSquaredNorm:
-    """A carried ||.||^2 stands in for the product it saves, bit for bit."""
-
-    @pytest.mark.parametrize("kernel", [BlockKernel(0.0, 2500.0),
-                                        BlockKernel(6000.0, 2500.0)],
-                             ids=["c1=0", "c1>0"])
-    @settings(max_examples=200, deadline=None)
-    @given(case=screen_cases(), k=st.integers(-100, 100))
-    def test_same_bits_with_and_without_it(self, kernel, case, k):
-        _, x, x_prev, beta, rel = case
-        x, x_prev = np.ldexp(x, k), np.ldexp(x_prev, k)
-        x_sq = float(np.vdot(x, x))
-        for y in (x_prev, x + beta * (x - x_prev)):
-            y_sq = float(np.vdot(y, y))
-            assert (bregman_divergence(kernel, x, y, y_sq)
-                    == bregman_divergence(kernel, x, y))
-        d_prev = 2.0 * (1.0 + rel) * bregman_divergence(
-            kernel, x, x + beta * (x - x_prev))
-        cons = RelSmoothConstants(L=1.0, l=0.0)
-        args = (kernel, cons, cons, x, x_prev, d_prev, beta,
-                SolverConfig(delta=0.5, eta=0.9), 10)
-        plain, carried = (search_extrapolation(*args),
-                          search_extrapolation(*args, x_sq))
-        assert (carried.beta, carried.shrinks) == (plain.beta, plain.shrinks)
-        assert np.array_equal(carried.x_bar, plain.x_bar)
-
-
-    @pytest.mark.parametrize("instance", [onmf_instance,
-                                          completion_instance],
-                             ids=["onmf", "completion-bt"])
-    def test_run_carries_each_update_s_norm(self, monkeypatch, instance):
-        searches, divergences = [], []
-        real_search, real_div = (solver.search_extrapolation,
-                                 solver.bregman_divergence)
-        monkeypatch.setattr(solver, "search_extrapolation",
-                            lambda *a: searches.append(a) or real_search(*a))
-        monkeypatch.setattr(solver, "bregman_divergence",
-                            lambda *a: divergences.append(a) or real_div(*a))
-        problems, init, objective = instance()
-        run(problems, init, SolverConfig(max_iters=10, tol_rel_change=0.0),
-            objective)
-        # every search that tries a candidate (beta_init > 0, from the
-        # second sweep on) reads a carried ||x||^2
-        tried = [a for a in searches if a[6] > 0.0]
-        assert len(tried) >= 9 * len(problems)
-        for a in tried:
-            assert a[9] == float(np.vdot(a[3], a[3]))
-        carried = [a for a in divergences if len(a) == 4]
-        assert len(carried) == 10 * len(problems)
-        for a in carried:
-            assert a[3] == float(np.vdot(a[2], a[2]))
-
-
 def arrays_seen(problems, objective):
     """``problems`` and ``objective`` wrapped to keep every array a callback
     receives, as a block or as ``x_bar``; the kept arrays."""
@@ -1113,8 +1060,6 @@ class TestIterateGate:
         assert len(held) == 2 + 5 * backtracked
         assert all(x.dtype == np.float64 and not x.flags.writeable
                    for x in held)
-        assert res.state.sq_norms == [float(np.vdot(res.final[0],
-                                                    res.final[0]))]
 
     def test_an_infeasible_initial_block_is_rejected(self):
         block = nonnegative_block(False, None)
@@ -1131,6 +1076,13 @@ class TestIterateGate:
         with pytest.raises(solver.SubproblemError,
                            match="block 0 update produced non-finite values"):
             run([block], [np.ones(2)], SolverConfig(), block.smooth_eval)
+
+    def test_holds_an_update_whose_squares_overflow(self):
+        # ||x||^2 overflows, so the gate must look at each entry
+        x = np.array([1e200, -1e200])
+        held = solver._hold(quadratic_block(np.zeros(2)), 0, x)
+        assert np.array_equal(held, x) and held is not x
+        assert held.dtype == np.float64 and not held.flags.writeable
 
     @pytest.mark.parametrize("backtracked", [False, True],
                              ids=["fixed", "backtracked"])
@@ -1163,15 +1115,13 @@ class TestIterateGate:
                                                tol_rel_change=0.0,
                                                keep_certificates=True),
                   objective)
-        ids = {id(x) for x, _ in made}
+        ids = {id(x) for x in made}
         held = [*res.final, *res.state.previous,
                 *(a for c in res.state.certificates
                   for a in (c.x_prev, c.x_curr, c.x_new))]
         assert len(held) >= 2 * len(problems) and len(made) > iters
         assert all(id(x) in ids for x in held)
         assert not any(np.shares_memory(x, b) for x in held for b in init)
-        assert res.state.sq_norms == [sq for x, sq in made
-                                      if any(x is c for c in res.final)]
 
 
 def memo_keys(monkeypatch):
