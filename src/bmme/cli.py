@@ -498,8 +498,7 @@ def cmd_compare(cfg, algorithms, solver_cfg):
     if thin or bold:
         svg = svgplot.render_loglog_svg(
             thin, bold_curves=bold,
-            title=f"{cfg['problem']}: objective vs block-update time",
-            xlabel="time (s)", ylabel="objective")
+            title=f"{cfg['problem']}: objective vs block-update time")
         _atomic_write_text(os.path.join(out, "plot.svg"), svg)
     print(f"summary for {len(jobs)} runs -> {out}/")
     return 0

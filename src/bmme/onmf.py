@@ -13,8 +13,9 @@ is (1, 1)-relatively smooth against (c1, c2) = (6 lam, eps(U)) with
 LAPACK ``dgesdd``, called through the gufunc that ``np.linalg.svd`` wraps,
 so they equal numpy's to the last bit without the wrapper's overhead. eps(U)
 skips its SVD when ||U||_F^2, an upper bound on ||U^T U||_2, already clears
-2 lam by a rounding margin, and the V block builds a new kernel only when
-eps(U) changes (in the paper's setting it stays 2 lam).
+2 lam by a rounding margin, and the V block's ``kernel_for``, the one
+builder of its kernel, builds a new one only when eps(U) changes (in the
+paper's setting it stays 2 lam).
 Both block updates have closed forms: a projected gradient step for U, and
 for V the kernel-gradient inverse of the positive part of
 
@@ -31,8 +32,9 @@ reference and hits it by identity; any other factor, such as a writeable
 one a caller passes, is computed afresh at every call and never kept
 (:class:`bmme.bregman.ValueMemo`). Each Gram of an iterate is thus formed
 once, and read by the U constants, the SVD path of the V kernel weight, both
-gradients and the objective. The objective at the end of a sweep finds U^T X
-in its memo and takes the Gram form ||X - U V||^2 =
+gradients and the objective. The constants take the problem and read each
+Gram through its memo, never from a caller. The objective at the end of a
+sweep finds U^T X in its memo and takes the Gram form ||X - U V||^2 =
 ||X||^2 - 2 <U^T X, V> + <U^T U, V V^T>, so a sweep reads X twice. At the
 start neither product is there: the objective computes X (V^0)^T through the
 memo, and sweep 1's U gradient reuses it, so no run forms X - U^0 V^0. The
@@ -80,7 +82,6 @@ __all__ = [
     "spectral_norm",
     "onmf_constants_U",
     "v_kernel_weight",
-    "v_block_kernel",
     "spa_select_rows",
     "spa_init",
     "predict_clusters",
@@ -228,24 +229,22 @@ def spectral_norm(M):
     return s
 
 
-def onmf_constants_U(V, VVt=None):
-    """(L, l) = (||V V^T||_2, 0) for the U block, floored away from zero.
+def onmf_constants_U(p, V):
+    """(L, l) = (||V V^T||_2, 0) for p's U block, floored away from zero.
 
-    ``VVt``, if given, is ``V @ V.T`` as the caller already formed it."""
+    V V^T comes from p's Gram memo."""
     return RelSmoothConstants(
-        L=max(spectral_norm(V @ V.T if VVt is None else VVt), _L1_FLOOR),
-        l=0.0)
+        L=max(spectral_norm(p._products.VVt(V)), _L1_FLOOR), l=0.0)
 
 
-def v_kernel_weight(U, lam, UtU=None):
-    """Quadratic-term weight max(||U^T U||_2, 2 lam) of the V-block kernel.
+def v_kernel_weight(p, U):
+    """Quadratic-term weight max(||U^T U||_2, 2 lam) of p's V-block kernel.
 
     Also the kernel's strong-convexity modulus. The result is always
-    ``max(spectral_norm(U.T @ U), 2 lam)``, bit for bit; ``UtU``, if given,
-    is ``U.T @ U`` as the caller already formed it. One dot product screens
-    out the Gram's SVD: ||U^T U||_2 <= trace(U^T U) =
-    ||U||_F^2, so 2 lam is the max whenever fl(||U||_F^2) clears it by
-    more than every rounding between the two.
+    ``max(spectral_norm(U.T @ U), 2 p.lam)``, bit for bit; U^T U comes
+    from p's Gram memo. One dot product screens out the Gram's SVD:
+    ||U^T U||_2 <= trace(U^T U) = ||U||_F^2, so 2 lam is the max whenever
+    fl(||U||_F^2) clears it by more than every rounding between the two.
 
     The margin. Let u be the unit roundoff, U be m x r with N = m r
     entries, F = ||U||_F^2 and f = fl(<U, U>). A dot product of N
@@ -265,19 +264,14 @@ def v_kernel_weight(U, lam, UtU=None):
     A non-finite f fails the screen, so the SVD still raises as it would;
     a U that is not 2-D float64 is not screened.
     """
-    two_lam = 2.0 * lam
+    two_lam = 2.0 * p.lam
     if U.dtype == np.float64 and U.ndim == 2:
         (m, r), n = U.shape, U.size
         bound = (float(np.vdot(U, U)) * (1.0 + 8.0 * _EPS * (n + m + r**3 + 8))
                  + 2.0 * n * _TINY)
         if bound < two_lam:
             return two_lam
-    return max(spectral_norm(U.T @ U if UtU is None else UtU), two_lam)
-
-
-def v_block_kernel(U, lam):
-    """V-block kernel (6 lam / 4) ||V||^4 + 0.5 eps(U) ||V||^2: (6 lam, eps(U))."""
-    return BlockKernel(c1=6.0 * lam, c2=v_kernel_weight(U, lam))
+    return max(spectral_norm(p._products.UtU(U)), two_lam)
 
 
 def spa_select_rows(X, r):
@@ -422,11 +416,12 @@ def onmf_block_problems(p):
     smooth; nonnegativity is the feasible set), so either may backtrack;
     it always forms the residual X - U V.
 
-    The V block's ``kernel_for`` computes eps(U) on every call but builds a
-    new :class:`BlockKernel` only when eps(U) differs from the last kernel's
-    c2; otherwise it returns that kernel again, equal to the one
-    :func:`v_block_kernel` would build. In the paper's setting eps(U) is
-    2 lam on every sweep, so one kernel serves the whole run.
+    The V block's ``kernel_for`` is the only builder of the V kernel
+    (c1, c2) = (6 lam, eps(U)). It computes eps(U) on every call but builds
+    a new :class:`BlockKernel` only when eps(U) differs from the last
+    kernel's c2; otherwise it returns that kernel again. In the paper's
+    setting eps(U) is 2 lam on every sweep, so one kernel serves the whole
+    run.
     """
     lam = p.lam
     euclid = quadratic_kernel()
@@ -446,8 +441,7 @@ def onmf_block_problems(p):
     u_block = BlockProblem(
         partial_grad=u_grad,
         kernel_for=lambda blocks: euclid,
-        constants_for=lambda blocks: onmf_constants_U(
-            blocks[1], p._products.VVt(blocks[1])),
+        constants_for=lambda blocks: onmf_constants_U(p, blocks[1]),
         solve_subproblem=u_solve,
         feasible=_nonnegative,
         smooth_eval=smooth_eval,
@@ -458,8 +452,7 @@ def onmf_block_problems(p):
 
     def v_kernel_for(blocks):
         nonlocal v_kernel
-        U = blocks[0]
-        kernel, eps = v_kernel, v_kernel_weight(U, lam, p._products.UtU(U))
+        kernel, eps = v_kernel, v_kernel_weight(p, blocks[0])
         if eps != kernel.c2:
             kernel = v_kernel = BlockKernel(c1=6.0 * lam, c2=eps)
         return kernel

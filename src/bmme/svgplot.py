@@ -35,9 +35,10 @@ def _text(parent, x, y, text, size, fill, anchor="middle", **extra):
     el.text = text
 
 
-def render_loglog_svg(curves, bold_curves=(), title="",
-                      xlabel="time (s)", ylabel="objective"):
+def render_loglog_svg(curves, bold_curves=(), title=""):
     """Render polylines on log-log axes with decade gridlines.
+
+    The x axis is labeled "time (s)" and the y axis "objective".
 
     Returns the SVG document as a string.
 
@@ -109,9 +110,9 @@ def render_loglog_svg(curves, bold_curves=(), title="",
         legend_y += 18
     if title:
         _text(svg, _W // 2, 24, title, 15, "#111111")
-    _text(svg, (_ML + _W - _MR) // 2, _H - 14, xlabel, 13, "#111111")
+    _text(svg, (_ML + _W - _MR) // 2, _H - 14, "time (s)", 13, "#111111")
     mid = (_MT + _H - _MB) // 2
-    _text(svg, 18, mid, ylabel, 13, "#111111",
+    _text(svg, 18, mid, "objective", 13, "#111111",
           transform=f"rotate(-90 18 {mid})")
     body = ET.tostring(svg, encoding="unicode")
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"

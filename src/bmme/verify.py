@@ -22,7 +22,6 @@ from .bregman import check_gradient, check_relative_smoothness, check_surrogate
 from .solver import DescentViolation, SolverConfig, _at, run
 
 __all__ = [
-    "bisect_root",
     "bisect_cubic_root",
     "prox_gradient",
     "brute_force_accuracy",
@@ -33,28 +32,6 @@ __all__ = [
     "suite_accuracy",
     "SUITES",
 ]
-
-
-def bisect_root(h, lo, hi):
-    """Bisection for a sign change of ``h`` on [lo, hi], 200 halvings."""
-    flo = h(lo)
-    fhi = h(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError("h(lo) and h(hi) must differ in sign")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = h(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def bisect_cubic_root(a, c):
@@ -174,8 +151,10 @@ def oracle_u_block(p, U_bar, V, L1, tol=1e-10):
 
 
 def oracle_v_block(p, U, V_bar, L2, tol=1e-10):
-    """V block majorizer minimized by backtracked projected gradient."""
-    kern = onmf.v_block_kernel(U, p.lam)
+    """V block majorizer minimized by backtracked projected gradient.
+
+    The kernel is the one the V block's ``kernel_for`` builds."""
+    kern = onmf.onmf_block_problems(p)[1].kernel_for([U, V_bar])
     g = U.T @ U @ V_bar - U.T @ p.X + 2 * p.lam * ((V_bar @ V_bar.T) @ V_bar - V_bar)
     phi_bar = kern.grad(V_bar)
 
@@ -309,7 +288,7 @@ def suite_oracles(n_instances=10, seed=0, tol=1e-6):
         V = rng.uniform(size=(2, 4)) + 0.05
         U_bar = 2.0 * rng.uniform(size=(5, 2))
         u_block, v_block = onmf.onmf_block_problems(p)
-        L1 = onmf.onmf_constants_U(V).L
+        L1 = onmf.onmf_constants_U(p, V).L
         closed = _block_update(u_block, [U_bar, V], 0, U_bar, L1)
         ref = oracle_u_block(p, U_bar, V, L1)
         err = float(np.linalg.norm(closed - ref))
@@ -352,8 +331,10 @@ def suite_oracles(n_instances=10, seed=0, tol=1e-6):
 def suite_cubic(n_draws=10_000, seed=0, n_bisect=200):
     """Residual identity of the one cubic solver, plus bisection checks.
 
-    ``n_bisect`` draws also check ``bregman.cubic_norm_scale`` within 2 ulps of
-    :func:`bisect_cubic_root` for a, c from 1e-300 to 1e300, zeros included.
+    Each bisection check compares ``bregman.cubic_norm_scale`` with
+    :func:`bisect_cubic_root`: ``n_bisect`` draws within 1e-9 (1 + root)
+    for a, c from 1e-2 to 1e3, and ``n_bisect`` more within 2 ulps for a, c
+    from 1e-300 to 1e300, zeros included.
     """
     rng = np.random.default_rng(seed)
     bad = []
@@ -374,7 +355,7 @@ def suite_cubic(n_draws=10_000, seed=0, n_bisect=200):
     for _ in range(n_bisect):
         a = 10.0 ** rng.uniform(-2, 3)
         c = 10.0 ** rng.uniform(-2, 3)
-        ref = bisect_root(lambda t: t * t * (t - a) - c, a, a + c + 1.0)
+        ref = bisect_cubic_root(a, c)
         if abs(bregman.cubic_norm_scale(a, c) - ref) > 1e-9 * (1.0 + ref):
             bad.append(f"norm-scale cubic disagrees with bisection at ({a}, {c})")
 

@@ -30,7 +30,7 @@ from bmme.bregman import (
     cubic_norm_scale,
     quadratic_kernel,
 )
-from bmme.verify import bisect_cubic_root, bisect_root
+from bmme.verify import bisect_cubic_root
 
 
 class TestQuadraticKernel:
@@ -753,15 +753,3 @@ class TestAsMatrix:
         M = np.array([[big, 1.0], [2.0, big]])
         assert np.array_equal(as_matrix(M), M)
         assert np.array_equal(as_matrix(M.T), M.T)  # not C-contiguous
-
-
-class TestBisectRoot:
-    @pytest.mark.parametrize("lo, hi, want", [(2.0, 5.0, 2.0),
-                                              (-1.0, 2.0, 2.0)])
-    def test_root_at_an_endpoint_is_returned(self, lo, hi, want):
-        assert bisect_root(lambda t: t - 2.0, lo, hi) == want
-
-    def test_no_sign_change_rejected(self):
-        with pytest.raises(ValueError,
-                           match=r"h\(lo\) and h\(hi\) must differ in sign"):
-            bisect_root(lambda t: t * t + 1.0, -1.0, 1.0)

@@ -615,13 +615,14 @@ class TestVerifyCommand:
     def test_descent_fault_injection_is_detected(self, monkeypatch):
         # halving the certified curvature of the first block must produce a
         # violation — this guards the verifier against vacuous passes
-        real = onmf.onmf_constants_U
+        real, calls = onmf.onmf_constants_U, []
         monkeypatch.setattr(
             onmf, "onmf_constants_U",
-            lambda V, VVt=None: RelSmoothConstants(L=0.5 * real(V, VVt).L,
-                                                   l=real(V, VVt).l))
+            lambda p, V: calls.append(p) or RelSmoothConstants(
+                L=0.5 * real(p, V).L, l=real(p, V).l))
         bad = verify.suite_descent(seed=1, iters=20, size=(30, 30, 2),
                                    lam=50.0)
+        assert calls and all(isinstance(p, onmf.OnmfProblem) for p in calls)
         assert len(bad) > 0
         assert "exceeds certified bound" in bad[0]
 
@@ -685,8 +686,7 @@ class TestSvgPlot:
         xs = np.geomspace(0.01, 10.0, 30)
         curves = [(xs, 1.0 / xs, 0), (xs, 2.0 / xs, 0), (xs, 1.0 / xs**2, 1)]
         bold = [(xs, 1.5 / xs, 0, "median")]
-        svg = render_loglog_svg(curves, bold_curves=bold, title="t",
-                                xlabel="x", ylabel="y")
+        svg = render_loglog_svg(curves, bold_curves=bold, title="t")
         root = ET.fromstring(svg)
         n_poly = sum(1 for _ in
                      root.iter("{http://www.w3.org/2000/svg}polyline"))
@@ -706,8 +706,7 @@ class TestSvgPlot:
         bold = [([0.01, 0.1, 1.0], [80.0, 8.0, 1.5], 0, "bmm"),
                 ([0.02, 0.2, 2.0], [40.0, 4.0, 1.2], 1, "bmme")]
         svg = render_loglog_svg(curves, bold_curves=bold,
-                                title="onmf: objective", xlabel="time (s)",
-                                ylabel="objective")
+                                title="onmf: objective")
         got = [[el.tag.split("}")[-1],
                 [list(a) for a in sorted(el.attrib.items())], el.text]
                for el in ET.fromstring(svg).iter()]

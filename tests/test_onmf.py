@@ -21,8 +21,8 @@ from conftest import CountingExecutor
 from numpy.testing import assert_allclose
 
 from bmme import bregman, cli, datakit, onmf, verify
-from bmme.bregman import (RelSmoothConstants, bregman_divergence,
-                          cubic_norm_scale)
+from bmme.bregman import (BlockKernel, RelSmoothConstants,
+                          bregman_divergence, cubic_norm_scale)
 from bmme.onmf import (
     OnmfProblem,
     clustering_accuracy,
@@ -34,7 +34,6 @@ from bmme.onmf import (
     spa_init,
     spa_select_rows,
     spectral_norm,
-    v_block_kernel,
     v_kernel_weight,
 )
 from bmme.solver import SolverConfig, run
@@ -270,14 +269,32 @@ class TestProductMemo:
         monkeypatch.undo()
         assert from_memo == [True] * (2 * sweeps)  # both SVDs, each sweep
         assert sum(r.per_block_beta[1] > 0.0 for r in res.trace.records) > 0
-        assert all(v_kernel_weight(U, p.lam) > 2.0 * p.lam
-                   for U in formed["UtU"])
         assert len(formed["UtU"]) == sweeps + 1
         assert len(formed["VVt"]) == sweeps + 1
         U, V = res.final
         assert prod.UtU.key is U and prod.VVt.key is V
         assert np.array_equal(prod.UtU.value, U.T @ U)
         assert np.array_equal(prod.VVt.value, V @ V.T)
+        # each weight below forms its U's Gram again, through the memo
+        assert all(v_kernel_weight(p, U) > 2.0 * p.lam
+                   for U in list(formed["UtU"]))
+
+    def test_constants_see_a_writeable_factor_edited_in_place(self):
+        # the memo keeps no writeable key, so the U constants and the V
+        # kernel weight read the edited factor's Gram, not the first one's
+        rng = np.random.default_rng(9)
+        p = OnmfProblem(X=rng.uniform(size=(8, 6)), r=3, lam=1e-3)
+        U, V = rng.uniform(size=(8, 3)), rng.uniform(size=(3, 6))
+        before = onmf_constants_U(p, V).L, v_kernel_weight(p, U)
+        assert before == (spectral_norm(V @ V.T),
+                          kernel_weight_oracle(U, p.lam))
+        V[0] *= 3.0
+        U[:, 1] *= 3.0
+        after = onmf_constants_U(p, V).L, v_kernel_weight(p, U)
+        assert after == (spectral_norm(V @ V.T),
+                         kernel_weight_oracle(U, p.lam))
+        assert after[0] > before[0] and after[1] > before[1]
+        assert p._products.VVt.key is None and p._products.UtU.key is None
 
 
 class TestSplitProducts:
@@ -380,7 +397,8 @@ class TestSpectralNorm:
         eigs = np.array([1.0, 1.0 - 1e-5, 0.5, 0.2, 0.1])
         V = Q @ np.diag(np.sqrt(eigs)) @ W.T
         assert_allclose(spectral_norm(Q @ np.diag(eigs) @ Q.T), 1.0, rtol=1e-13)
-        assert_allclose(onmf_constants_U(V).L, 1.0, rtol=1e-13)
+        p = OnmfProblem(X=np.zeros((5, 40)), r=5, lam=1.0)
+        assert_allclose(onmf_constants_U(p, V).L, 1.0, rtol=1e-13)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_input_rejected(self, bad):
@@ -447,17 +465,24 @@ class TestSpectralNorm:
 class TestConstantsU:
     def test_orthonormal_rows_give_unit_L(self):
         syn = datakit.gen_synthetic_onmf(6, 9, 3, noise=0.0, seed=1)
-        consts = onmf_constants_U(syn.V)
+        p = OnmfProblem(X=syn.X, r=3, lam=1.0)
+        consts = onmf_constants_U(p, syn.V)
         assert_allclose(consts.L, 1.0, rtol=1e-9)
         assert consts.l == 0.0
 
     def test_zero_V_hits_floor(self):
-        consts = onmf_constants_U(np.zeros((2, 5)))
+        p = OnmfProblem(X=np.zeros((2, 5)), r=2, lam=1.0)
+        consts = onmf_constants_U(p, np.zeros((2, 5)))
         assert consts.L == 1e-12
 
 
 def kernel_weight_oracle(U, lam):
     return max(float(np.linalg.norm(U.T @ U, 2)), 2.0 * lam)
+
+
+def weight_problem(U, lam):
+    """An OnmfProblem with weight lam whose U factor has U's shape."""
+    return OnmfProblem(X=np.zeros(U.shape), r=U.shape[1], lam=lam)
 
 
 def rank_one(seed, m, r):
@@ -491,7 +516,8 @@ class TestKernelWeight:
         # ||U||_F^2 within 1 +- 1e-6 of 2 lam, and within a few ulps of it,
         # where the computed ||U^T U||_2 may exceed fl(||U||_F^2)
         U = U * np.sqrt(2.0 * lam * (1.0 + offset) / np.vdot(U, U))
-        assert v_kernel_weight(U, lam) == kernel_weight_oracle(U, lam)
+        assert (v_kernel_weight(weight_problem(U, lam), U)
+                == kernel_weight_oracle(U, lam))
 
     @settings(max_examples=300, deadline=None)
     @given(U=gram_factors(), k=st.integers(-200, 200),
@@ -499,7 +525,8 @@ class TestKernelWeight:
     def test_bit_for_bit_at_power_of_two_scales(self, U, k, ratio):
         U = U * 2.0**k
         lam = ratio * float(np.vdot(U, U))
-        assert v_kernel_weight(U, lam) == kernel_weight_oracle(U, lam)
+        assert (v_kernel_weight(weight_problem(U, lam), U)
+                == kernel_weight_oracle(U, lam))
 
     def test_paper_setting_takes_one_svd_per_sweep(self, monkeypatch):
         # ||U||_F^2 stays far below 2 lam = 2000, so of the two r x r
@@ -519,15 +546,16 @@ class TestKernelWeight:
 
     def test_v_kernel_is_rebuilt_only_when_eps_changes(self):
         syn = datakit.gen_synthetic_onmf(20, 30, 3, noise=0.0, seed=1)
-        kernel_for = onmf_block_problems(
-            OnmfProblem(X=syn.X, r=3, lam=1.0))[1].kernel_for
+        p = OnmfProblem(X=syn.X, r=3, lam=1.0)
+        kernel_for = onmf_block_problems(p)[1].kernel_for
         small = np.full((20, 3), 0.01)  # ||U||_F^2 < 2 lam: eps = 2 lam
         big = np.full((20, 3), 1.0)     # ||U^T U||_2 = 60 > 2 lam
         first = kernel_for([small, syn.V])
-        assert first == v_block_kernel(small, 1.0)
+        assert first == BlockKernel(c1=6.0, c2=v_kernel_weight(p, small))
         assert kernel_for([2.0 * small, syn.V]) is first
         grown = kernel_for([big, syn.V])
-        assert grown == v_block_kernel(big, 1.0) != first
+        assert first != grown == BlockKernel(c1=6.0,
+                                             c2=v_kernel_weight(p, big))
         assert kernel_for([big.copy(), syn.V]) is grown
         assert kernel_for([small, syn.V]) == first
 
@@ -566,7 +594,7 @@ class TestUpdateU:
         V = rng.uniform(size=(2, 4))
         U_bar = rng.uniform(size=(5, 2))
         p = OnmfProblem(X=X, r=2, lam=1.0)
-        L1 = onmf_constants_U(V).L
+        L1 = onmf_constants_U(p, V).L
         got = block_update(p, 0, U_bar, V, L1)
         want = verify.oracle_u_block(p, U_bar, V, L1)
         assert np.linalg.norm(got - want) <= 1e-6
@@ -584,9 +612,7 @@ class TestCubicNormScale:
     def test_generic_root_against_bisection(self):
         got = cubic_norm_scale(1.7, 3.3)
         assert_allclose(got, 2.315496587407873, rtol=1e-13)
-        h = lambda t: t * t * (t - 1.7) - 3.3
-        want = verify.bisect_root(h, 1.7, 1.7 + 3.3 + 1.0)
-        assert_allclose(got, want, rtol=1e-10)
+        assert_allclose(got, verify.bisect_cubic_root(1.7, 3.3), rtol=1e-10)
 
     def test_residual_small_across_scales(self):
         rng = np.random.default_rng(12)
@@ -624,7 +650,7 @@ class TestUpdateV:
         V = block_update(p, 1, U, V_bar, 1.0)
         G = v_target(p, U, V_bar, 1.0)
         Gp = np.maximum(G, 0.0)
-        rho = cubic_norm_scale(v_kernel_weight(U, p.lam),
+        rho = cubic_norm_scale(v_kernel_weight(p, U),
                                6.0 * p.lam * float(np.sum(Gp * Gp)))
         assert np.linalg.norm(rho * V - Gp) <= 1e-8 * (1.0 + np.linalg.norm(Gp))
 
@@ -634,8 +660,9 @@ class TestUpdateV:
         U = rng.uniform(size=(5, 2))
         V_bar = rng.uniform(size=(2, 6))
         L2 = 1.0
-        kern = v_block_kernel(U, p.lam)
-        grad = onmf_block_problems(p)[1].partial_grad([U, V_bar])
+        v_block = onmf_block_problems(p)[1]
+        kern = v_block.kernel_for([U, V_bar])
+        grad = v_block.partial_grad([U, V_bar])
 
         def majorizer(V):
             return (L2 * bregman_divergence(kern, V, V_bar)
@@ -986,7 +1013,7 @@ class TestProblemAssembly:
         # one hand-driven sweep: both updates must keep factors feasible
         # and not increase the objective when applied without extrapolation
         f0 = onmf_objective(p, U0, V0)
-        L1 = onmf_constants_U(V0).L
+        L1 = onmf_constants_U(p, V0).L
         U1 = block_update(p, 0, U0, V0, L1)
         V1 = block_update(p, 1, U1, V0, 1.0)
         assert blocks[0].feasible(U1)
