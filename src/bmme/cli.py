@@ -25,7 +25,6 @@ import json
 import os
 import statistics
 import sys
-import tempfile
 import time
 from types import SimpleNamespace
 
@@ -207,8 +206,11 @@ def _config_value_ok(key, value):
 # ---------------------------------------------------------------------------
 
 def _atomic_write_text(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    # O_EXCL under a fresh name, as mkstemp, but with the mode a plain
+    # open gives (0666 less the umask) rather than mkstemp's 0600
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -345,7 +347,6 @@ def _prepare_matcomp(cfg, seed):
         state0 = matcomp.mc_random_init(p, seed=_init_seed(seed))
     else:
         state0 = matcomp.McState(*_load_init(cfg, train.rows, train.cols))
-    obj_packed = matcomp.mc_objective_packed(p)
 
     def quality(final):
         state = matcomp.unpack_state(final[0], train.rows)
@@ -358,7 +359,7 @@ def _prepare_matcomp(cfg, seed):
 
     return SimpleNamespace(problems=[matcomp.mc_block_problem(p)],
                            init_blocks=[matcomp.pack_state(state0)],
-                           objective=lambda blocks: obj_packed(blocks[0]),
+                           objective=matcomp.mc_objective_packed(p),
                            quality=quality,
                            scale=train.frobenius() ** 2 or 1.0,
                            lam=lam, idmaps=idmaps)

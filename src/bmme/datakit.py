@@ -1,4 +1,8 @@
-"""Synthetic data generators and matrix I/O.
+"""Synthetic data generators and matrix readers.
+
+The readers take dense CSV, MatrixMarket coordinate and ratings files; write
+the first two with ``numpy.savetxt(path, M, delimiter=",", fmt="%.17g")`` and
+``scipy.io.mmwrite``, which the readers read back bit for bit.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64) seeded
 explicitly, so every dataset is reproducible from its seed.
@@ -9,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import _check_problem, _number, as_matrix
+from .bregman import _all_finite, _check_problem, _number, as_matrix
 
 __all__ = [
     "ObservedMatrix",
@@ -18,9 +22,7 @@ __all__ = [
     "gen_synthetic_ratings",
     "train_test_split",
     "load_dense_csv",
-    "save_dense_csv",
     "load_matrix_market",
-    "save_matrix_market",
     "load_ratings",
 ]
 
@@ -66,7 +68,7 @@ class ObservedMatrix:
                 if (np.diff(lin[order]) == 0).any():
                     raise ValueError("duplicate observed entries")
                 ri, ci, vals = ri[order], ci[order], vals[order]
-        if not np.all(np.isfinite(vals)):
+        if not _all_finite(vals):
             raise ValueError("observed values contain non-finite entries")
         object.__setattr__(self, "row_idx", ri)
         object.__setattr__(self, "col_idx", ci)
@@ -121,7 +123,7 @@ def gen_synthetic_onmf(m, n, r, noise=0.05, seed=0):
     of V holding column j's nonzero).
     """
     _check_problem((m, n), r)
-    if not 0.0 <= noise < np.inf:
+    if not (_number(noise) and 0.0 <= noise < np.inf):
         raise ValueError(f"noise must be finite and nonnegative, got {noise!r}")
     rng = np.random.default_rng(seed)
     U = rng.random((m, r))
@@ -210,18 +212,6 @@ def train_test_split(observed, fraction, seed=0):
     return take(pick_train), take(pick_test)
 
 
-def save_dense_csv(path, M):
-    """Write a dense matrix as comma-separated decimal literals.
-
-    Uses repr-precision formatting so a load/save roundtrip is exact.
-    """
-    M = as_matrix(M, "matrix")
-    with open(path, "w") as fh:
-        for row in M:
-            fh.write(",".join(repr(float(x)) for x in row))
-            fh.write("\n")
-
-
 def load_dense_csv(path):
     """Read a dense comma-separated matrix; rejects ragged or non-numeric rows."""
     rows = []
@@ -247,15 +237,6 @@ def load_dense_csv(path):
 
 
 _MM_HEADER = "%%MatrixMarket"
-
-
-def save_matrix_market(path, observed):
-    """Write observations in MatrixMarket coordinate format (1-based)."""
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{observed.rows} {observed.cols} {observed.n_obs}\n")
-        for i, j, v in zip(observed.row_idx, observed.col_idx, observed.values):
-            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
 
 
 def load_matrix_market(path):

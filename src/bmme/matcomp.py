@@ -372,11 +372,13 @@ def mc_backtracking_problem(p):
 
 
 def mc_objective_packed(p):
-    """The objective F on the packed representation ``Z = [U; V^T]``.
+    """The objective F of the block list ``[Z]``, Z the packed
+    representation ``[U; V^T]``.
 
     Its memos cannot see a Z changed through a view kept from before it was
     frozen (:class:`bmme.bregman.ValueMemo`); pass a copy in that case."""
-    def eval_(Z):
+    def eval_(blocks):
+        Z = blocks[0]
         return _smooth_eval_packed(p, Z) + _penalty(p, Z)
 
     return eval_

@@ -105,8 +105,8 @@ def nesterov_next(nu_prev):
     nu = (1 + sqrt(1 + 4 nu_prev^2)) / 2 and beta_init = (nu_prev - 1) / nu.
     Starting from nu = 1 the first beta_init is exactly 0.
     """
-    if not (math.isfinite(nu_prev) and nu_prev >= 1.0):
-        raise ValueError(f"nu_prev must be >= 1, got {nu_prev}")
+    if not (_number(nu_prev) and math.isfinite(nu_prev) and nu_prev >= 1.0):
+        raise ValueError(f"nu_prev must be >= 1, got {nu_prev!r}")
     nu = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * nu_prev * nu_prev))
     return NesterovStep(nu=nu, beta_init=float((nu_prev - 1.0) / nu))
 
@@ -332,9 +332,6 @@ class TraceRecord:
 @dataclass
 class Trace:
     records: list = field(default_factory=list)
-
-    def objectives(self):
-        return np.array([r.objective for r in self.records])
 
     def __len__(self):
         return len(self.records)
@@ -671,10 +668,7 @@ class BacktrackingProblem:
 
 
 def run_backtracking(problem, init, config, objective):
-    """:func:`run` on ``problem`` as one block with backtracked constants.
-
-    ``objective`` takes the block value itself rather than a block list.
-    """
+    """:func:`run` on ``problem`` as one block with backtracked constants."""
     block = BlockProblem(
         partial_grad=lambda blocks: problem.grad(blocks[0]),
         kernel_for=lambda blocks: problem.kernel,
@@ -684,4 +678,4 @@ def run_backtracking(problem, init, config, objective):
         feasible=problem.feasible,
         smooth_eval=lambda blocks: problem.f_eval(blocks[0]),
     )
-    return run([block], [init], config, lambda blocks: objective(blocks[0]))
+    return run([block], [init], config, objective)

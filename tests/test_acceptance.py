@@ -97,7 +97,7 @@ def test_descent_inequality_over_500_iterations():
         res = _onmf_run(seed, "bmme", 500, verify_descent=True)
         assert len(res.trace.records) == 500
         res_mono = _onmf_run(seed, "bmm", 500)
-        objs = res_mono.trace.objectives()
+        objs = [r.objective for r in res_mono.trace.records]
         drops = np.diff(objs) <= 1e-8 * (1.0 + np.abs(objs[:-1]))
         assert np.all(drops), f"seed {seed}: objective rose"
     dt = time.perf_counter() - t0
@@ -116,9 +116,9 @@ def test_extrapolation_reaches_plain_objective_earlier():
     iters_to_target = []
     for seed in range(1, 21):
         plain = _onmf_run(seed, "bmm", 500)
-        target = plain.trace.objectives()[-1]
+        target = plain.trace.records[-1].objective
         accel = _onmf_run(seed, "bmme", 500)
-        objs = accel.trace.objectives()
+        objs = np.array([r.objective for r in accel.trace.records])
         hit = np.flatnonzero(objs <= target)
         k = int(hit[0]) + 1 if hit.size else 501
         iters_to_target.append(k)
@@ -164,10 +164,9 @@ def test_backtracked_completion_certificates_and_rmse():
     # one packed block whose (L, l) the sweep finds by line search
     block = dataclasses.replace(matcomp.mc_block_problem(p),
                                 constants_for=None)
-    obj = matcomp.mc_objective_packed(p)
     cfg = SolverConfig(delta=0.99, max_iters=300, tol_rel_change=0.0,
                        keep_certificates=True)
-    res = run([block], [z0], cfg, lambda blocks: obj(blocks[0]))
+    res = run([block], [z0], cfg, matcomp.mc_objective_packed(p))
     assert len(res.trace.records) == 300
 
     # replay both line-search inequalities from the stored certificates

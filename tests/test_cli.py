@@ -6,6 +6,8 @@ stdout can be asserted without spawning an interpreter per case.
 
 import csv
 import json
+import os
+import stat
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -224,7 +226,7 @@ class TestDataFiles:
         from bmme import datakit
         syn = datakit.gen_synthetic_onmf(25, 20, 3, noise=0.05, seed=4)
         data = tmp_path / "X.csv"
-        datakit.save_dense_csv(data, syn.X)
+        np.savetxt(data, syn.X, delimiter=",", fmt="%.17g")
         out = tmp_path / "o"
         rc = cli.main(["run", "--problem", "onmf", "--data", str(data),
                        "--r", "3", "--max-iters", "10", "--out", str(out)])
@@ -316,7 +318,7 @@ def init_files(tmp_path, problem, seed, m=30, n=20, r=3):
     U0, V0 = rng.uniform(size=(m, r)), rng.uniform(size=(r, n))
     paths = tmp_path / "U0.csv", tmp_path / "V0.csv"
     for path, A in zip(paths, (U0, V0)):
-        datakit.save_dense_csv(path, A)
+        np.savetxt(path, A, delimiter=",", fmt="%.17g")
     flags = ["--problem", problem, "--m", str(m), "--n", str(n),
              "--r", str(r), "--seed", str(seed), "--max-iters", "15",
              "--tol", "0", "--init", "file", "--init-u", str(paths[0]),
@@ -347,12 +349,11 @@ class TestInitFile:
         obs = datakit.gen_synthetic_ratings(30, 20, 3, 0.3, seed=6)
         train, _ = datakit.train_test_split(obs, 0.7, seed=6)
         p = matcomp.McProblem(observed=train, r=3, lam=0.1, theta=5.0)
-        packed = matcomp.mc_objective_packed(p)
         res = run([matcomp.mc_block_problem(p)],
                   [matcomp.pack_state(matcomp.McState(U0, V0))],
                   SolverConfig(max_iters=15, tol_rel_change=0.0,
                                verify_descent=False),
-                  lambda b: packed(b[0]))
+                  matcomp.mc_objective_packed(p))
         col = [row["objective"] for row in read_trace(out / "trace.csv")]
         assert col == [repr(r.objective) for r in res.trace.records]
         assert len(col) == 15
@@ -364,7 +365,7 @@ class TestInitFile:
         (U0, V0), paths, flags = init_files(tmp_path, problem, seed=4)
         # one column too few, or one row too many for V
         bad = (U0[:, :-1], np.vstack([V0, V0[:1]]))[which]
-        datakit.save_dense_csv(paths[which], bad)
+        np.savetxt(paths[which], bad, delimiter=",", fmt="%.17g")
         out = tmp_path / "o"
         assert cli.main(["run", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
@@ -431,7 +432,7 @@ class TestBadUsage:
         monkeypatch.setattr(onmf, "spa_init", None)
         data = tmp_path / "data"
         if fmt == "csv":
-            datakit.save_dense_csv(data, np.ones((6, 5)))
+            np.savetxt(data, np.ones((6, 5)), delimiter=",", fmt="%.17g")
         else:
             data.write_text("".join(f"u{u}::i{i}::3.0\n" for u in range(6)
                                     for i in range(5)))
@@ -579,6 +580,34 @@ class TestCompare:
         assert root.tag.endswith("svg")
         polylines = root.iter("{http://www.w3.org/2000/svg}polyline")
         assert sum(1 for _ in polylines) >= 10
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o007], ids=["022", "007"])
+    def test_outputs_get_the_mode_a_plain_open_gives(self, tmp_path, umask):
+        # the atomic write goes through a temporary file; the file it
+        # renames into place must not keep a private mode such as 0600
+        old = os.umask(umask)
+        try:
+            out = tmp_path / "o"
+            assert cli.main(["run", "--problem", "onmf", "--m", "20",
+                             "--n", "15", "--r", "2", "--max-iters", "3",
+                             "--out", str(out)]) == 0
+            assert cli.main(["compare", "--problem", "onmf", "--m", "20",
+                             "--n", "15", "--r", "2", "--algorithm", "bmm",
+                             "--seeds", "1", "--max-iters", "3",
+                             "--out", str(out)]) == 0
+            with open(out / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE((out / "plain.txt").stat().st_mode)
+        assert want == 0o666 & ~umask
+        names = ["report.json", "trace.csv", "summary.csv", "plot.svg",
+                 "trace_bmm_1.csv"]
+        assert sorted(os.listdir(out)) == sorted(names + ["plain.txt"])
+        for name in names:
+            assert stat.S_IMODE((out / name).stat().st_mode) == want, name
 
 
 class TestDeterminism:

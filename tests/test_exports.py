@@ -64,11 +64,10 @@ res = solver.run(onmf.onmf_block_problems(p), list(onmf.spa_init(p.X, 3)),
 assert len(res.trace) == 3
 q = matcomp.McProblem(datakit.gen_synthetic_ratings(20, 15, 3, 0.5, seed=1),
                       r=3, lam=0.1, theta=5.0)
-obj = matcomp.mc_objective_packed(q)
 res = solver.run([matcomp.mc_block_problem(q)],
                  [matcomp.pack_state(matcomp.mc_random_init(q, seed=2))],
                  solver.SolverConfig(max_iters=2, tol_rel_change=0.0),
-                 lambda b: obj(b[0]))
+                 matcomp.mc_objective_packed(q))
 assert len(res.trace) == 2
 print([m for m in sys.modules
        if m.startswith(("scipy.linalg", "scipy.optimize"))])

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import CountingExecutor
 from numpy.testing import assert_allclose
-from scipy.sparse import csr_matrix
+from scipy.io import mmwrite
+from scipy.sparse import coo_matrix, csr_matrix
 
 from bmme import bregman, cli, datakit, matcomp, verify
 from bmme.bregman import (
@@ -56,7 +57,7 @@ def penalty(lam, theta, M):
 
 
 def objective_at(p, state):
-    return mc_objective_packed(p)(pack_state(state))
+    return mc_objective_packed(p)([pack_state(state)])
 
 
 def backtracked_block(p):
@@ -67,7 +68,7 @@ def backtracked_block(p):
 def run_completion(block, p, z0, cfg, objective=None):
     """``run`` on the one packed ``block`` from ``z0``, tracing F."""
     f = mc_objective_packed(p) if objective is None else objective
-    return run([block], [z0], cfg, lambda blocks: f(blocks[0]))
+    return run([block], [z0], cfg, f)
 
 
 def mc_step(p, anchor, x_bar, L):
@@ -134,7 +135,10 @@ class TestKernel:
                                      obs.col_idx, scale * obs.values)
         assert obs.values.all()
         path = tmp_path / "A.mtx"
-        datakit.save_matrix_market(path, obs)
+        coo = coo_matrix((obs.values, (obs.row_idx, obs.col_idx)),
+                         shape=(obs.rows, obs.cols))
+        with open(path, "wb") as fh:  # a str path would gain ".mtx"
+            mmwrite(fh, coo, field="real", symmetry="general")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError,
@@ -156,15 +160,14 @@ class TestKernel:
         p = diagonal_problem()
         kern = mc_kernel(p)
         f = mc_objective_packed(p)
-        smooth = lambda Z: f(Z) - penalty(p.lam, p.theta, Z)
+        smooth = lambda Z: f([Z]) - penalty(p.lam, p.theta, Z)
         grad = mc_block_problem(p).partial_grad
         rng = np.random.default_rng(3)
         samples = [(rng.standard_normal((6, 2)), rng.standard_normal((6, 2)))
                    for _ in range(300)]
-        rep = check_relative_smoothness(
+        assert check_relative_smoothness(
             smooth, lambda Z: grad([Z]), kern,
-            RelSmoothConstants(L=1.0, l=1.0), samples)
-        assert rep.ok(tol=1e-9)
+            RelSmoothConstants(L=1.0, l=1.0), samples) <= 1e-9
 
 
 class TestSurrogateWeights:
@@ -363,7 +366,7 @@ class TestEndToEnd:
         cfg = SolverConfig(max_iters=50, tol_rel_change=0.0,
                            verify_descent=True)
         res = run_completion(mc_block_problem(p), p, z0, cfg)
-        objs = res.trace.objectives()
+        objs = [r.objective for r in res.trace.records]
         assert objs[-1] < objs[0]
 
     def test_backtracked_run_decreases_objective(self):
@@ -372,7 +375,7 @@ class TestEndToEnd:
         z0 = pack_state(mc_random_init(p, seed=1))
         cfg = SolverConfig(max_iters=50, tol_rel_change=0.0)
         res = run_completion(backtracked_block(p), p, z0, cfg)
-        objs = res.trace.objectives()
+        objs = [r.objective for r in res.trace.records]
         assert objs[-1] < objs[0]
         final = unpack_state(res.final[0], 20)
         assert rmse(obs, final) < rmse(obs, unpack_state(z0, 20))
@@ -502,7 +505,7 @@ class TestResidualMemo:
         count = fresh_passes[0]
         assert f(W) == f_after
         assert np.array_equal(grad(W), g_after)
-        assert mc_objective_packed(p)(W) == f_after + penalty(
+        assert mc_objective_packed(p)([W]) == f_after + penalty(
             p.lam, p.theta, W)
         assert fresh_passes[0] == count + 1
         twin = W.copy()  # equal, and not the kept array
@@ -847,8 +850,8 @@ class TestPackedShape:
 
     @staticmethod
     def entry_points(p):
-        block = mc_block_problem(p)
-        return [mc_objective_packed(p), lambda Z: block.smooth_eval([Z]),
+        block, objective = mc_block_problem(p), mc_objective_packed(p)
+        return [lambda Z: objective([Z]), lambda Z: block.smooth_eval([Z]),
                 lambda Z: block.partial_grad([Z])]
 
     @pytest.mark.parametrize("shape", [(7, 2), (5, 2), (6, 3), (6,)])
@@ -940,14 +943,14 @@ class TestExpMemo:
         memo, fresh = self.counted(p)
         f = mc_objective_packed(p)
         Z = np.random.default_rng(1).standard_normal((6, 2))
-        before = f(Z)
-        assert f(Z) == before and fresh[0] == 2 and memo.key is None
+        before = f([Z])
+        assert f([Z]) == before and fresh[0] == 2 and memo.key is None
         Z[0, 0] += 1.0
-        after = f(Z)
-        assert after == mc_objective_packed(diagonal_problem())(Z.copy())
+        after = f([Z])
+        assert after == mc_objective_packed(diagonal_problem())([Z.copy()])
         assert fresh[0] == 3
         Z.setflags(write=False)  # as run keeps its iterates
-        assert f(Z) == after and f(Z) == after
+        assert f([Z]) == after and f([Z]) == after
         assert fresh[0] == 4 and memo.key is Z
 
     def test_oracle_keeps_its_own_exp(self):

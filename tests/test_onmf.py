@@ -769,7 +769,7 @@ class TestSpa:
         # ||X||_F^2 and the squared row norms leave float64
         X = scale * np.random.default_rng(0).uniform(size=(30, 40))
         path = tmp_path / "X.csv"
-        datakit.save_dense_csv(path, X)
+        np.savetxt(path, X, delimiter=",", fmt="%.17g")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for pick in (spa_select_rows, spa_init):
@@ -1032,7 +1032,7 @@ class TestProblemAssembly:
                            verify_descent=True)
         res = run(blocks, list(spa_init(syn.X, 3)), cfg,
                   lambda blocks: onmf_objective(p, blocks[0], blocks[1]))
-        objs = res.trace.objectives()
+        objs = [r.objective for r in res.trace.records]
         assert len(objs) == 300
         assert objs[-1] < objs[0]
         assert all(r.descent_slack is not None for r in res.trace.records)

@@ -341,8 +341,8 @@ class TestRunBasics:
         assert base.stop_reason is StopReason.TOL_REACHED
         assert scaled.stop_reason is StopReason.TOL_REACHED
         assert len(scaled.trace) == len(base.trace) < 1000
-        assert np.array_equal(scaled.trace.objectives(),
-                              s * s * base.trace.objectives())
+        assert ([r.objective for r in scaled.trace.records]
+                == [s * s * r.objective for r in base.trace.records])
         assert np.array_equal(scaled.final[0], s * base.final[0])
         assert np.array_equal(scaled.final[1], base.final[1])
 
@@ -402,7 +402,8 @@ class TestRunBasics:
                  quadratic_objective(a), algorithm="bmme")
         r2 = run([quadratic_block(a)], [np.ones(3)], cfg,
                  quadratic_objective(a), algorithm="bmme")
-        assert np.array_equal(r1.trace.objectives(), r2.trace.objectives())
+        assert ([r.objective for r in r1.trace.records]
+                == [r.objective for r in r2.trace.records])
 
     def test_rejects_mismatched_block_count(self):
         a = np.array([1.0])
@@ -473,7 +474,7 @@ class TestDescentVerification:
                            verify_descent=True)
         res = run([quadratic_block(a)], [np.ones(3) * 10.0], cfg,
                   quadratic_objective(a), algorithm="bmme")
-        objs = res.trace.objectives()
+        objs = [r.objective for r in res.trace.records]
         assert np.all(np.diff(objs) <= 1e-8 * (1.0 + np.abs(objs[:-1])))
 
     def test_overstated_constants_trip_the_verifier(self):
@@ -548,7 +549,7 @@ class TestBacktracking:
         ls = [c.l for c in res.state.certificates]
         assert all(b >= a for a, b in zip(Ls, Ls[1:]))
         assert all(b >= a for a, b in zip(ls, ls[1:]))
-        objs = res.trace.objectives()
+        objs = [r.objective for r in res.trace.records]
         assert objs[-1] < objs[0]
         assert np.linalg.norm(res.final[0]) < 1e-3
 
@@ -681,7 +682,7 @@ def completion_instance(seed=13, backtracked=True):
         block = dataclasses.replace(block, constants_for=None)
     return ([block],
             [matcomp.pack_state(matcomp.mc_random_init(p, seed=seed))],
-            lambda b: matcomp.mc_objective_packed(p)(b[0]))
+            matcomp.mc_objective_packed(p))
 
 
 CARRIED_INSTANCES = [
@@ -783,7 +784,8 @@ class TestCarriedDivergence:
         res = run(guarded, init, cfg, objective)
         plain = run(problems, init, cfg, objective)
         assert len(res.trace) == 5
-        assert np.array_equal(res.trace.objectives(), plain.trace.objectives())
+        assert ([r.objective for r in res.trace.records]
+                == [r.objective for r in plain.trace.records])
 
     def count_divergences(self, monkeypatch):
         calls = []
@@ -888,7 +890,7 @@ class TestCertificates:
             res = run([block], [z0], SolverConfig(max_iters=n,
                                                   tol_rel_change=0.0,
                                                   keep_certificates=True),
-                      lambda b: objective(b[0]))
+                      objective)
             certs = res.state.certificates
             assert len(certs) == n and sum(c.beta > 0.0 for c in certs) > 1
             # x^{-1} = x^0, ..., x^n
